@@ -300,6 +300,26 @@ ConjunctiveQuery RuleToCq(const ast::Rule& rule) {
   return ConjunctiveQuery(rule.head().args(), rule.body());
 }
 
+// Body predicate/arity pairs of a rule, sorted and unique.
+std::vector<std::pair<std::string, size_t>> BodySignature(
+    const ast::Rule& rule) {
+  std::vector<std::pair<std::string, size_t>> sig;
+  sig.reserve(rule.body().size());
+  for (const ast::Atom& a : rule.body()) {
+    sig.emplace_back(a.predicate(), a.arity());
+  }
+  std::sort(sig.begin(), sig.end());
+  sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
+  return sig;
+}
+
+bool HasEqualLiteral(const ast::Rule& rule) {
+  return std::any_of(rule.body().begin(), rule.body().end(),
+                     [](const ast::Atom& a) {
+                       return a.predicate() == ast::kEqualPredicate;
+                     });
+}
+
 void CheckRedundantRules(const ast::Program& program,
                          const LintOptions& options,
                          std::vector<Diagnostic>* out) {
@@ -325,6 +345,30 @@ void CheckRedundantRules(const ast::Program& program,
       break;
     }
   }
+  // The containment test needs a homomorphism from the containing rule's
+  // body into the contained rule's, which exists only when every body
+  // predicate/arity of the former occurs in the latter. An `equal` literal
+  // can make a body unsatisfiable, and an unsatisfiable body is contained in
+  // everything, so rules with one always get the full test.
+  std::vector<ConjunctiveQuery> cqs;
+  std::vector<std::vector<std::pair<std::string, size_t>>> sigs;
+  std::vector<bool> has_equal;
+  cqs.reserve(rules.size());
+  sigs.reserve(rules.size());
+  has_equal.reserve(rules.size());
+  for (const ast::Rule& r : rules) {
+    cqs.push_back(RuleToCq(r));
+    sigs.push_back(BodySignature(r));
+    has_equal.push_back(HasEqualLiteral(r));
+  }
+  auto contained = [&](size_t sub, size_t super) {
+    if (!has_equal[sub] && !has_equal[super] &&
+        !std::includes(sigs[sub].begin(), sigs[sub].end(),
+                       sigs[super].begin(), sigs[super].end())) {
+      return false;
+    }
+    return cqs[sub].ContainedIn(cqs[super]);
+  };
   for (size_t j = 0; j < rules.size(); ++j) {
     if (flagged[j]) continue;  // duplicates are trivially subsumed
     if (!SubsumptionEligible(rules[j], options.max_subsumption_body)) continue;
@@ -337,10 +381,10 @@ void CheckRedundantRules(const ast::Program& program,
       }
       // Prefer reporting the later rule: j subsumed by an earlier i, or by
       // a strictly-containing later rule only when i < j fails.
-      if (i > j && RuleToCq(rules[i]).ContainedIn(RuleToCq(rules[j]))) {
+      if (i > j && contained(i, j)) {
         continue;  // handled when the loop reaches rule i
       }
-      if (!RuleToCq(rules[j]).ContainedIn(RuleToCq(rules[i]))) continue;
+      if (!contained(j, i)) continue;
       Diagnostic d;
       d.code = "L103";
       d.severity = Severity::kWarning;

@@ -8,6 +8,7 @@
 #include "ast/special_predicates.h"
 #include "ast/substitution.h"
 #include "core/canonical.h"
+#include "core/transform_pass.h"
 
 namespace factlog::core {
 
@@ -187,18 +188,58 @@ bool DeleteDuplicateRules(ast::Program* program) {
 
 namespace {
 
+// True when the chase for `rule_index` could derive a fact of the rule's head
+// predicate: closes the predicates of the frozen body over the other rules,
+// counting builtin literals as satisfied and facts as always firing. The
+// chase derives no fact whose predicate lies outside this set.
+bool HeadPredicateReachable(const ast::Program& program, size_t rule_index) {
+  const std::vector<Rule>& rules = program.rules();
+  const std::string& target = rules[rule_index].head().predicate();
+  std::set<std::string> reached;
+  for (const Atom& b : rules[rule_index].body()) reached.insert(b.predicate());
+  bool grew = true;
+  while (grew && reached.count(target) == 0) {
+    grew = false;
+    for (size_t i = 0; i < rules.size(); ++i) {
+      if (i == rule_index || reached.count(rules[i].head().predicate()) > 0) {
+        continue;
+      }
+      const std::vector<Atom>& body = rules[i].body();
+      if (std::all_of(body.begin(), body.end(), [&reached](const Atom& a) {
+            return ast::IsBuiltinPredicate(a.predicate()) ||
+                   reached.count(a.predicate()) > 0;
+          })) {
+        reached.insert(rules[i].head().predicate());
+        grew = true;
+      }
+    }
+  }
+  return reached.count(target) > 0;
+}
+
+enum class UeVerdict { kRedundant, kIrredundant, kOutOfBudget };
+
 // Uniform-equivalence redundancy test: is `rule` derivable from the rest of
 // the program when its body is frozen to fresh constants?
-Result<bool> IsUniformlyRedundant(const ast::Program& program,
-                                  size_t rule_index,
-                                  const OptimizeOptions& opts) {
+Result<UeVerdict> TestUniformRedundancy(const ast::Program& program,
+                                        size_t rule_index,
+                                        const OptimizeOptions& opts,
+                                        UeCounters* counters) {
   const Rule& rule = program.rules()[rule_index];
-  if (rule.body().empty()) return false;  // facts are never redundant here
+  if (rule.body().empty()) {
+    return UeVerdict::kIrredundant;  // facts are never redundant here
+  }
   // Builtins cannot be frozen into facts; be conservative.
   for (const Atom& b : rule.body()) {
-    if (ast::IsBuiltinPredicate(b.predicate())) return false;
+    if (ast::IsBuiltinPredicate(b.predicate())) return UeVerdict::kIrredundant;
   }
-  if (ast::IsBuiltinPredicate(rule.head().predicate())) return false;
+  if (ast::IsBuiltinPredicate(rule.head().predicate())) {
+    return UeVerdict::kIrredundant;
+  }
+  if (!HeadPredicateReachable(program, rule_index)) {
+    ++counters->skipped;
+    return UeVerdict::kIrredundant;
+  }
 
   // Freeze variables to fresh symbolic constants.
   ast::Substitution freeze;
@@ -216,34 +257,48 @@ Result<bool> IsUniformlyRedundant(const ast::Program& program,
     chase.AddRule(Rule(fact, {}));
   }
 
+  ++counters->chases;
   eval::Database db;
   auto result = eval::Evaluate(chase, &db, opts.ue_eval);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kResourceExhausted) {
-      return false;  // cannot prove redundancy within budget
+      return UeVerdict::kOutOfBudget;  // cannot prove redundancy in budget
     }
     return result.status();
   }
   auto answers = eval::ExtractAnswers(frozen.head(), &result.value(), &db);
   FACTLOG_RETURN_IF_ERROR(answers.status());
-  return !answers->rows.empty();
+  return answers->rows.empty() ? UeVerdict::kIrredundant
+                               : UeVerdict::kRedundant;
 }
 
 }  // namespace
 
 Result<bool> DeleteUniformlyRedundantRules(ast::Program* program,
-                                           const OptimizeOptions& opts) {
+                                           const OptimizeOptions& opts,
+                                           UeCounters* counters) {
+  UeCounters ignored;
+  if (counters == nullptr) counters = &ignored;
+  std::vector<Rule>& rules = *program->mutable_rules();
+  // irredundant[i]: rule i was proven irredundant in a superset of the
+  // current program, so it still is (deleting rules only weakens the rest),
+  // and the rescan after a deletion passes over it without a chase.
+  std::vector<bool> irredundant(rules.size(), false);
   bool changed = false;
   bool deleted = true;
   while (deleted) {
     deleted = false;
-    size_t n = program->rules().size();
+    const size_t n = rules.size();
     for (size_t step = 0; step < n; ++step) {
       size_t i = (opts.ue_order == UeOrder::kForward) ? step : (n - 1 - step);
-      FACTLOG_ASSIGN_OR_RETURN(bool redundant,
-                               IsUniformlyRedundant(*program, i, opts));
-      if (redundant) {
-        program->mutable_rules()->erase(program->mutable_rules()->begin() + i);
+      if (irredundant[i]) continue;
+      FACTLOG_ASSIGN_OR_RETURN(
+          UeVerdict verdict,
+          TestUniformRedundancy(*program, i, opts, counters));
+      if (verdict == UeVerdict::kIrredundant) irredundant[i] = true;
+      if (verdict == UeVerdict::kRedundant) {
+        rules.erase(rules.begin() + i);
+        irredundant.erase(irredundant.begin() + i);
         changed = true;
         deleted = true;
         break;  // rescan with the smaller program
@@ -256,28 +311,13 @@ Result<bool> DeleteUniformlyRedundantRules(ast::Program* program,
 Result<ast::Program> OptimizeProgram(const ast::Program& program,
                                      const OptimizationContext& ctx,
                                      const OptimizeOptions& opts) {
-  ast::Program out = program;
-  for (int round = 0; round < 100; ++round) {
-    bool changed = false;
-    if (opts.apply_head_in_body) changed |= DeleteHeadInBodyRules(&out);
-    if (opts.apply_prop_5_1) changed |= DeleteSubsumedMagicLiterals(&out, ctx);
-    if (opts.apply_anonymize) changed |= AnonymizeSingletonVariables(&out);
-    if (opts.apply_prop_5_2) {
-      changed |= DeleteAnonymousFactorLiterals(&out, ctx);
-    }
-    if (opts.apply_prop_5_3) changed |= DeleteSeedFactorLiterals(&out, ctx);
-    if (opts.apply_duplicates) changed |= DeleteDuplicateRules(&out);
-    if (opts.apply_unreachable && !ctx.query_pred.empty()) {
-      changed |= DeleteUnreachableRules(&out, ctx.query_pred);
-    }
-    if (opts.apply_uniform_equivalence) {
-      FACTLOG_ASSIGN_OR_RETURN(bool ue_changed,
-                               DeleteUniformlyRedundantRules(&out, opts));
-      changed |= ue_changed;
-    }
-    if (!changed) break;
-  }
-  return out;
+  TransformState state;
+  state.optimized = program;
+  state.opt_ctx = ctx;
+  FACTLOG_ASSIGN_OR_RETURN(PassOutcome outcome,
+                           MakeSectionFiveFixpointPass(opts)->Apply(state));
+  (void)outcome;
+  return std::move(*state.optimized);
 }
 
 std::vector<int> FindStaticArguments(const ast::Program& program,

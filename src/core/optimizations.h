@@ -15,6 +15,10 @@
 //   * Proposition 5.5: anonymize variables occurring only once in a rule.
 //   * Uniform-equivalence rule deletion [13]: a rule is redundant when the
 //     remaining program derives its frozen head from its frozen body.
+//     Deleting a rule only weakens the rest of the program, so a rule once
+//     proven irredundant is never chased again, and a rule whose head
+//     predicate is unreachable from its body predicates is kept without a
+//     chase.
 //
 // Static argument reduction (Definitions 5.1/5.2, Lemmas 5.1/5.2) is also
 // here: it rewrites a unit program whose recursion carries a bound argument
@@ -61,8 +65,23 @@ struct OptimizeOptions {
   bool apply_duplicates = true;
   bool apply_uniform_equivalence = true;
   UeOrder ue_order = UeOrder::kForward;
-  /// Budget for each uniform-equivalence chase.
-  eval::EvalOptions ue_eval;
+  /// Budget for each uniform-equivalence chase. Chases evaluate bodies in
+  /// source order: their databases hold a handful of frozen facts, so join
+  /// planning costs more than it saves, and join order changes neither the
+  /// derived facts nor the iteration count a budget is checked against.
+  eval::EvalOptions ue_eval = [] {
+    eval::EvalOptions o;
+    o.join_order = eval::JoinOrder::kLeftToRight;
+    return o;
+  }();
+};
+
+/// What one uniform-equivalence deletion run spent on redundancy tests.
+struct UeCounters {
+  /// Frozen-body chases evaluated.
+  int chases = 0;
+  /// Tests the predicate-level pre-check answered without a chase.
+  int skipped = 0;
 };
 
 // ---- Individual passes (each returns true when it changed the program) ----
@@ -96,11 +115,16 @@ bool AnonymizeSingletonVariables(ast::Program* program);
 bool DeleteDuplicateRules(ast::Program* program);
 
 /// Uniform-equivalence rule deletion [13] via the frozen-body chase. Rules
-/// containing builtins are skipped (conservative).
+/// containing builtins are skipped (conservative). Deletes the first
+/// redundant rule in `opts.ue_order`, then rescans, until no rule is
+/// redundant; verdicts of "irredundant" carry over a deletion, so each rule
+/// is chased once unless its chase ran out of budget. Adds the tests it ran
+/// to `counters` when non-null.
 Result<bool> DeleteUniformlyRedundantRules(ast::Program* program,
-                                           const OptimizeOptions& opts);
+                                           const OptimizeOptions& opts,
+                                           UeCounters* counters = nullptr);
 
-/// Runs all enabled passes to a fixpoint.
+/// Runs all enabled passes to a fixpoint (MakeSectionFiveFixpointPass).
 Result<ast::Program> OptimizeProgram(const ast::Program& program,
                                      const OptimizationContext& ctx,
                                      const OptimizeOptions& opts = {});

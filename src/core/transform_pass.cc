@@ -595,19 +595,30 @@ class FixpointPass : public Transform {
     return Status::OK();
   }
   Result<PassOutcome> Apply(TransformState& state) override {
+    if (children_.empty()) return PassOutcome::kSkipped;
+    // Children are idempotent and deterministic (see MakeFixpointPass), so
+    // once every other child has run without a change since child `last`
+    // changed the state, running `last` again cannot change it either: the
+    // loop stops on coming back round to it. With no change at all, `last`
+    // stays 0 and the loop stops after one round.
+    const size_t n = children_.size();
+    const size_t max_runs = n * static_cast<size_t>(max_rounds_);
     bool any = false;
-    int rounds = 0;
-    for (; rounds < max_rounds_; ++rounds) {
-      bool changed = false;
-      for (const std::unique_ptr<Transform>& child : children_) {
-        FACTLOG_RETURN_IF_ERROR(child->CheckPreconditions(state));
-        FACTLOG_ASSIGN_OR_RETURN(PassOutcome outcome, child->Apply(state));
-        if (outcome == PassOutcome::kApplied) changed = true;
+    size_t last = 0;
+    size_t k = 0;
+    size_t runs = 0;
+    do {
+      const std::unique_ptr<Transform>& child = children_[k];
+      FACTLOG_RETURN_IF_ERROR(child->CheckPreconditions(state));
+      FACTLOG_ASSIGN_OR_RETURN(PassOutcome outcome, child->Apply(state));
+      if (outcome == PassOutcome::kApplied) {
+        any = true;
+        last = k;
       }
-      any |= changed;
-      if (!changed) break;
-    }
-    state.Note("fixpoint after " + std::to_string(rounds + 1) + " round(s)");
+      k = (k + 1) % n;
+      ++runs;
+    } while (k != last && runs < max_runs);
+    state.Note("fixpoint after " + std::to_string(runs) + " pass run(s)");
     return any ? PassOutcome::kApplied : PassOutcome::kSkipped;
   }
 
@@ -693,7 +704,14 @@ std::unique_ptr<Transform> MakeUnreachablePass() {
 std::unique_ptr<Transform> MakeUniformEquivalencePass(OptimizeOptions opts) {
   return std::make_unique<CleanupPass>(
       "uniform-equivalence", [opts](TransformState& s) -> Result<bool> {
-        return DeleteUniformlyRedundantRules(&*s.optimized, opts);
+        UeCounters counters;
+        FACTLOG_ASSIGN_OR_RETURN(
+            bool changed,
+            DeleteUniformlyRedundantRules(&*s.optimized, opts, &counters));
+        s.Note("uniform-equivalence: " + std::to_string(counters.chases) +
+               " chases, " + std::to_string(counters.skipped) +
+               " skipped by pre-check");
+        return changed;
       });
 }
 
@@ -737,8 +755,8 @@ std::unique_ptr<Transform> MakeFixpointPass(PassSequence children,
 
 std::unique_ptr<Transform> MakeSectionFiveFixpointPass(
     const OptimizeOptions& opts) {
-  // Child order matches the fixpoint loop OptimizeProgram runs, so the pass
-  // sequence reproduces the paper's final programs verbatim.
+  // The child order reproduces the paper's final programs verbatim; every
+  // child is idempotent and deterministic, as the fixpoint requires.
   PassSequence children;
   if (opts.apply_head_in_body) children.push_back(MakeHeadInBodyPass());
   if (opts.apply_prop_5_1) children.push_back(MakeSubsumedMagicPass());

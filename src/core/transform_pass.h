@@ -228,9 +228,17 @@ std::unique_ptr<Transform> MakeDuplicateRulePass();
 std::unique_ptr<Transform> MakeUnreachablePass();         // Prop 5.4b
 std::unique_ptr<Transform> MakeUniformEquivalencePass(OptimizeOptions opts);
 
-/// Runs `children` in order, repeatedly, until a full round applies none of
-/// them (bounded by `max_rounds`). Initializes `state.optimized` from the
-/// factored program when absent.
+/// Runs `children` in order, cyclically, until every child has run once
+/// without a change since the last child that changed the state (at most
+/// `max_rounds` rounds). Cleanup children initialize `state.optimized` from
+/// the factored program when absent.
+///
+/// Contract: every child must be idempotent (applied to a state it has just
+/// produced, it changes nothing) and deterministic (its effect depends only
+/// on the state). Under that contract the result equals the classic loop
+/// that runs whole rounds until one changes nothing, without that loop's
+/// confirmation round: the child that changed the state last is not run
+/// again.
 std::unique_ptr<Transform> MakeFixpointPass(PassSequence children,
                                             int max_rounds = 100);
 
@@ -241,7 +249,9 @@ std::unique_ptr<Transform> MakeFixpointPass(PassSequence children,
 /// rule in the trace.
 std::unique_ptr<Transform> MakeJoinPlanPass(plan::PlanOptions opts = {});
 
-/// The full §5 cleanup fixpoint in the order OptimizeProgram used.
+/// The full §5 cleanup fixpoint (what OptimizeProgram runs). Its
+/// uniform-equivalence child notes "N chases, M skipped by pre-check" per
+/// run.
 std::unique_ptr<Transform> MakeSectionFiveFixpointPass(
     const OptimizeOptions& opts);
 

@@ -209,6 +209,15 @@ TEST(LintTest, IncomparableRulesAreNotSubsumed) {
   EXPECT_EQ(Count(report, "L103"), 0);
 }
 
+TEST(LintTest, UnsatisfiableBodyIsSubsumedWithoutSharedPredicates) {
+  // Rule 2's body is unsatisfiable (1 = 2), so it is contained in rule 1
+  // although e does not occur in it: the predicate pre-filter must not
+  // reject pairs with an equal literal.
+  LintReport report = LintProgram(
+      P("p(X, Y) :- e(X, Y). p(X, Y) :- g(X, Y), equal(1, 2). ?- p(1, Y)."));
+  EXPECT_EQ(Count(report, "L103"), 1);
+}
+
 TEST(LintTest, OversizedBodySkipsSubsumption) {
   LintOptions opts;
   opts.max_subsumption_body = 1;

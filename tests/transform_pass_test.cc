@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "core/canonical.h"
 #include "core/pipeline.h"
+#include "tests/sweep_corpus.h"
 #include "tests/test_util.h"
 #include "transform/magic.h"
 
@@ -181,6 +185,20 @@ TEST(CompileQueryTest, CompiledProgramCarriesQuery) {
   }
 }
 
+// The §5 children in MakeSectionFiveFixpointPass's order.
+PassSequence SectionFiveChildren(const OptimizeOptions& opts) {
+  PassSequence children;
+  children.push_back(MakeHeadInBodyPass());
+  children.push_back(MakeSubsumedMagicPass());
+  children.push_back(MakeAnonymizePass());
+  children.push_back(MakeAnonymousFactorPass());
+  children.push_back(MakeSeedFactorPass());
+  children.push_back(MakeDuplicateRulePass());
+  children.push_back(MakeUnreachablePass());
+  children.push_back(MakeUniformEquivalencePass(opts));
+  return children;
+}
+
 TEST(FixpointPassTest, CustomSequenceRunsChildrenToFixpoint) {
   // A §5 fixpoint built by hand from individual passes behaves like the
   // packaged section-5 pass.
@@ -196,17 +214,8 @@ TEST(FixpointPassTest, CustomSequenceRunsChildrenToFixpoint) {
   front.push_back(MakeFactoringPass());
   ASSERT_TRUE(RunPasses(front, state).ok());
 
-  PassSequence cleanups;
-  cleanups.push_back(MakeHeadInBodyPass());
-  cleanups.push_back(MakeSubsumedMagicPass());
-  cleanups.push_back(MakeAnonymizePass());
-  cleanups.push_back(MakeAnonymousFactorPass());
-  cleanups.push_back(MakeSeedFactorPass());
-  cleanups.push_back(MakeDuplicateRulePass());
-  cleanups.push_back(MakeUnreachablePass());
-  cleanups.push_back(MakeUniformEquivalencePass(OptimizeOptions()));
   PassSequence fix;
-  fix.push_back(MakeFixpointPass(std::move(cleanups)));
+  fix.push_back(MakeFixpointPass(SectionFiveChildren(OptimizeOptions())));
   ASSERT_TRUE(RunPasses(fix, state).ok());
   ASSERT_TRUE(state.optimized.has_value());
 
@@ -228,6 +237,155 @@ TEST(TraceTest, ToStringMentionsPassAndRuleCounts) {
   EXPECT_NE(s.find("magic-sets"), std::string::npos);
   EXPECT_NE(s.find("2 -> 4 rules"), std::string::npos);
   EXPECT_NE(s.find("magic program has 4 rules"), std::string::npos);
+}
+
+
+// A child that changes the state on its first `changes` applications only
+// (idempotent from then on), counting every application.
+class CountingChild : public Transform {
+ public:
+  CountingChild(const char* name, int changes, int* applied)
+      : name_(name), changes_(changes), applied_(applied) {}
+  const char* name() const override { return name_; }
+  Result<PassOutcome> Apply(TransformState&) override {
+    ++*applied_;
+    return *applied_ <= changes_ ? PassOutcome::kApplied
+                                 : PassOutcome::kSkipped;
+  }
+
+ private:
+  const char* name_;
+  int changes_;
+  int* applied_;
+};
+
+TEST(FixpointPassTest, StopsBeforeRerunningTheLastChildThatChanged) {
+  // b changes the state once; a and c never do. A whole-round loop would run
+  // a second round to confirm; the fixpoint stops on reaching b again.
+  int a = 0, b = 0, c = 0;
+  PassSequence children;
+  children.push_back(std::make_unique<CountingChild>("a", 0, &a));
+  children.push_back(std::make_unique<CountingChild>("b", 1, &b));
+  children.push_back(std::make_unique<CountingChild>("c", 0, &c));
+  TransformState state;
+  auto outcome = MakeFixpointPass(std::move(children))->Apply(state);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(*outcome, PassOutcome::kApplied);
+  EXPECT_EQ(b, 1);  // never re-run after its change
+  EXPECT_EQ(a, 2);
+  EXPECT_EQ(c, 1);
+}
+
+TEST(FixpointPassTest, UnchangedRoundRunsEachChildOnce) {
+  int a = 0, b = 0;
+  PassSequence children;
+  children.push_back(std::make_unique<CountingChild>("a", 0, &a));
+  children.push_back(std::make_unique<CountingChild>("b", 0, &b));
+  TransformState state;
+  auto outcome = MakeFixpointPass(std::move(children))->Apply(state);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(*outcome, PassOutcome::kSkipped);
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 1);
+}
+
+// Oracle: whole rounds of every child until a round changes nothing.
+Status RunWholeRounds(const PassSequence& children, TransformState& state) {
+  for (int round = 0; round < 100; ++round) {
+    bool changed = false;
+    for (const std::unique_ptr<Transform>& child : children) {
+      FACTLOG_ASSIGN_OR_RETURN(PassOutcome outcome, child->Apply(state));
+      changed |= outcome == PassOutcome::kApplied;
+    }
+    if (!changed) break;
+  }
+  return Status::OK();
+}
+
+// The state after factoring, ready for the §5 cleanups; nullopt when the
+// program does not factor.
+std::optional<TransformState> FactoredState(const std::string& text,
+                                            const std::string& query) {
+  ast::Program p = P(text);
+  TransformState state;
+  state.source = p;
+  state.source_query = A(query);
+  PassSequence front;
+  front.push_back(MakeAdornPass());
+  front.push_back(MakeClassifyPass());
+  front.push_back(MakeNormalizePass(true));
+  front.push_back(MakeMagicPass());
+  front.push_back(MakeFactorabilityGatePass());
+  front.push_back(MakeFactoringPass());
+  auto completed = RunPasses(front, state);
+  EXPECT_TRUE(completed.ok()) << completed.status().ToString();
+  if (!completed.ok() || !*completed) return std::nullopt;
+  return state;
+}
+
+const char kSelectionPushing[] =
+    "p(X, Y) :- l(X), p(X, U), c1(U, V), p(V, Y), r1(Y). "
+    "p(X, Y) :- l(X), p(X, U), c2(U, V), p(V, Y), r2(Y). "
+    "p(X, Y) :- l(X), f(X, V), p(V, Y), r3(Y). "
+    "p(X, Y) :- e(X, Y), r1(Y), r2(Y), r3(Y).";
+
+TEST(FixpointPassTest, EarlyExitMatchesWholeRounds) {
+  std::vector<std::pair<std::string, std::string>> programs = {
+      {kSelectionPushing, "p(5, Y)"}};
+  for (const test::SweepProgram& sp : test::kSweepPrograms) {
+    programs.emplace_back(sp.text, sp.query);
+  }
+  int compared = 0;
+  for (const auto& [text, query] : programs) {
+    std::optional<TransformState> factored = FactoredState(text, query);
+    if (!factored.has_value()) continue;
+    for (UeOrder order : {UeOrder::kForward, UeOrder::kBackward}) {
+      SCOPED_TRACE(text + " ?- " + query);
+      OptimizeOptions opts;
+      opts.ue_order = order;
+      TransformState expected = *factored;
+      ASSERT_TRUE(RunWholeRounds(SectionFiveChildren(opts), expected).ok());
+      TransformState actual = *factored;
+      ASSERT_TRUE(MakeSectionFiveFixpointPass(opts)->Apply(actual).ok());
+      ASSERT_TRUE(actual.optimized.has_value());
+      EXPECT_EQ(actual.optimized->ToString(), expected.optimized->ToString());
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 2);
+}
+
+// Sum of "uniform-equivalence: N chases" over a compile's trace notes.
+int UniformEquivalenceChases(const CompiledQuery& compiled) {
+  const std::string prefix = "uniform-equivalence: ";
+  int chases = 0;
+  for (const PassTraceEntry& entry : compiled.trace) {
+    for (const std::string& note : entry.notes) {
+      if (note.rfind(prefix, 0) == 0) {
+        chases += std::atoi(note.c_str() + prefix.size());
+      }
+    }
+  }
+  return chases;
+}
+
+TEST(FixpointPassTest, UniformEquivalenceChaseCounts) {
+  // Hardware-independent cost of the §5 fixpoint: chases actually
+  // evaluated. Whole rounds with a restart scan and no pre-check ran 14 for
+  // selection-pushing.
+  ast::Program right = P(kRightTc);
+  auto right_tc = CompileQuery(right, *right.query(), Strategy::kFactoring);
+  ASSERT_TRUE(right_tc.ok()) << right_tc.status().ToString();
+  ASSERT_TRUE(right_tc->factoring_applied);
+  EXPECT_NE(TraceToString(right_tc->trace).find("skipped by pre-check"),
+            std::string::npos);
+  EXPECT_LE(UniformEquivalenceChases(*right_tc), 1);
+
+  ast::Program sp = P(kSelectionPushing);
+  auto selection = CompileQuery(sp, A("p(5, Y)"), Strategy::kFactoring);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  ASSERT_TRUE(selection->factoring_applied);
+  EXPECT_LE(UniformEquivalenceChases(*selection), 4);
 }
 
 }  // namespace
