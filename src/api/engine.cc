@@ -579,6 +579,10 @@ Result<eval::AnswerSet> Engine::Query(const ast::Program& program,
     return answers;
   }
 
+  // One evaluation epoch from compile through Execute: the compile's planner
+  // seeding and Execute take nested scopes, and without this outer one a
+  // mutation could land in the gap between them.
+  QueryScope scope(this);
   FACTLOG_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledQuery> plan,
       options_.enable_plan_cache

@@ -1,5 +1,6 @@
 #include "eval/relation.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -87,6 +88,68 @@ size_t Relation::RowHash(const ValueId* row) const {
   return h;
 }
 
+uint32_t Relation::RowTag(const ValueId* row) const {
+  // RowHash feeds identity-hashed int32s into its combine, so its low bits
+  // cluster; fold the halves and keep the high half of a Fibonacci product.
+  uint64_t h = RowHash(row);
+  h ^= h >> 32;
+  return static_cast<uint32_t>((h * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+size_t Relation::ProbeDedup(const ValueId* row, uint32_t tag,
+                            bool* found) const {
+  const size_t mask = dedup_.size() - 1;
+  size_t pos = tag & mask;
+  // Load <= 1/2 guarantees an empty slot ends every chain.
+  for (;; pos = (pos + 1) & mask) {
+    const DedupSlot& slot = dedup_[pos];
+    if (slot.row_plus1 == 0) break;
+    // Arity-0 rows are all equal (and may be null pointers — never handed
+    // to memcmp).
+    if (slot.tag == tag &&
+        (arity_ == 0 || std::memcmp(this->row(slot.row_plus1 - 1), row,
+                                    arity_ * sizeof(ValueId)) == 0)) {
+      *found = true;
+      return pos;
+    }
+  }
+  *found = false;
+  return pos;
+}
+
+void Relation::GrowDedup(size_t rows) {
+  size_t capacity = dedup_.empty() ? 16 : dedup_.size();
+  while (capacity < 2 * rows) capacity *= 2;
+  if (capacity == dedup_.size()) return;
+  std::vector<DedupSlot> old(capacity);
+  old.swap(dedup_);
+  for (const DedupSlot& slot : old) {
+    if (slot.row_plus1 != 0) PlaceSlot(slot.row_plus1 - 1, slot.tag);
+  }
+}
+
+void Relation::PlaceSlot(uint32_t r, uint32_t tag) {
+  const size_t mask = dedup_.size() - 1;
+  size_t pos = tag & mask;
+  while (dedup_[pos].row_plus1 != 0) pos = (pos + 1) & mask;
+  dedup_[pos] = DedupSlot{r + 1, tag};
+}
+
+void Relation::RemoveSlot(size_t hole) {
+  const size_t mask = dedup_.size() - 1;
+  for (size_t pos = (hole + 1) & mask; dedup_[pos].row_plus1 != 0;
+       pos = (pos + 1) & mask) {
+    // The entry may fill the hole iff the hole lies on its probe path, i.e.
+    // its home is no later than the hole (cyclically) on the way to pos.
+    const size_t home = dedup_[pos].tag & mask;
+    if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+      dedup_[hole] = dedup_[pos];
+      hole = pos;
+    }
+  }
+  dedup_[hole] = DedupSlot{};
+}
+
 size_t Relation::ShardOf(const ValueId* row) const {
   if (shards_.empty()) return 0;
   // FNV-1a over the partition columns; only used to spread rows across
@@ -103,7 +166,7 @@ size_t Relation::ShardOf(const ValueId* row) const {
 void Relation::Reserve(size_t rows) {
   if (shards_.empty()) {
     if (paged_ == nullptr) cells_.reserve(rows * arity_);
-    dedup_.reserve(rows);
+    GrowDedup(rows);
     return;
   }
   row_locs_.reserve(rows);
@@ -139,18 +202,14 @@ bool Relation::InsertFlat(const ValueId* row) {
     insert_scratch_.assign(row, row + arity_);
     row = insert_scratch_.data();
   }
-  size_t h = RowHash(row);
-  auto& bucket = dedup_[h];
-  for (uint32_t r : bucket) {
-    // Arity-0 rows are all equal (and may be null pointers — never handed
-    // to memcmp).
-    if (arity_ == 0 ||
-        std::memcmp(this->row(r), row, arity_ * sizeof(ValueId)) == 0) {
-      return false;
-    }
-  }
+  // Grow first so the probe's final empty slot is where the row goes.
+  GrowDedup(num_rows_ + 1);
+  const uint32_t tag = RowTag(row);
+  bool found = false;
+  const size_t pos = ProbeDedup(row, tag, &found);
+  if (found) return false;
   uint32_t new_row = static_cast<uint32_t>(num_rows_);
-  bucket.push_back(new_row);
+  dedup_[pos] = DedupSlot{new_row + 1, tag};
   if (arity_ > 0) AppendRowStorage(row);
   ++num_rows_;
   ++version_;
@@ -181,6 +240,7 @@ void Relation::NoteShardErase() {
   // Combined indices hold global row ids that no longer resolve; drop them
   // and let SyncShards/EnsureIndex rebuild on demand.
   indices_.clear();
+  lookup_index_ = nullptr;
 }
 
 bool Relation::InsertIntoShard(size_t s, const ValueId* row) {
@@ -197,6 +257,7 @@ bool Relation::InsertIntoShard(size_t s, const ValueId* row) {
 }
 
 int64_t Relation::FindRowFlat(const ValueId* row) const {
+  if (dedup_.empty()) return -1;
   if (paged_ != nullptr && arity_ > 0) {
     // The probe loop's this->row(r) calls recycle ring slots; `row` may be
     // one. Stabilize into a thread-local (not the ring) before probing.
@@ -206,21 +267,15 @@ int64_t Relation::FindRowFlat(const ValueId* row) const {
       row = stable.data();
     }
   }
-  auto it = dedup_.find(RowHash(row));
-  if (it == dedup_.end()) return -1;
-  for (uint32_t r : it->second) {
-    if (arity_ == 0 ||
-        std::memcmp(this->row(r), row, arity_ * sizeof(ValueId)) == 0) {
-      return static_cast<int64_t>(r);
-    }
-  }
-  return -1;
+  bool found = false;
+  const size_t pos = ProbeDedup(row, RowTag(row), &found);
+  return found ? static_cast<int64_t>(dedup_[pos].row_plus1 - 1) : -1;
 }
 
 namespace {
 
 // Removes one occurrence of `id` from `ids` (swap-pop; order is irrelevant
-// for dedup buckets and index posting lists).
+// for index posting lists).
 void RemoveRowId(std::vector<uint32_t>* ids, uint32_t id) {
   for (size_t i = 0; i < ids->size(); ++i) {
     if ((*ids)[i] == id) {
@@ -265,24 +320,23 @@ void Relation::RenumberRowInIndexes(uint32_t from, uint32_t to) {
 }
 
 bool Relation::EraseFlat(const ValueId* row) {
+  if (dedup_.empty()) return false;
   if (paged_ != nullptr && arity_ > 0 && row != erase_scratch_.data()) {
-    // `row` is read again after FindRowFlat's probe loop (RowHash below);
-    // stabilize it out of the copy-out ring for the whole erase.
+    // The probe loop's this->row(r) calls recycle copy-out ring slots `row`
+    // may point into; stabilize it for the whole erase.
     erase_scratch_.assign(row, row + arity_);
     row = erase_scratch_.data();
   }
-  int64_t found = FindRowFlat(row);
-  if (found < 0) return false;
+  bool found = false;
+  const size_t pos = ProbeDedup(row, RowTag(row), &found);
+  if (!found) return false;
   ++version_;
-  uint32_t r = static_cast<uint32_t>(found);
+  uint32_t r = dedup_[pos].row_plus1 - 1;
   uint32_t last = static_cast<uint32_t>(num_rows_ - 1);
 
   // Unhook row r from the dedup table and every built index while its cells
   // are still intact.
-  size_t h = RowHash(row);
-  auto ded = dedup_.find(h);
-  RemoveRowId(&ded->second, r);
-  if (ded->second.empty()) dedup_.erase(ded);
+  RemoveSlot(pos);
   RemoveRowFromIndexes(r);
 
   if (r != last) {
@@ -294,8 +348,12 @@ bool Relation::EraseFlat(const ValueId* row) {
       move_scratch_.assign(last_cells, last_cells + arity_);
       last_cells = move_scratch_.data();
     }
-    auto lded = dedup_.find(RowHash(last_cells));
-    ReplaceRowId(&lded->second, last, r);
+    // Renumber the last row's slot: it sits on its tag's chain, and the row
+    // id alone identifies it (no cell compare).
+    const size_t mask = dedup_.size() - 1;
+    size_t lpos = RowTag(last_cells) & mask;
+    while (dedup_[lpos].row_plus1 != last + 1) lpos = (lpos + 1) & mask;
+    dedup_[lpos].row_plus1 = r + 1;
     RenumberRowInIndexes(last, r);
     if (arity_ > 0) WriteRowStorage(r, last_cells);
     if (counts_enabled_) counts_[r] = counts_[last];
@@ -378,25 +436,7 @@ int64_t Relation::AddSupport(const ValueId* row, int64_t delta) {
 
 bool Relation::Contains(const ValueId* row) const {
   const Relation* r = shards_.empty() ? this : shards_[ShardOf(row)].get();
-  if (r->paged_ != nullptr && arity_ > 0) {
-    // Same ring hazard as FindRowFlat: the probe loop below recycles
-    // copy-out slots `row` may point into.
-    thread_local std::vector<ValueId> stable;
-    if (row != stable.data()) {
-      stable.assign(row, row + arity_);
-      row = stable.data();
-    }
-  }
-  size_t h = r->RowHash(row);
-  auto it = r->dedup_.find(h);
-  if (it == r->dedup_.end()) return false;
-  for (uint32_t c : it->second) {
-    if (arity_ == 0 ||
-        std::memcmp(r->row(c), row, arity_ * sizeof(ValueId)) == 0) {
-      return true;
-    }
-  }
-  return false;
+  return r->FindRowFlat(row) >= 0;
 }
 
 void Relation::AddRowToIndex(const std::vector<int>& cols, Index* index,
@@ -410,15 +450,18 @@ void Relation::AddRowToIndex(const std::vector<int>& cols, Index* index,
   it->second.push_back(r);
 }
 
-void Relation::EnsureIndex(const std::vector<int>& cols) {
+Relation::Index& Relation::IndexFor(const std::vector<int>& cols) {
   auto [it, inserted] = indices_.try_emplace(cols);
-  if (!inserted) return;
-  ++version_;  // frozen copies must re-copy to pick up the new index
   Index& index = it->second;
+  if (!inserted) return index;
+  ++version_;  // frozen copies must re-copy to pick up the new index
   for (uint32_t r = 0; r < num_rows_; ++r) {
     AddRowToIndex(cols, &index, r);
   }
+  return index;
 }
+
+void Relation::EnsureIndex(const std::vector<int>& cols) { IndexFor(cols); }
 
 void Relation::EnsureShardIndexes(const std::vector<int>& cols) {
   if (shards_.empty()) {
@@ -445,12 +488,18 @@ const std::vector<uint32_t>* Relation::FindIndexed(
 
 const std::vector<uint32_t>& Relation::Lookup(const std::vector<int>& cols,
                                               const std::vector<ValueId>& key) {
-  EnsureIndex(cols);
-  const std::vector<uint32_t>* rows = FindIndexed(cols, key);
-  return rows == nullptr ? kEmptyRows : *rows;
+  if (lookup_index_ == nullptr || cols != lookup_cols_) {
+    lookup_index_ = &IndexFor(cols);
+    lookup_cols_ = cols;
+  }
+  auto bucket = lookup_index_->buckets.find(key);
+  return bucket == lookup_index_->buckets.end() ? kEmptyRows : bucket->second;
 }
 
 void Relation::Clear() {
+  // The dedup table keeps its capacity. Only a populated table needs the
+  // zero-fill: erases leave empty slots behind, never tombstones.
+  if (num_rows_ != 0) std::fill(dedup_.begin(), dedup_.end(), DedupSlot{});
   num_rows_ = 0;
   ++version_;
   cells_.clear();
@@ -461,8 +510,8 @@ void Relation::Clear() {
                    st.ToString().c_str());
     }
   }
-  dedup_.clear();
   indices_.clear();
+  lookup_index_ = nullptr;
   row_locs_.clear();
   counts_.clear();
   needs_sync_ = false;
@@ -594,9 +643,9 @@ void Relation::PopBackStorage() {
 
 void Relation::RebuildDedup() {
   dedup_.clear();
-  dedup_.reserve(num_rows_);
+  GrowDedup(num_rows_);
   for (uint32_t r = 0; r < static_cast<uint32_t>(num_rows_); ++r) {
-    dedup_[RowHash(this->row(r))].push_back(r);
+    PlaceSlot(r, RowTag(this->row(r)));
   }
 }
 
@@ -740,6 +789,7 @@ void Relation::SyncShards() {
   num_rows_ = total;
   ++version_;  // MergeShard deltas become visible here, not per merge
   indices_.clear();
+  lookup_index_ = nullptr;
   needs_sync_ = false;
 }
 

@@ -18,6 +18,18 @@
 // outer indices over global row ids. A single-shard Relation (the default)
 // keeps the original flat layout with no indirection.
 //
+// Dedup table: each flat relation (and each inner shard) finds its rows by
+// value through an open-addressing table of 8-byte slots {row id + 1 (0 =
+// empty), 32-bit hash tag}. The tag is a multiply-shift mix of the row hash
+// and its low bits are the slot's home position, so growth rehashes from the
+// tags alone and deletion backward-shifts the rest of the cluster (no
+// tombstones); a row is only read (memcmp) when its tag matches. Capacity is
+// a power of two at load <= 1/2, so an insert allocates nothing until the
+// table doubles. Clear() zero-fills the slots and keeps their capacity, which
+// is how the fixpoints reuse their delta buffers: a cleared relation holds
+// the same rows in the same order after the same inserts as a fresh one,
+// because row ids follow insertion order and never depend on slot positions.
+//
 // Thread safety: a Relation is not internally synchronized. The const
 // methods (size, row, Contains, FindIndexed) are safe to call from many
 // threads concurrently as long as no thread mutates; the exec layer freezes
@@ -144,7 +156,9 @@ class Relation {
   }
 
   /// Returns indices of rows whose `cols` project onto `key`. `cols` must be
-  /// strictly increasing. Builds (and caches) the index on first use.
+  /// strictly increasing. Builds (and caches) the index on first use, and
+  /// remembers the last `cols` it resolved so repeated probes on one column
+  /// set skip the index-map search.
   const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
                                       const std::vector<ValueId>& key);
 
@@ -287,6 +301,12 @@ class Relation {
         buckets;
   };
 
+  /// One dedup table slot (see the header comment).
+  struct DedupSlot {
+    uint32_t row_plus1 = 0;  // row id + 1; 0 marks an empty slot
+    uint32_t tag = 0;        // mixed row hash; tag & mask is the home slot
+  };
+
   /// Memberwise copy: shares the shard shared_ptrs, copies everything else.
   /// A paged source is materialized into the clone's RAM cells (the page
   /// store stays with the original). Private — only FrozenCopy and
@@ -302,6 +322,20 @@ class Relation {
   void DetachShard(size_t s);
 
   size_t RowHash(const ValueId* row) const;
+  /// RowHash mixed down to the 32-bit dedup tag.
+  uint32_t RowTag(const ValueId* row) const;
+  /// Probes `row`'s chain in the (non-empty) dedup table: returns the slot
+  /// holding it (*found = true), else the empty slot that ends the chain.
+  size_t ProbeDedup(const ValueId* row, uint32_t tag, bool* found) const;
+  /// Grows the dedup table (rehashing by tag) until `rows` fit at load
+  /// <= 1/2. Never shrinks.
+  void GrowDedup(size_t rows);
+  /// Puts row id `r` into the first empty slot of its chain (no dup check).
+  void PlaceSlot(uint32_t r, uint32_t tag);
+  /// Empties slot `hole`, shifting later entries of its cluster back.
+  void RemoveSlot(size_t hole);
+  /// The index over `cols`, built on first use.
+  Index& IndexFor(const std::vector<int>& cols);
   void AddRowToIndex(const std::vector<int>& cols, Index* index, uint32_t r);
   void RemoveRowFromIndexes(uint32_t r);
   void RenumberRowInIndexes(uint32_t from, uint32_t to);
@@ -338,10 +372,16 @@ class Relation {
   size_t num_rows_ = 0;
   // Flat storage (single-shard mode; also each inner shard).
   std::vector<ValueId> cells_;
-  // row-hash -> candidate row indices (deduplication).
-  std::unordered_map<size_t, std::vector<uint32_t>> dedup_;
+  // Open-addressing dedup table (flat mode / each inner shard): empty or a
+  // power-of-two number of slots.
+  std::vector<DedupSlot> dedup_;
   // column list -> combined index (global row ids in sharded mode).
   std::map<std::vector<int>, Index> indices_;
+  // Lookup's memo of its last resolved column list. map nodes are stable, so
+  // the pointer holds until indices_ is cleared (every clear resets it). A
+  // copy starts without one; the const FindIndexed never uses it.
+  std::vector<int> lookup_cols_;
+  Index* lookup_index_ = nullptr;
   // Scratch key for index maintenance; avoids an allocation per (row, index)
   // on the fixpoint's hot insert path.
   std::vector<ValueId> key_scratch_;

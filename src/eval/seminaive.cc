@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "ast/special_predicates.h"
 
@@ -201,12 +202,13 @@ class Engine {
         }
       }
 
-      // Merge: full += delta; delta = next; next = fresh.
+      // Merge: full += delta; delta = next; next = the old delta, cleared
+      // (Clear keeps the dedup capacity, so next round's inserts do not
+      // regrow the table).
       for (auto& [name, st] : preds_) {
         st.full->Absorb(*st.delta);
-        st.delta = std::move(st.next);
-        st.next = std::make_unique<Relation>(st.full->arity(),
-                                             st.full->storage_options());
+        std::swap(st.delta, st.next);
+        st.next->Clear();
       }
     }
     return Status::OK();
@@ -484,15 +486,18 @@ Result<AnswerSet> ExtractAnswersFrom(const ast::Atom& query, Relation* rel,
   FACTLOG_ASSIGN_OR_RETURN(CompiledRule rule,
                            CompiledRule::Compile(probe, store));
 
-  std::set<std::vector<ValueId>> rows;
+  // Collect, then sort + unique: the same lexicographic order a std::set
+  // would give, without a tree node per answer.
+  std::vector<std::vector<ValueId>>& rows = answers.rows;
   JoinStats stats;
   FACTLOG_RETURN_IF_ERROR(EnumerateRule(
       rule, store, {RelationView{rel, nullptr, shared}}, false, &stats,
       [&rows](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
-        rows.insert(row);
+        rows.push_back(row);
         return true;
       }));
-  answers.rows.assign(rows.begin(), rows.end());
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return answers;
 }
 

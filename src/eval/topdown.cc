@@ -1,5 +1,6 @@
 #include "eval/topdown.h"
 
+#include <algorithm>
 #include <set>
 
 #include "ast/special_predicates.h"
@@ -38,7 +39,10 @@ class SldEngine {
     Substitution empty;
     FACTLOG_ASSIGN_OR_RETURN(std::vector<Substitution> solutions,
                              SolveGoal(query_, empty, 0));
-    std::set<std::vector<ValueId>> rows;
+    // Collect, then sort + unique (the lexicographic order a std::set of
+    // rows would give).
+    std::vector<std::vector<ValueId>>& rows = answers.rows;
+    rows.reserve(solutions.size());
     for (const Substitution& s : solutions) {
       std::vector<ValueId> row;
       row.reserve(answers.vars.size());
@@ -50,9 +54,10 @@ class SldEngine {
         FACTLOG_ASSIGN_OR_RETURN(ValueId id, db_->store().FromTerm(t));
         row.push_back(id);
       }
-      rows.insert(std::move(row));
+      rows.push_back(std::move(row));
     }
-    answers.rows.assign(rows.begin(), rows.end());
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     return answers;
   }
 

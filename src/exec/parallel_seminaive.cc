@@ -706,14 +706,14 @@ class ParallelEngine {
       }
       FACTLOG_RETURN_IF_ERROR(DrainTaskResults(&results));
 
-      // Merge: sync the shard-merged next relations, then
-      // full += delta; delta = next; next = fresh.
+      // Merge: sync the shard-merged next relations, then full += delta;
+      // delta = next; next = the old delta, cleared (its shards keep their
+      // dedup capacity for next round's merges).
       for (auto& [name, st] : preds_) {
         st.next->SyncShards();
         st.full->Absorb(*st.delta);
-        st.delta = std::move(st.next);
-        st.next = std::make_unique<Relation>(st.full->arity(),
-                                             st.full->storage_options());
+        std::swap(st.delta, st.next);
+        st.next->Clear();
       }
       if (TotalIdbFacts() > opts_.eval.max_facts) return BudgetExceeded();
     }

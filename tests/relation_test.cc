@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/database.h"
 #include "eval/seminaive.h"
+#include "storage/paged_store.h"
 #include "tests/sweep_corpus.h"
 #include "tests/test_util.h"
 
@@ -111,11 +118,15 @@ TEST(RelationTest, Absorb) {
 TEST(RelationTest, Clear) {
   Relation r(1);
   r.Insert({1});
-  r.Lookup({0}, {1});
+  r.Lookup({0}, {1});  // memoizes the {0} index
   r.Clear();
   EXPECT_EQ(r.size(), 0u);
   EXPECT_TRUE(r.Lookup({0}, {1}).empty());
   EXPECT_TRUE(r.Insert({1}));
+  EXPECT_TRUE(r.Insert({2}));
+  // Clear dropped the memo with the indices: lookups see the new rows.
+  EXPECT_EQ(r.Lookup({0}, {1}).size(), 1u);
+  EXPECT_EQ(r.Lookup({0}, {2}).size(), 1u);
 }
 
 TEST(RelationTest, ReserveDoesNotChangeContents) {
@@ -348,6 +359,7 @@ TEST(ShardedRelationTest, MergeShardThenSyncShards) {
   target.Insert({1, 2});
   Relation buffer(2, Sharded(4));  // same layout: shards line up
   for (ValueId i = 0; i < 20; ++i) buffer.Insert({i, i + 1});
+  EXPECT_TRUE(target.Lookup({0}, {5}).empty());  // memoizes the {0} index
 
   for (size_t s = 0; s < buffer.shard_count(); ++s) {
     target.MergeShard(s, buffer.shard(s));
@@ -355,7 +367,9 @@ TEST(ShardedRelationTest, MergeShardThenSyncShards) {
   target.SyncShards();
   EXPECT_EQ(target.size(), 20u);  // {1,2} deduplicated inside its shard
   EXPECT_EQ(Rows(target), Rows(buffer));
-  // Post-sync, lookups and row() agree again.
+  // Post-sync, lookups (the memo was dropped with the combined indices)
+  // and row() agree again.
+  EXPECT_EQ(target.Lookup({0}, {5}).size(), 1u);
   EXPECT_EQ(target.Lookup({0}, {1}).size(), 1u);
   EXPECT_TRUE(target.Contains(buffer.row(0)));
   // Sync is idempotent.
@@ -505,6 +519,7 @@ TEST(ShardedRelationTest, EraseDesyncsUntilSyncShards) {
   Relation r(2, Sharded(4));
   for (ValueId i = 0; i < 40; ++i) r.Insert({i, i + 1});
   std::set<std::string> before = Rows(r);
+  EXPECT_EQ(r.Lookup({0}, {11}).size(), 1u);  // memoizes the {0} index
   ValueId a[2] = {11, 12};
   ValueId b[2] = {30, 31};
   EXPECT_TRUE(r.Erase(a));
@@ -563,6 +578,235 @@ TEST(DatabaseTest, PairAndUnitHelpers) {
   db.AddUnit("v", 7);
   EXPECT_EQ(db.Find("e")->size(), 1u);
   EXPECT_EQ(db.Find("v")->size(), 1u);
+}
+
+// ---- Randomized differential test against a std::set model ------------------
+
+using Row = std::vector<ValueId>;
+
+// A relation's rows in its row order (one row() call per row: a page-backed
+// relation's copy-out ring rotates on every call).
+std::vector<Row> RowList(const Relation& r) {
+  std::vector<Row> out;
+  for (size_t i = 0; i < r.size(); ++i) {
+    const ValueId* row = r.row(i);
+    out.emplace_back(row, row + r.arity());
+  }
+  return out;
+}
+
+enum class Layout { kFlat, kSharded, kPaged };
+
+// A page file in a fresh temp directory, removed with the object.
+class PageSpace {
+ public:
+  PageSpace() {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("factlog_relation_test_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter_++));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    // A small frame budget, so probes evict and re-read pages.
+    space_ = std::make_shared<storage::TableSpace>(/*frame_budget=*/16);
+    open_ = space_->file.Open((dir_ / "pages.db").string());
+  }
+  ~PageSpace() {
+    space_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  const Status& open_status() const { return open_; }
+  const std::shared_ptr<storage::TableSpace>& space() const { return space_; }
+
+ private:
+  static int counter_;
+  std::filesystem::path dir_;
+  std::shared_ptr<storage::TableSpace> space_;
+  Status open_;
+};
+int PageSpace::counter_ = 0;
+
+// Asserts `rel` holds exactly `model`: same size and rows, every model row
+// found by Contains, and both single-column lookups agree with the model.
+void ExpectMatchesModel(Relation* rel, const std::set<Row>& model,
+                        const std::string& where) {
+  SCOPED_TRACE(where);
+  rel->SyncShards();  // global reads after sharded erases
+  ASSERT_EQ(rel->size(), model.size());
+  std::vector<Row> rows = RowList(*rel);
+  EXPECT_EQ(std::set<Row>(rows.begin(), rows.end()), model);
+  for (const Row& row : model) {
+    ASSERT_TRUE(rel->Contains(row.data())) << row[0] << "," << row[1];
+  }
+  std::map<ValueId, size_t> by_first;
+  for (const Row& row : model) ++by_first[row[0]];
+  for (const auto& [value, count] : by_first) {
+    ASSERT_EQ(rel->Lookup({0}, {value}).size(), count) << "col 0 = " << value;
+  }
+}
+
+// Seeded Insert/Erase/Contains/Lookup/Clear mix against a std::set model, on
+// every storage layout. The phases grow the relation to a few thousand rows
+// (long probe clusters, several table doublings), churn it, drain it row by
+// row (backward-shift deletion across whole clusters), and reuse it after
+// Clear.
+TEST(RelationDifferentialTest, RandomOpsMatchSetModel) {
+  constexpr int kPhaseSteps = 3000;
+  constexpr ValueId kDomain = 120;
+  const std::pair<Layout, const char*> kLayouts[] = {
+      {Layout::kFlat, "flat"},
+      {Layout::kSharded, "4 shards"},
+      {Layout::kPaged, "paged"}};
+  for (const auto& [layout, name] : kLayouts) {
+    for (uint32_t seed : {1u, 2u}) {
+      SCOPED_TRACE(std::string(name) + ", seed " + std::to_string(seed));
+      PageSpace pages;
+      ASSERT_TRUE(pages.open_status().ok());
+      Relation rel(2, layout == Layout::kSharded ? Sharded(4)
+                                                 : StorageOptions{});
+      if (layout == Layout::kPaged) {
+        ASSERT_TRUE(rel.AttachPagedStore(pages.space()));
+      }
+      std::set<Row> model;
+      std::vector<Row> live;  // model's rows, for picking erase targets
+      std::mt19937 rng(seed);
+      auto random_row = [&] {
+        return Row{static_cast<ValueId>(rng() % kDomain),
+                   static_cast<ValueId>(rng() % kDomain)};
+      };
+      // Phases: grow, churn, drain, then Clear and grow again.
+      const int insert_pct[] = {80, 50, 15, 80};
+      for (int phase = 0; phase < 4; ++phase) {
+        if (phase == 3) {
+          rel.Clear();
+          model.clear();
+          live.clear();
+          ExpectMatchesModel(&rel, model, "after Clear");
+        }
+        for (int step = 0; step < kPhaseSteps; ++step) {
+          const int op = static_cast<int>(rng() % 100);
+          if (op < insert_pct[phase]) {
+            Row row = random_row();
+            bool is_new = model.insert(row).second;
+            ASSERT_EQ(rel.Insert(row), is_new);
+            if (is_new) live.push_back(row);
+          } else if (op < 95) {
+            // Mostly live rows; sometimes a random (likely absent) one.
+            Row row = random_row();
+            if (!live.empty() && rng() % 4 != 0) {
+              size_t pick = rng() % live.size();
+              row = live[pick];
+            }
+            bool present = model.erase(row) == 1;
+            ASSERT_EQ(rel.Erase(row.data()), present);
+            if (present) {
+              for (Row& l : live) {
+                if (l == row) {
+                  l = live.back();
+                  live.pop_back();
+                  break;
+                }
+              }
+            }
+          } else if (op < 98) {
+            Row row = random_row();
+            ASSERT_EQ(rel.Contains(row.data()), model.count(row) == 1);
+          } else {
+            rel.SyncShards();
+            const int col = static_cast<int>(rng() % 2);
+            const ValueId value = static_cast<ValueId>(rng() % kDomain);
+            size_t expect = 0;
+            for (const Row& row : model) expect += row[col] == value;
+            ASSERT_EQ(rel.Lookup({col}, {value}).size(), expect);
+          }
+          ASSERT_EQ(rel.size(), model.size());
+          if (step % 250 == 249) {
+            ExpectMatchesModel(&rel, model,
+                               "phase " + std::to_string(phase) + " step " +
+                                   std::to_string(step));
+          }
+        }
+      }
+      ExpectMatchesModel(&rel, model, "end");
+      // The growth phases really built long tables.
+      EXPECT_GT(model.size(), 1500u);
+    }
+  }
+}
+
+TEST(RelationDifferentialTest, EraseEveryRowInAnyOrder) {
+  // Drains a table full of long clusters in a random order: every erase must
+  // leave every remaining row findable.
+  Relation rel(2);
+  std::vector<Row> rows;
+  for (ValueId i = 0; i < 3000; ++i) {
+    rows.push_back({i % 37, i});
+    ASSERT_TRUE(rel.Insert(rows.back()));
+  }
+  std::mt19937 rng(7);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rel.Erase(rows[i].data()));
+    ASSERT_FALSE(rel.Contains(rows[i].data()));
+    if (i % 100 == 0) {
+      for (size_t j = i + 1; j < rows.size(); ++j) {
+        ASSERT_TRUE(rel.Contains(rows[j].data())) << i << " " << j;
+      }
+    }
+  }
+  EXPECT_TRUE(rel.empty());
+  for (const Row& row : rows) ASSERT_TRUE(rel.Insert(row));
+  EXPECT_EQ(rel.size(), rows.size());
+}
+
+// ---- Lookup's memoized index -------------------------------------------------
+
+TEST(RelationLookupCacheTest, FrozenCopyStartsWithoutTheMemo) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    auto live = std::make_unique<Relation>(2, Sharded(shards));
+    live->Insert({1, 10});
+    live->Insert({1, 11});
+    EXPECT_EQ(live->Lookup({0}, {1}).size(), 2u);
+    std::shared_ptr<Relation> snap = live->FrozenCopy();
+    // The live relation moves on; its memoized index changes under it.
+    live->Insert({1, 12});
+    EXPECT_EQ(live->Lookup({0}, {1}).size(), 3u);
+    EXPECT_EQ(snap->Lookup({0}, {1}).size(), 2u);
+    live.reset();  // a copied memo would now dangle
+    EXPECT_EQ(snap->Lookup({0}, {1}).size(), 2u);
+    EXPECT_EQ(snap->Lookup({1}, {11}).size(), 1u);
+  }
+}
+
+// ---- Reused (cleared) buffers ----------------------------------------------
+
+TEST(RelationReuseTest, AbsorbIntoClearedMatchesFresh) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    Relation reused(2, Sharded(shards));
+    std::mt19937 rng(3);
+    // Rounds of different sizes, like successive fixpoint deltas: the reused
+    // buffer's table is sometimes much larger than what it now holds.
+    for (size_t round = 0; round < 6; ++round) {
+      const size_t n = (round % 3 == 0) ? 2000 : 50 + 300 * round;
+      Relation src(2, Sharded(shards));
+      for (size_t i = 0; i < n; ++i) {
+        src.Insert({static_cast<ValueId>(rng() % 300),
+                    static_cast<ValueId>(rng() % 300)});
+      }
+      reused.Clear();
+      Relation fresh(2, Sharded(shards));
+      ASSERT_EQ(reused.Absorb(src), fresh.Absorb(src));
+      EXPECT_EQ(RowList(reused), RowList(fresh)) << "round " << round;
+      for (size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(RowList(reused.shard(s)), RowList(fresh.shard(s)));
+      }
+      // Re-absorbing finds every row already present in both.
+      EXPECT_EQ(reused.Absorb(src), 0u);
+      EXPECT_EQ(fresh.Absorb(src), 0u);
+    }
+  }
 }
 
 }  // namespace
