@@ -1,4 +1,5 @@
-// Parallel-scaling bench: sequential vs shard-native parallel fixpoint on
+// Parallel-scaling bench: the semi-naive fixpoint with no pool
+// (`sequential_ms`, eval::Evaluate) vs the same engine on pools on
 // transitive-closure workloads, emitting per-(threads, shards) timings as
 // JSON to stdout so the perf trajectory can be tracked across PRs. The JSON
 // carries a schema_version (currently 3: per-rule instantiation counts and
@@ -19,7 +20,7 @@
 //     plan saves.
 //
 // Every run records head instantiations (per rule too), rows matched, and
-// fact counts, all verified against the flat sequential oracle; a mismatch
+// fact counts, all verified against the flat no-pool run; a mismatch
 // exits nonzero.
 //
 //   usage: bench_parallel_scaling [--nodes N] [--edges M] [--reps R]
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Sequential oracle (left-linear): best of `reps`.
+  // No pool, flat storage (left-linear): best of `reps`.
   uint64_t expected_facts = 0;
   double seq_ms = 0;
   for (int r = 0; r < reps; ++r) {
@@ -310,7 +311,7 @@ int main(int argc, char** argv) {
   std::printf("  }\n}\n");
 
   if (mismatch) {
-    std::fprintf(stderr, "FAIL: parallel fact count diverged from oracle\n");
+    std::fprintf(stderr, "FAIL: fact count diverged from the no-pool run\n");
     return 1;
   }
   return 0;

@@ -480,29 +480,20 @@ Result<eval::AnswerSet> Engine::Execute(const CompiledQuery& plan,
   switch (options_.execution) {
     case ExecutionMode::kBottomUp: {
       // Evaluate under the compile-time join plan (`plan` outlives the
-      // call). The parallel fixpoint handles semi-naive without provenance;
-      // the sequential evaluator stays the oracle for everything else.
+      // call) on the one semi-naive engine: on the pool when the engine has
+      // one, inline when provenance is on (a pool does not record it).
       // Evaluation counters are always collected — the measured
       // cardinalities feed the statistics catalog even when the caller
       // didn't ask for stats.
       eval::EvalStats local_eval;
       eval::EvalStats* es = stats != nullptr ? &stats->eval : &local_eval;
-      bool parallel = options_.num_threads > 0 &&
-                      !options_.eval.track_provenance &&
-                      options_.eval.strategy == eval::Strategy::kSemiNaive;
-      if (parallel) {
-        exec::ParallelEvalOptions popts;
-        popts.eval = options_.eval;
-        popts.eval.program_plan = &plan.plans;
-        popts.num_shards = options_.num_shards;
-        answers = exec::EvaluateQueryParallel(plan.program, plan.query, &db_,
-                                              EnsurePool(), popts, es);
-      } else {
-        eval::EvalOptions eopts = options_.eval;
-        eopts.program_plan = &plan.plans;
-        answers =
-            eval::EvaluateQuery(plan.program, plan.query, &db_, eopts, es);
-      }
+      exec::ParallelEvalOptions popts;
+      popts.eval = options_.eval;
+      popts.eval.program_plan = &plan.plans;
+      popts.num_shards = options_.num_shards;
+      answers = exec::EvaluateQueryParallel(
+          plan.program, plan.query, &db_,
+          options_.eval.track_provenance ? nullptr : EnsurePool(), popts, es);
       if (answers.ok()) RecordEvalObservations(*es);
       break;
     }

@@ -300,10 +300,10 @@ class Engine {
                                 Strategy strategy = Strategy::kAuto,
                                 QueryStats* stats = nullptr);
 
-  /// Executes an already-compiled plan against the engine's database. With
-  /// num_threads > 0, bottom-up plans run the partitioned parallel fixpoint
-  /// (unless provenance tracking or the naive strategy is requested, which
-  /// stay on the sequential oracle).
+  /// Executes an already-compiled plan against the engine's database.
+  /// Bottom-up plans run the semi-naive engine, on the pool when
+  /// num_threads > 0 (inline when provenance tracking is on, which a pool
+  /// does not record), or the naive loop when that strategy is requested.
   Result<eval::AnswerSet> Execute(const CompiledQuery& plan,
                                   QueryStats* stats = nullptr);
 

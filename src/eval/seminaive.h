@@ -3,7 +3,10 @@
 // Computes the least fixpoint of the T_P operator (van Emden & Kowalski, as
 // used in §2 of the paper) seeded with the EDB. The semi-naive strategy is
 // the one the paper assumes throughout ("the semi-naive bottom-up evaluation
-// of the new program constructs the answer to the query", §1).
+// of the new program constructs the answer to the query", §1); it runs the
+// shard-partitioned engine of exec/parallel_seminaive.h without a pool. The
+// naive strategy is a separate, deliberately plain loop kept as the oracle
+// the semi-naive engine is tested against.
 
 #ifndef FACTLOG_EVAL_SEMINAIVE_H_
 #define FACTLOG_EVAL_SEMINAIVE_H_
@@ -78,7 +81,8 @@ struct EvalOptions {
 /// Resolves the plan an evaluation of `program` against `db` should use:
 /// `opts.program_plan` when compatible, an identity (source-order) plan
 /// under kLeftToRight, else a fresh plan seeded with the database's actual
-/// base-relation sizes. Shared by all three engines (eval, exec, inc).
+/// base-relation sizes. Shared by the naive loop, the semi-naive engine
+/// (exec), and incremental maintenance (inc).
 plan::ProgramPlan PlanForEvaluation(const ast::Program& program,
                                     const Database& db,
                                     const EvalOptions& opts);

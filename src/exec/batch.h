@@ -10,8 +10,8 @@
 //      whose plan cache is mutex-guarded, so concurrent workers share plans.
 //   2. Prewarm phase (control thread): PrewarmIndexes builds every hash
 //      index the compiled programs will probe on the base relations.
-//   3. Execute phase (on the pool): each query runs the sequential
-//      semi-naive evaluator with EvalOptions::shared_edb set — private IDB
+//   3. Execute phase (on the pool): each query runs the semi-naive engine
+//      inline (eval::Evaluate) with EvalOptions::shared_edb set — private IDB
 //      state per query, strictly read-only base relations, and a ValueStore
 //      whose interning is thread-safe.
 //

@@ -20,6 +20,7 @@ using eval::CompiledAtom;
 using eval::CompiledRule;
 using eval::Database;
 using eval::EvalResult;
+using eval::FactKey;
 using eval::JoinStats;
 using eval::LitKind;
 using eval::Relation;
@@ -27,17 +28,25 @@ using eval::RelationView;
 using eval::StorageOptions;
 using eval::ValueId;
 
-class ParallelEngine {
+class SemiNaiveEngine {
  public:
-  ParallelEngine(const ast::Program& program, Database* db, ThreadPool* pool,
-                 const ParallelEvalOptions& opts)
-      : program_(program), db_(db), pool_(pool), opts_(opts) {}
+  SemiNaiveEngine(const ast::Program& program, Database* db, ThreadPool* pool,
+                  const ParallelEvalOptions& opts)
+      : program_(program),
+        db_(db),
+        pool_(pool),
+        opts_(opts),
+        inline_(pool == nullptr || pool->num_threads() == 0),
+        inline_sink_([this](const std::vector<ValueId>& row,
+                            const std::vector<FactKey>* premises) {
+          return InsertInline(row, premises);
+        }) {}
 
   Result<EvalResult> Run() {
-    if (opts_.eval.track_provenance) {
+    if (opts_.eval.track_provenance && !inline_) {
       return Status::Invalid(
-          "parallel evaluation does not record provenance; use the "
-          "sequential evaluator (eval::Evaluate) for derivation trees");
+          "evaluation on a thread pool does not record provenance; evaluate "
+          "without a pool (eval::Evaluate) for derivation trees");
     }
     FACTLOG_RETURN_IF_ERROR(Prepare());
     FACTLOG_RETURN_IF_ERROR(SeedBaseRules());
@@ -50,13 +59,15 @@ class ParallelEngine {
     std::unique_ptr<Relation> full;
     std::unique_ptr<Relation> delta;
     std::unique_ptr<Relation> next;
-    // One lock per storage shard: workers merging different shards of the
-    // same head predicate never contend.
+    // One lock per storage shard (pooled runs only): workers merging
+    // different shards of the same head predicate never contend.
     std::unique_ptr<std::mutex[]> shard_locks;
-    size_t num_shards = 1;
+    // Planner feedback: summed non-empty delta sizes and their round count.
+    uint64_t delta_sum = 0;
+    uint64_t delta_rounds = 0;
   };
 
-  // One (rule, recursive-occurrence) delta pass of the current iteration.
+  // One (rule, recursive-occurrence) delta pass of a pooled iteration.
   // Partitioning follows the rule's join plan:
   //   * when the occurrence IS the plan's driver literal, the delta's shards
   //     are the work partitions (by_shard; one task per shard), or one task
@@ -99,64 +110,46 @@ class ParallelEngine {
     Status status = Status::OK();
   };
 
-  size_t PoolWidth() const {
-    return pool_ == nullptr ? 0 : pool_->num_threads();
-  }
+  // Where the inline sink writes; set before each inline EnumerateRule.
+  struct InlineTarget {
+    size_t rule = 0;
+    PredState* head = nullptr;
+    Relation* rel = nullptr;    // the head's delta (seed) or next (fixpoint)
+    bool check_known = false;   // skip rows already in the head's full/delta
+  };
 
   Status Prepare() {
     FACTLOG_RETURN_IF_ERROR(program_.Validate());
     idb_preds_ = program_.IdbPredicates();
     plan_ = eval::PlanForEvaluation(program_, *db_, opts_.eval);
-    rules_.reserve(program_.rules().size());
-    for (size_t i = 0; i < program_.rules().size(); ++i) {
+    const size_t n = program_.rules().size();
+    rules_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
       FACTLOG_ASSIGN_OR_RETURN(
           CompiledRule cr,
           CompiledRule::Compile(program_.rules()[i], &db_->store(),
                                 &plan_.rules[i]));
-      // The compiled body is in plan order, so the plan's declared index
-      // requirements line up with the compiled literals: cols_[i][k] is the
-      // key literal k is probed with — no re-walk of StaticIndexCols.
-      std::vector<std::vector<int>> cols;
-      int driver = -1;
-      for (size_t k = 0; k < plan_.rules[i].order.size(); ++k) {
-        const plan::LiteralPlan& lp = plan_.rules[i].order[k];
-        cols.push_back(lp.index_cols);
-        if (driver < 0 && lp.is_relation) driver = static_cast<int>(k);
-      }
-      cols_.push_back(std::move(cols));
-      driver_pos_.push_back(driver);
       rules_.push_back(std::move(cr));
     }
-    rule_stats_.resize(rules_.size());
+    rule_stats_.resize(n);
 
     size_t shards = opts_.num_shards > 0 ? opts_.num_shards
                                          : db_->storage_options().num_shards;
     shards = std::max<size_t>(1, shards);
     auto arities = program_.PredicateArities();
     for (const std::string& p : idb_preds_) {
-      // Partition each IDB relation on the plan's probe columns of its first
-      // recursive occurrence, so delta shards line up with the key the join
-      // probes them with; column 0 when every occurrence is probed unbound.
       StorageOptions storage;
       storage.num_shards = shards;
-      for (size_t i = 0;
-           i < rules_.size() && storage.partition_cols.empty(); ++i) {
-        for (size_t j = 0; j < rules_[i].body().size(); ++j) {
-          const CompiledAtom& lit = rules_[i].body()[j];
-          if (lit.kind == LitKind::kRelation && lit.predicate == p &&
-              !cols_[i][j].empty()) {
-            storage.partition_cols = cols_[i][j];
-            break;
-          }
-        }
-      }
+      storage.partition_cols = PartitionCols(p);
       size_t arity = arities.at(p);
       PredState st;
       st.full = std::make_unique<Relation>(arity, storage);
       st.delta = std::make_unique<Relation>(arity, storage);
       st.next = std::make_unique<Relation>(arity, storage);
-      st.num_shards = st.next->shard_count();
-      st.shard_locks = std::make_unique<std::mutex[]>(st.num_shards);
+      if (!inline_) {
+        st.shard_locks =
+            std::make_unique<std::mutex[]>(st.next->shard_count());
+      }
       preds_.emplace(p, std::move(st));
     }
     // Saturating 2x slack over the fact budget: cross-task duplicates make
@@ -165,6 +158,40 @@ class ParallelEngine {
     uint64_t max = opts_.eval.max_facts;
     budget_trip_ = max > (UINT64_MAX - 1024) / 2 ? UINT64_MAX : 2 * max + 1024;
     return Status::OK();
+  }
+
+  // The key compiled literal k of rule i is probed with. The compiled body
+  // is in plan order, so the plan's declared index requirements line up
+  // with the compiled literals — no re-walk of StaticIndexCols.
+  const std::vector<int>& Cols(size_t i, size_t k) const {
+    return plan_.rules[i].order[k].index_cols;
+  }
+
+  // Rule i's driver: the compiled position of its plan's first relation
+  // literal, or -1 when it has none.
+  int DriverPos(size_t i) const {
+    const std::vector<plan::LiteralPlan>& order = plan_.rules[i].order;
+    for (size_t k = 0; k < order.size(); ++k) {
+      if (order[k].is_relation) return static_cast<int>(k);
+    }
+    return -1;
+  }
+
+  // The columns IDB predicate `p` is partitioned on: the plan's probe
+  // columns of its first occurrence probed with any, so delta shards line up
+  // with the key the join probes them with; empty (column 0) when every
+  // occurrence is probed unbound.
+  std::vector<int> PartitionCols(const std::string& p) const {
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      for (size_t j = 0; j < rules_[i].body().size(); ++j) {
+        const CompiledAtom& lit = rules_[i].body()[j];
+        if (lit.kind == LitKind::kRelation && lit.predicate == p &&
+            !Cols(i, j).empty()) {
+          return Cols(i, j);
+        }
+      }
+    }
+    return {};
   }
 
   bool IsIdb(const std::string& pred) const {
@@ -179,34 +206,68 @@ class ParallelEngine {
     return n;
   }
 
-  // The frozen extent of body literal k for one fixpoint task (every view is
-  // shared: workers never mutate relations during the parallel region).
-  // `occ_rows` is the occurrence's extent: one delta shard or the whole
-  // delta.
-  RelationView ViewFor(const Pass& pass, size_t k, const Relation* occ_rows) {
-    const CompiledAtom& lit = rules_[pass.rule].body()[k];
+  // The extent body literal k of rule `rule` ranges over in the pass whose
+  // delta occurrence is `occ`, with `occ_rows` (the delta or one of its
+  // shards) standing in for that occurrence. Literals before the occurrence
+  // see this round's F_i (full union delta), literals after it F_{i-1}
+  // (full). Pooled runs share every view read-only: workers never mutate
+  // relations during the parallel region and probe pre-built indices.
+  // Inline runs let the join build IDB indices lazily (Relation::Lookup) and
+  // share base relations only under shared_edb.
+  RelationView ViewFor(size_t rule, size_t occ, size_t k,
+                       const Relation* occ_rows) {
+    const CompiledAtom& lit = rules_[rule].body()[k];
     if (lit.kind != LitKind::kRelation) return RelationView{};
     if (!IsIdb(lit.predicate)) {
-      return RelationView{db_->Find(lit.predicate), nullptr, /*shared=*/true};
+      return RelationView{db_->Find(lit.predicate), nullptr,
+                          !inline_ || opts_.eval.shared_edb};
     }
     PredState& st = preds_.at(lit.predicate);
-    if (k == pass.occ) {
-      // The join never mutates a shared view, so the const_cast only bridges
-      // RelationView's (sequential-engine) mutable pointers.
-      return RelationView{const_cast<Relation*>(occ_rows), nullptr,
-                          /*shared=*/true};
+    const bool shared = !inline_;
+    if (k == occ) {
+      // Pooled tasks pass a delta shard, reachable only as const; the view
+      // is shared, so the join never mutates it. Inline, occ_rows is the
+      // engine's own delta, which the join may index lazily.
+      return RelationView{const_cast<Relation*>(occ_rows), nullptr, shared};
     }
-    if (k < pass.occ) {
-      // This round's view of F_i: full union delta.
-      return RelationView{st.full.get(), st.delta.get(), /*shared=*/true};
-    }
-    return RelationView{st.full.get(), nullptr, /*shared=*/true};
+    if (k < occ) return RelationView{st.full.get(), st.delta.get(), shared};
+    return RelationView{st.full.get(), nullptr, shared};
   }
 
-  // Merges a worker's thread-local buffer into `target` under the head
-  // predicate's per-shard locks (see MergeBufferLocked).
-  void MergeBuffer(PredState* st, Relation* target, const Relation& buffer) {
-    MergeBufferLocked(target, buffer, st->shard_locks.get());
+  // The inline head sink: inserts straight into the target relation unless
+  // the row is already known, records first-derivation provenance, and
+  // enforces the exact fact budget.
+  bool InsertInline(const std::vector<ValueId>& row,
+                    const std::vector<FactKey>* premises) {
+    const InlineTarget& t = target_;
+    if (t.check_known && (t.head->full->Contains(row.data()) ||
+                          t.head->delta->Contains(row.data()))) {
+      return true;
+    }
+    if (!t.rel->Insert(row)) return true;
+    if (opts_.eval.track_provenance) {
+      result_.mutable_provenance()->Record(
+          FactKey{rules_[t.rule].head().predicate, row},
+          static_cast<int>(t.rule),
+          premises != nullptr ? *premises : std::vector<FactKey>{});
+    }
+    if (++idb_facts_ > opts_.eval.max_facts) {
+      sink_status_ = BudgetExceeded();
+      return false;
+    }
+    return true;
+  }
+
+  // Enumerates rule `rule` over `views` on the calling thread through the
+  // inline sink.
+  Status EnumerateInline(size_t rule, const std::vector<RelationView>& views,
+                         Relation* target, bool check_known) {
+    target_ = InlineTarget{rule, &preds_.at(rules_[rule].head().predicate),
+                           target, check_known};
+    FACTLOG_RETURN_IF_ERROR(EnumerateRule(
+        rules_[rule], &db_->store(), views, opts_.eval.track_provenance,
+        &rule_stats_[rule], inline_sink_));
+    return sink_status_;
   }
 
   // True when `row` being buffered pushed the in-flight fact estimate past
@@ -250,13 +311,12 @@ class ParallelEngine {
     return Status::OK();
   }
 
-  // Iteration 0: rules without IDB body literals seed the deltas. The first
-  // relation literal's extent is partitioned by its storage shards and the
-  // tasks fan out across the pool; rules whose extent is small (or
-  // unsharded, or when there is no pool) run inline on the control thread.
+  // Iteration 0: rules without IDB body literals seed the deltas. On a pool,
+  // the first relation literal's extent is partitioned by its storage shards
+  // and the tasks fan out; rules whose extent is small or unsharded, and
+  // every rule of an inline run, seed on the calling thread.
   Status SeedBaseRules() {
     std::vector<SeedTask> tasks;
-    const size_t width = PoolWidth();
     for (size_t i = 0; i < rules_.size(); ++i) {
       const CompiledRule& rule = rules_[i];
       bool has_idb = false;
@@ -275,7 +335,7 @@ class ParallelEngine {
       const Relation* extent =
           first_rel >= 0 ? db_->Find(rule.body()[first_rel].predicate)
                          : nullptr;
-      bool fan_out = width > 0 && extent != nullptr &&
+      bool fan_out = !inline_ && extent != nullptr &&
                      extent->shard_count() > 1 &&
                      extent->size() >= opts_.min_rows_to_partition;
       if (!fan_out) {
@@ -288,7 +348,7 @@ class ParallelEngine {
       if (!opts_.eval.shared_edb) {
         for (size_t k = 0; k < rule.body().size(); ++k) {
           const CompiledAtom& lit = rule.body()[k];
-          const std::vector<int>& cols = cols_[i][k];
+          const std::vector<int>& cols = Cols(i, k);
           if (lit.kind != LitKind::kRelation || cols.empty()) continue;
           Relation* rel = db_->Find(lit.predicate);
           if (rel == nullptr) continue;
@@ -317,34 +377,21 @@ class ParallelEngine {
     return Status::OK();
   }
 
-  // The control-thread seed path (exact budget accounting, lazy indices).
+  // The calling-thread seed path (exact budget accounting, lazy indices).
   Status SeedRuleInline(size_t rule_index) {
     const CompiledRule& rule = rules_[rule_index];
-    std::vector<RelationView> views;
-    views.reserve(rule.body().size());
+    views_.clear();
     for (const CompiledAtom& lit : rule.body()) {
       if (lit.kind != LitKind::kRelation) {
-        views.push_back(RelationView{});
+        views_.push_back(RelationView{});
       } else {
-        views.push_back(RelationView{db_->Find(lit.predicate), nullptr,
-                                     opts_.eval.shared_edb});
+        views_.push_back(RelationView{db_->Find(lit.predicate), nullptr,
+                                      opts_.eval.shared_edb});
       }
     }
-    Relation* delta = preds_.at(rule.head().predicate).delta.get();
-    Status overflow = Status::OK();
-    FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-        rule, &db_->store(), views, /*track_premises=*/false,
-        &rule_stats_[rule_index],
-        [&](const std::vector<ValueId>& row,
-            const std::vector<eval::FactKey>*) {
-          delta->Insert(row);
-          if (TotalIdbFacts() > opts_.eval.max_facts) {
-            overflow = BudgetExceeded();
-            return false;
-          }
-          return true;
-        }));
-    return overflow;
+    return EnumerateInline(rule_index, views_,
+                           preds_.at(rule.head().predicate).delta.get(),
+                           /*check_known=*/false);
   }
 
   // One seed worker task: evaluate rule `task.rule` with literal `task.lit`
@@ -373,14 +420,28 @@ class ParallelEngine {
       }
     }
 
-    PredState& head_st = preds_.at(rule.head().predicate);
-    Relation buffer(rule.head().args.size(),
-                    head_st.delta->storage_options());
+    PredState& head = preds_.at(rule.head().predicate);
+    EnumerateBuffered(task.rule, views, &head, head.delta.get(),
+                      /*check_known=*/false, result);
+  }
+
+  // The worker side of a pooled task: enumerates rule `rule` over `views`
+  // into a thread-local buffer sharded like `target` (skipping rows already
+  // in the head's full/delta extent when `check_known`), then merges the
+  // buffer into `target` shard-to-shard under the head's shard locks.
+  void EnumerateBuffered(size_t rule, const std::vector<RelationView>& views,
+                         PredState* head, Relation* target, bool check_known,
+                         TaskResult* result) {
+    Relation buffer(target->arity(), target->storage_options());
     result->status = EnumerateRule(
-        rule, &db_->store(), views, /*track_premises=*/false, &result->stats,
-        [&](const std::vector<ValueId>& row,
-            const std::vector<eval::FactKey>*) {
+        rules_[rule], &db_->store(), views, /*track_premises=*/false,
+        &result->stats,
+        [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
           if (cancelled_.load(std::memory_order_relaxed)) return false;
+          if (check_known && (head->full->Contains(row.data()) ||
+                              head->delta->Contains(row.data()))) {
+            return true;
+          }
           if (buffer.Insert(row) && BudgetTripped()) return false;
           return true;
         });
@@ -389,7 +450,7 @@ class ParallelEngine {
       return;
     }
     if (buffer.empty()) return;
-    MergeBuffer(&head_st, head_st.delta.get(), buffer);
+    MergeBufferLocked(target, buffer, head->shard_locks.get());
   }
 
   // One fixpoint worker task: evaluate rule `pass.rule` with occurrence
@@ -424,31 +485,13 @@ class ParallelEngine {
         views.push_back(RelationView{const_cast<Relation*>(driver_rows),
                                      nullptr, /*shared=*/true});
       } else {
-        views.push_back(ViewFor(pass, k, &occ_rows));
+        views.push_back(ViewFor(pass.rule, pass.occ, k, &occ_rows));
       }
     }
 
-    PredState& head_st = *pass.head_state;
-    Relation buffer(rule.head().args.size(),
-                    head_st.next->storage_options());
-    result->status = EnumerateRule(
-        rule, &db_->store(), views, /*track_premises=*/false, &result->stats,
-        [&](const std::vector<ValueId>& row,
-            const std::vector<eval::FactKey>*) {
-          if (cancelled_.load(std::memory_order_relaxed)) return false;
-          if (head_st.full->Contains(row.data()) ||
-              head_st.delta->Contains(row.data())) {
-            return true;
-          }
-          if (buffer.Insert(row) && BudgetTripped()) return false;
-          return true;
-        });
-    if (!result->status.ok()) {
-      cancelled_.store(true, std::memory_order_release);
-      return;
-    }
-    if (buffer.empty()) return;
-    MergeBuffer(&head_st, head_st.next.get(), buffer);
+    EnumerateBuffered(pass.rule, views, pass.head_state,
+                      pass.head_state->next.get(), /*check_known=*/true,
+                      result);
   }
 
   // The observed extent a body occurrence of `pred` ranges over this round:
@@ -461,10 +504,13 @@ class ParallelEngine {
   }
 
   // Re-routes an IDB relation's rows onto new partition columns (Absorb
-  // re-hashes when layouts differ). Shard count is unchanged, so the
-  // per-shard lock array stays valid; worker buffers copy next's storage
-  // options per task, so shard-to-shard merges stay aligned.
+  // re-hashes when layouts differ). Partition columns only steer how pooled
+  // passes split work, so inline runs and single-shard relations skip the
+  // copy. Shard count is unchanged, so the per-shard lock array stays valid;
+  // worker buffers copy next's storage options per task, so shard-to-shard
+  // merges stay aligned.
   void Repartition(PredState* st, const std::vector<int>& cols) {
+    if (inline_ || st->next->shard_count() == 1) return;
     StorageOptions storage = st->next->storage_options();
     if (storage.partition_cols == cols) return;
     storage.partition_cols = cols;
@@ -476,12 +522,13 @@ class ParallelEngine {
     }
   }
 
-  // Mid-fixpoint adaptivity (control thread, between parallel regions):
-  // re-plan rules whose literal estimates drifted past the threshold against
-  // the observed extents, recompile just those rules, refresh their probe
-  // columns / driver position, and re-partition IDB extents whose first
+  // Mid-fixpoint adaptivity: re-plan rules whose literal estimates drifted
+  // past EvalOptions::replan_threshold against the observed extents,
+  // recompile just those rules, and re-partition IDB extents whose first
   // recursive occurrence is now probed on different columns. Plans only
-  // direct enumeration and partitioning, so the fact set is unchanged.
+  // direct enumeration and partitioning, so the fact set is unchanged. A
+  // re-plan that keeps the order still refreshes est_rows, which re-arms the
+  // drift check instead of tripping it every round.
   void MaybeReplan() {
     if (opts_.eval.replan_threshold <= 0 ||
         opts_.eval.join_order != eval::JoinOrder::kPlanned) {
@@ -530,7 +577,7 @@ class ParallelEngine {
         continue;
       }
       // Flush observation counters under the old literal order, then swap in
-      // the re-planned rule and its derived pass-planning state.
+      // the re-planned rule.
       eval::DrainProbeObservations(rules_[i], plan_.rules[i], &rule_stats_[i],
                                    &probe_obs_);
       Result<CompiledRule> cr =
@@ -538,177 +585,42 @@ class ParallelEngine {
       if (!cr.ok()) continue;  // keep the old plan; never fail the fixpoint
       plan_.rules[i] = std::move(fresh);
       rules_[i] = std::move(*cr);
-      std::vector<std::vector<int>> cols;
-      int driver = -1;
-      for (size_t k = 0; k < plan_.rules[i].order.size(); ++k) {
-        const plan::LiteralPlan& lp = plan_.rules[i].order[k];
-        cols.push_back(lp.index_cols);
-        if (driver < 0 && lp.is_relation) driver = static_cast<int>(k);
-      }
-      cols_[i] = std::move(cols);
-      driver_pos_[i] = driver;
       ++result_.mutable_stats()->replans;
       replanned = true;
     }
     if (!replanned) return;
-    // Shard routing follows the new plans: re-derive each IDB predicate's
-    // partition columns exactly as Prepare did and re-route where changed.
+    // Shard routing follows the new plans.
     for (const std::string& p : idb_preds_) {
-      std::vector<int> want;
-      for (size_t i = 0; i < rules_.size() && want.empty(); ++i) {
-        for (size_t j = 0; j < rules_[i].body().size(); ++j) {
-          const CompiledAtom& lit = rules_[i].body()[j];
-          if (lit.kind == LitKind::kRelation && lit.predicate == p &&
-              !cols_[i][j].empty()) {
-            want = cols_[i][j];
-            break;
-          }
-        }
-      }
+      std::vector<int> want = PartitionCols(p);
       if (!want.empty()) Repartition(&preds_.at(p), want);
     }
   }
 
   Status RunFixpoint() {
-    const size_t width = PoolWidth();
     while (true) {
       ++result_.mutable_stats()->iterations;
       if (result_.stats().iterations > opts_.eval.max_iterations) {
         return Status::ResourceExhausted("iteration budget exceeded");
       }
+      // Feedback: record this round's frontier sizes, then re-plan drifted
+      // rules before enumerating — passes read the plan fresh each
+      // iteration, so a new plan takes effect without further wiring.
       bool any_delta = false;
-      for (const auto& [name, st] : preds_) {
-        if (!st.delta->empty()) {
-          any_delta = true;
-          break;
-        }
+      for (auto& [name, st] : preds_) {
+        if (st.delta->empty()) continue;
+        any_delta = true;
+        st.delta_sum += st.delta->size();
+        ++st.delta_rounds;
       }
       if (!any_delta) break;
-
-      // Feedback: record this round's frontier sizes, then re-plan drifted
-      // rules before pass planning — the pass planner below reads cols_ /
-      // driver_pos_ fresh each iteration, so a new driver takes effect (and
-      // repartitioned extents follow) without any further wiring.
-      for (const auto& [name, st] : preds_) {
-        if (!st.delta->empty()) {
-          delta_sum_[name] += st.delta->size();
-          ++delta_rounds_[name];
-        }
-      }
       MaybeReplan();
 
-      // Plan the passes. Partitioning follows each rule's join plan: when
-      // the occurrence is the plan's driver literal the delta shards are the
-      // work partitions (no per-iteration re-partition copy); when the
-      // driver is an earlier literal the pass fans out over the driver's
-      // frozen extent instead, so the rule prefix is scanned exactly once
-      // across the tasks. Small extents collapse to one task.
-      std::vector<Pass> passes;
-      for (size_t i = 0; i < rules_.size(); ++i) {
-        const CompiledRule& rule = rules_[i];
-        for (size_t j = 0; j < rule.body().size(); ++j) {
-          const CompiledAtom& lit = rule.body()[j];
-          if (lit.kind != LitKind::kRelation || !IsIdb(lit.predicate)) {
-            continue;
-          }
-          Relation* delta = preds_.at(lit.predicate).delta.get();
-          if (delta->empty()) continue;
-
-          Pass pass;
-          pass.rule = i;
-          pass.occ = j;
-          pass.delta_rel = delta;
-          const std::vector<int>& probe_cols = cols_[i][j];
-          const int driver = driver_pos_[i];
-          if (width > 0 && driver >= 0 && static_cast<size_t>(driver) != j &&
-              opts_.eval.join_order == eval::JoinOrder::kPlanned) {
-            // The delta occurrence sits behind the driver. Partition the
-            // driver's extent: one task per (member, shard); each task
-            // probes the whole delta.
-            pass.driver_pos = static_cast<size_t>(driver);
-            RelationView dview =
-                ViewFor(pass, pass.driver_pos, /*occ_rows=*/nullptr);
-            Relation* members[2] = {dview.first, dview.second};
-            size_t total = 0;
-            for (Relation* m : members) {
-              if (m != nullptr) total += m->size();
-            }
-            if (total >= opts_.min_rows_to_partition) {
-              const std::vector<int>& dcols = cols_[i][pass.driver_pos];
-              for (Relation* m : members) {
-                if (m == nullptr || m->empty()) continue;
-                if (m->shard_count() > 1) {
-                  if (!dcols.empty()) m->EnsureShardIndexes(dcols);
-                  for (size_t s = 0; s < m->shard_count(); ++s) {
-                    pass.driver_parts.emplace_back(m, static_cast<int>(s));
-                  }
-                } else {
-                  if (!dcols.empty()) m->EnsureIndex(dcols);
-                  pass.driver_parts.emplace_back(m, -1);
-                }
-              }
-              pass.by_driver = pass.driver_parts.size() > 1;
-            }
-          }
-          if (!pass.by_driver) {
-            pass.by_shard = width > 0 && delta->shard_count() > 1 &&
-                            delta->size() >= opts_.min_rows_to_partition;
-          }
-          if (!probe_cols.empty()) {
-            // Index the occurrence's extent on the key the join probes it
-            // with: inside each shard, or combined when the whole delta is
-            // probed (driver-partitioned and single-task passes).
-            if (pass.by_shard) {
-              delta->EnsureShardIndexes(probe_cols);
-            } else {
-              delta->EnsureIndex(probe_cols);
-            }
-          }
-          pass.head_state = &preds_.at(rule.head().predicate);
-          passes.push_back(std::move(pass));
-        }
-      }
-
-      // Pre-build every combined index a worker could probe on the frozen
-      // relations; inside the parallel region only the const read path runs.
-      for (const Pass& pass : passes) {
-        const CompiledRule& rule = rules_[pass.rule];
-        for (size_t k = 0; k < rule.body().size(); ++k) {
-          if (k == pass.occ) continue;  // the occurrence was indexed above
-          if (pass.by_driver && k == pass.driver_pos) continue;  // per shard
-          const std::vector<int>& cols = cols_[pass.rule][k];
-          if (cols.empty()) continue;
-          RelationView view = ViewFor(pass, k, nullptr);
-          if (view.first != nullptr) view.first->EnsureIndex(cols);
-          if (view.second != nullptr) view.second->EnsureIndex(cols);
-        }
-      }
-
-      std::vector<TaskRef> tasks;
-      for (size_t p = 0; p < passes.size(); ++p) {
-        size_t parts = passes[p].by_driver ? passes[p].driver_parts.size()
-                       : passes[p].by_shard
-                           ? passes[p].delta_rel->shard_count()
-                           : 1;
-        for (size_t part = 0; part < parts; ++part) {
-          tasks.push_back(TaskRef{p, part});
-        }
-      }
-      std::vector<TaskResult> results(tasks.size());
-      iteration_base_ = TotalIdbFacts();
-      new_rows_.store(0, std::memory_order_relaxed);
-
-      auto body = [&](size_t t) { RunTask(passes, tasks[t], &results[t]); };
-      if (pool_ != nullptr) {
-        pool_->ParallelFor(tasks.size(), body);
-      } else {
-        for (size_t t = 0; t < tasks.size(); ++t) body(t);
-      }
-      FACTLOG_RETURN_IF_ERROR(DrainTaskResults(&results));
+      FACTLOG_RETURN_IF_ERROR(inline_ ? RunIterationInline()
+                                      : RunIterationPooled());
 
       // Merge: sync the shard-merged next relations, then full += delta;
-      // delta = next; next = the old delta, cleared (its shards keep their
-      // dedup capacity for next round's merges).
+      // delta = next; next = the old delta, cleared (Clear keeps the dedup
+      // capacity, so next round's inserts and merges do not regrow it).
       for (auto& [name, st] : preds_) {
         st.next->SyncShards();
         st.full->Absorb(*st.delta);
@@ -720,6 +632,143 @@ class ParallelEngine {
     return Status::OK();
   }
 
+  // One iteration on the calling thread: one pass per (rule, IDB occurrence
+  // with a non-empty delta), inserting new facts straight into next.
+  Status RunIterationInline() {
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      const std::vector<CompiledAtom>& body = rules_[i].body();
+      for (size_t j = 0; j < body.size(); ++j) {
+        const CompiledAtom& lit_j = body[j];
+        if (lit_j.kind != LitKind::kRelation || !IsIdb(lit_j.predicate)) {
+          continue;
+        }
+        const Relation* delta = preds_.at(lit_j.predicate).delta.get();
+        if (delta->empty()) continue;
+        views_.clear();
+        for (size_t k = 0; k < body.size(); ++k) {
+          views_.push_back(ViewFor(i, j, k, delta));
+        }
+        FACTLOG_RETURN_IF_ERROR(EnumerateInline(
+            i, views_, preds_.at(rules_[i].head().predicate).next.get(),
+            /*check_known=*/true));
+      }
+    }
+    return Status::OK();
+  }
+
+  // One iteration on the pool. Partitioning follows each rule's join plan:
+  // when the occurrence is the plan's driver literal the delta shards are
+  // the work partitions (no per-iteration re-partition copy); when the
+  // driver is an earlier literal the pass fans out over the driver's frozen
+  // extent instead, so the rule prefix is scanned exactly once across the
+  // tasks. Small extents collapse to one task. Base relations shared under
+  // shared_edb are never indexed here: workers probe the indices the caller
+  // pre-built (exec::PrewarmIndexes) and scan otherwise.
+  Status RunIterationPooled() {
+    const bool shared_edb = opts_.eval.shared_edb;
+    std::vector<Pass> passes;
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      const CompiledRule& rule = rules_[i];
+      for (size_t j = 0; j < rule.body().size(); ++j) {
+        const CompiledAtom& lit = rule.body()[j];
+        if (lit.kind != LitKind::kRelation || !IsIdb(lit.predicate)) {
+          continue;
+        }
+        Relation* delta = preds_.at(lit.predicate).delta.get();
+        if (delta->empty()) continue;
+
+        Pass pass;
+        pass.rule = i;
+        pass.occ = j;
+        pass.delta_rel = delta;
+        const std::vector<int>& probe_cols = Cols(i, j);
+        const int driver = DriverPos(i);
+        if (driver >= 0 && static_cast<size_t>(driver) != j &&
+            opts_.eval.join_order == eval::JoinOrder::kPlanned) {
+          // The delta occurrence sits behind the driver. Partition the
+          // driver's extent: one task per (member, shard); each task probes
+          // the whole delta.
+          pass.driver_pos = static_cast<size_t>(driver);
+          RelationView dview = ViewFor(i, j, pass.driver_pos, nullptr);
+          const bool index_driver =
+              !shared_edb || IsIdb(rule.body()[pass.driver_pos].predicate);
+          Relation* members[2] = {dview.first, dview.second};
+          size_t total = 0;
+          for (Relation* m : members) {
+            if (m != nullptr) total += m->size();
+          }
+          if (total >= opts_.min_rows_to_partition) {
+            const std::vector<int>& dcols = Cols(i, pass.driver_pos);
+            const bool index = index_driver && !dcols.empty();
+            for (Relation* m : members) {
+              if (m == nullptr || m->empty()) continue;
+              if (m->shard_count() > 1) {
+                if (index) m->EnsureShardIndexes(dcols);
+                for (size_t s = 0; s < m->shard_count(); ++s) {
+                  pass.driver_parts.emplace_back(m, static_cast<int>(s));
+                }
+              } else {
+                if (index) m->EnsureIndex(dcols);
+                pass.driver_parts.emplace_back(m, -1);
+              }
+            }
+            pass.by_driver = pass.driver_parts.size() > 1;
+          }
+        }
+        if (!pass.by_driver) {
+          pass.by_shard = delta->shard_count() > 1 &&
+                          delta->size() >= opts_.min_rows_to_partition;
+        }
+        if (!probe_cols.empty()) {
+          // Index the occurrence's extent on the key the join probes it
+          // with: inside each shard, or combined when the whole delta is
+          // probed (driver-partitioned and single-task passes).
+          if (pass.by_shard) {
+            delta->EnsureShardIndexes(probe_cols);
+          } else {
+            delta->EnsureIndex(probe_cols);
+          }
+        }
+        pass.head_state = &preds_.at(rule.head().predicate);
+        passes.push_back(std::move(pass));
+      }
+    }
+
+    // Pre-build every combined index a worker could probe on the frozen
+    // relations; inside the parallel region only the const read path runs.
+    for (const Pass& pass : passes) {
+      const CompiledRule& rule = rules_[pass.rule];
+      for (size_t k = 0; k < rule.body().size(); ++k) {
+        if (k == pass.occ) continue;  // the occurrence was indexed above
+        if (pass.by_driver && k == pass.driver_pos) continue;  // per shard
+        const std::vector<int>& cols = Cols(pass.rule, k);
+        if (cols.empty()) continue;
+        if (shared_edb && !IsIdb(rule.body()[k].predicate)) continue;
+        RelationView view = ViewFor(pass.rule, pass.occ, k, nullptr);
+        if (view.first != nullptr) view.first->EnsureIndex(cols);
+        if (view.second != nullptr) view.second->EnsureIndex(cols);
+      }
+    }
+
+    std::vector<TaskRef> tasks;
+    for (size_t p = 0; p < passes.size(); ++p) {
+      size_t parts = passes[p].by_driver ? passes[p].driver_parts.size()
+                     : passes[p].by_shard
+                         ? passes[p].delta_rel->shard_count()
+                         : 1;
+      for (size_t part = 0; part < parts; ++part) {
+        tasks.push_back(TaskRef{p, part});
+      }
+    }
+    std::vector<TaskResult> results(tasks.size());
+    iteration_base_ = TotalIdbFacts();
+    new_rows_.store(0, std::memory_order_relaxed);
+    pool_->ParallelFor(tasks.size(), [&](size_t t) {
+      RunTask(passes, tasks[t], &results[t]);
+    });
+    return DrainTaskResults(&results);
+  }
+
   Result<EvalResult> Finish() {
     uint64_t total = 0;
     eval::EvalStats* stats = result_.mutable_stats();
@@ -728,11 +777,12 @@ class ParallelEngine {
                                    &probe_obs_);
     }
     stats->probe_observations = std::move(probe_obs_);
-    for (const auto& [name, sum] : delta_sum_) {
-      stats->observed_delta_mean[name] =
-          static_cast<double>(sum) / static_cast<double>(delta_rounds_[name]);
-    }
     for (auto& [name, st] : preds_) {
+      if (st.delta_rounds > 0) {
+        stats->observed_delta_mean[name] =
+            static_cast<double>(st.delta_sum) /
+            static_cast<double>(st.delta_rounds);
+      }
       total += st.full->size();
       stats->observed_extents[name] = st.full->size();
       eval::AccumulateShardFacts(*st.full, &stats->shard_facts);
@@ -747,22 +797,29 @@ class ParallelEngine {
   Database* db_;
   ThreadPool* pool_;
   ParallelEvalOptions opts_;
+  // No pool (or a width-0 one): every pass runs on the calling thread and
+  // inserts straight into next.
+  const bool inline_;
 
   std::set<std::string> idb_preds_;
   std::map<std::string, PredState> preds_;
   plan::ProgramPlan plan_;
   std::vector<CompiledRule> rules_;
-  // Per-rule, per-compiled-literal probe columns and driver position, both
-  // read straight off the join plan (the compiled body is in plan order).
-  std::vector<std::vector<std::vector<int>>> cols_;
-  std::vector<int> driver_pos_;
   std::vector<JoinStats> rule_stats_;
-  // Planner feedback accumulators (drained into EvalStats at Finish).
-  std::map<std::string, uint64_t> delta_sum_;
-  std::map<std::string, uint64_t> delta_rounds_;
-  std::vector<plan::ProbeObservation> probe_obs_;
+  std::vector<plan::ProbeObservation> probe_obs_;  // drained at Finish
   EvalResult result_;
 
+  // Inline state: the sink (built once, so no per-pass std::function
+  // allocation), its target, its abort status, the exact IDB fact count
+  // (only inline inserts add facts in an inline run), and a reused view
+  // buffer.
+  eval::HeadSink inline_sink_;
+  InlineTarget target_;
+  Status sink_status_ = Status::OK();
+  uint64_t idb_facts_ = 0;
+  std::vector<RelationView> views_;
+
+  // Pooled state: cancellation, the budget trip wire, and in-flight counts.
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> budget_tripped_{false};
   std::atomic<uint64_t> new_rows_{0};
@@ -785,7 +842,10 @@ void MergeBufferLocked(eval::Relation* target, const eval::Relation& buffer,
 Result<EvalResult> EvaluateParallel(const ast::Program& program, Database* db,
                                     ThreadPool* pool,
                                     const ParallelEvalOptions& opts) {
-  ParallelEngine engine(program, db, pool, opts);
+  if (opts.eval.strategy == eval::Strategy::kNaive) {
+    return eval::Evaluate(program, db, opts.eval);
+  }
+  SemiNaiveEngine engine(program, db, pool, opts);
   return engine.Run();
 }
 
@@ -797,7 +857,7 @@ Result<eval::AnswerSet> EvaluateQueryParallel(const ast::Program& program,
   FACTLOG_ASSIGN_OR_RETURN(EvalResult result,
                            EvaluateParallel(program, db, pool, opts));
   if (stats_out != nullptr) *stats_out = result.stats();
-  return eval::ExtractAnswers(query, &result, db);
+  return eval::ExtractAnswers(query, &result, db, opts.eval.shared_edb);
 }
 
 }  // namespace factlog::exec

@@ -1,4 +1,5 @@
-// Shard-partitioned parallel semi-naive fixpoint evaluation.
+// The semi-naive fixpoint: one shard-partitioned engine, run inline or on a
+// thread pool.
 //
 // The paper's argument-reduction theorems shrink a recursive relation from
 // O(n^k) to O(n) facts; this module consumes those relations on every core.
@@ -24,21 +25,29 @@
 //      right-linear rules used to pay. Every other probe index is pre-built
 //      on the frozen full/delta/base relations (Relation::EnsureIndex), so
 //      workers only touch the const read path (RelationView::shared).
+//      Under EvalOptions::shared_edb base relations are never indexed:
+//      workers probe what the caller pre-built (PrewarmIndexes) or scan.
 //   3. Workers evaluate one slice each into a thread-local Relation buffer
 //      sharded exactly like the head relation, deduplicating against the
 //      frozen full/delta extents.
 //   4. Merges are shard-to-shard (Relation::MergeShard) under one lock per
 //      (head predicate, shard) — same-key shards never contend — then the
 //      control thread syncs the next relations (Relation::SyncShards) and
-//      rotates full/delta/next exactly like the sequential engine.
+//      rotates full/delta/next.
 //
-// The result is fact-for-fact identical to eval::Evaluate's semi-naive
-// strategy at any thread and shard count, and head instantiation counts are
-// identical to the sequential engine's at any join order (set semantics make
-// the fixpoint confluent; a complete body match is order-invariant); the
-// sequential single-shard evaluator remains the oracle the tests compare
-// against. EvalOptions::join_order = kLeftToRight selects the pre-planner
-// baseline (source-order joins, delta-shard partitioning only).
+// Without a pool (or on a width-0 one) the same engine runs inline: one
+// pass per (rule, recursive occurrence) on the calling thread, inserting
+// straight into next, with IDB indices built lazily by the join, the exact
+// fact budget checked per insert, and first-derivation provenance recorded
+// when asked. eval::Evaluate's semi-naive strategy is this inline run.
+//
+// Fact sets, iteration counts and head instantiation counts are identical
+// with and without a pool at any thread and shard count and at any join
+// order (set semantics make the fixpoint confluent; a complete body match
+// is order-invariant). The tests check them against eval::Evaluate's naive
+// strategy and top-down SLD, independent fixpoints. EvalOptions::join_order
+// = kLeftToRight selects the pre-planner baseline (source-order joins,
+// delta-shard partitioning only).
 
 #ifndef FACTLOG_EXEC_PARALLEL_SEMINAIVE_H_
 #define FACTLOG_EXEC_PARALLEL_SEMINAIVE_H_
@@ -63,10 +72,10 @@ void MergeBufferLocked(eval::Relation* target, const eval::Relation& buffer,
                        std::mutex* locks);
 
 struct ParallelEvalOptions {
-  /// Budgets and flags shared with the sequential evaluator. Restrictions:
-  /// `strategy` is ignored (the parallel engine is always semi-naive) and
-  /// `track_provenance` must be false (kInvalidArgument otherwise — use the
-  /// sequential evaluator when derivation trees are needed).
+  /// Budgets and flags shared with eval::Evaluate. `strategy` kNaive runs
+  /// eval::Evaluate's naive loop (the pool is unused). `track_provenance`
+  /// needs an inline run: with a pool of width >= 1 it fails with
+  /// kInvalidArgument.
   eval::EvalOptions eval;
   /// Shards per IDB relation. 0 inherits the database's storage options, so
   /// IDB and EDB partitioning stay uniform by default.
@@ -77,8 +86,8 @@ struct ParallelEvalOptions {
   size_t min_rows_to_partition = 64;
 };
 
-/// Evaluates `program` bottom-up against `db` on `pool` (nullptr = inline).
-/// Returns exactly the fact sets eval::Evaluate produces.
+/// Evaluates `program` bottom-up against `db` on `pool` (nullptr = inline,
+/// which is what eval::Evaluate runs).
 Result<eval::EvalResult> EvaluateParallel(
     const ast::Program& program, eval::Database* db, ThreadPool* pool,
     const ParallelEvalOptions& opts = ParallelEvalOptions());

@@ -146,21 +146,16 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
       }
     }
   } else {
-    // The initial materialization is one ordinary from-scratch evaluation —
-    // on the pool when the caller has one, sequentially otherwise.
-    eval::EvalOptions eopts = opts_.eval;
-    eopts.strategy = eval::Strategy::kSemiNaive;
-    eopts.shared_edb = false;
-    eopts.program_plan = &plan_;
-    if (opts_.pool != nullptr) {
-      exec::ParallelEvalOptions popts;
-      popts.eval = eopts;
-      popts.min_rows_to_partition = opts_.min_rows_to_partition;
-      FACTLOG_ASSIGN_OR_RETURN(
-          result_, exec::EvaluateParallel(program_, db_, opts_.pool, popts));
-    } else {
-      FACTLOG_ASSIGN_OR_RETURN(result_, eval::Evaluate(program_, db_, eopts));
-    }
+    // The initial materialization is one ordinary from-scratch evaluation,
+    // on the pool when the caller has one.
+    exec::ParallelEvalOptions popts;
+    popts.eval = opts_.eval;
+    popts.eval.strategy = eval::Strategy::kSemiNaive;
+    popts.eval.shared_edb = false;
+    popts.eval.program_plan = &plan_;
+    popts.min_rows_to_partition = opts_.min_rows_to_partition;
+    FACTLOG_ASSIGN_OR_RETURN(
+        result_, exec::EvaluateParallel(program_, db_, opts_.pool, popts));
   }
   // The engine's plan pointer has served its purpose (plan_ is a copy);
   // never read it again — its CompiledQuery may be evicted from the cache.

@@ -1,11 +1,13 @@
 // Tests for the parallel execution subsystem: the partitioned semi-naive
-// fixpoint must be fact-for-fact identical to the sequential oracle at every
-// thread count, and concurrent batch execution must agree with one-at-a-time
-// queries while hammering the shared plan cache.
+// fixpoint must be fact-for-fact identical to the naive T_P oracle with and
+// without a pool at every thread and shard count, and concurrent batch
+// execution must agree with one-at-a-time queries while hammering the shared
+// plan cache.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,12 +58,13 @@ class ParallelSweepTest : public ::testing::TestWithParam<std::tuple<int, int>> 
 
 // The acceptance bar of this subsystem: for every corpus program (original
 // and pipeline-compiled) the shard-native fixpoint at 1/2/8 storage shards
-// times 1/2/8 threads yields exactly the flat sequential evaluator's fact
-// sets, iteration counts, and instantiation counts. Shard fan-out is forced
-// even on tiny deltas so the shard-view/merge machinery actually runs, and
-// the sequential evaluator itself is checked for storage invariance at each
-// shard count.
-TEST_P(ParallelSweepTest, MatchesSequentialOracleAcrossShardsAndThreads) {
+// times no pool and 1/2/8 threads yields exactly the fact sets of naive T_P
+// evaluation on flat storage — an independent fixpoint, so no run is
+// compared with itself. Iteration and instantiation counts must not depend
+// on the partitioning: every run matches the flat no-pool run. Shard fan-out
+// is forced even on tiny deltas so the shard-view/merge machinery actually
+// runs.
+TEST_P(ParallelSweepTest, MatchesNaiveOracleAcrossShardsAndThreads) {
   const test::SweepProgram& ps = kSweepPrograms[std::get<0>(GetParam())];
   const test::SweepWorkload& ws = kSweepWorkloads[std::get<1>(GetParam())];
 
@@ -78,31 +81,40 @@ TEST_P(ParallelSweepTest, MatchesSequentialOracleAcrossShardsAndThreads) {
                               {"compiled", &compiled->program}};
 
   for (const Variant& v : variants) {
-    // The oracle: flat single-shard storage, sequential evaluation.
+    // The oracle: naive evaluation on flat single-shard storage.
     eval::Database oracle_db;
     ws.make(&oracle_db);
-    auto sequential = eval::Evaluate(*v.program, &oracle_db);
-    ASSERT_TRUE(sequential.ok())
-        << v.name << ": " << sequential.status().ToString();
-    auto expected = FactSets(*sequential, oracle_db.store());
+    eval::EvalOptions naive;
+    naive.strategy = eval::Strategy::kNaive;
+    auto oracle = eval::Evaluate(*v.program, &oracle_db, naive);
+    ASSERT_TRUE(oracle.ok()) << v.name << ": " << oracle.status().ToString();
+    auto expected = FactSets(*oracle, oracle_db.store());
+
+    // The reference counts: no pool, flat storage.
+    eval::Database flat_db;
+    ws.make(&flat_db);
+    auto reference = eval::Evaluate(*v.program, &flat_db);
+    ASSERT_TRUE(reference.ok())
+        << v.name << ": " << reference.status().ToString();
+    EXPECT_EQ(FactSets(*reference, flat_db.store()), expected) << v.name;
 
     for (size_t shards : {1u, 2u, 8u}) {
       eval::Database db(eval::StorageOptions{shards, {}});
       ws.make(&db);
 
-      // Sharding must be invisible to the sequential evaluator too.
-      auto seq_sharded = eval::Evaluate(*v.program, &db);
-      ASSERT_TRUE(seq_sharded.ok())
-          << v.name << " seq@" << shards << "sh: "
-          << seq_sharded.status().ToString();
-      EXPECT_EQ(FactSets(*seq_sharded, db.store()), expected)
-          << v.name << " sequential @" << shards << " shards";
-      EXPECT_EQ(seq_sharded->stats().iterations,
-                sequential->stats().iterations)
-          << v.name << " sequential @" << shards << " shards";
-      EXPECT_EQ(seq_sharded->stats().instantiations,
-                sequential->stats().instantiations)
-          << v.name << " sequential @" << shards << " shards";
+      // Sharding must be invisible without a pool too.
+      auto inline_sharded = eval::Evaluate(*v.program, &db);
+      ASSERT_TRUE(inline_sharded.ok())
+          << v.name << " inline@" << shards << "sh: "
+          << inline_sharded.status().ToString();
+      EXPECT_EQ(FactSets(*inline_sharded, db.store()), expected)
+          << v.name << " inline @" << shards << " shards";
+      EXPECT_EQ(inline_sharded->stats().iterations,
+                reference->stats().iterations)
+          << v.name << " inline @" << shards << " shards";
+      EXPECT_EQ(inline_sharded->stats().instantiations,
+                reference->stats().instantiations)
+          << v.name << " inline @" << shards << " shards";
 
       for (size_t threads : {1u, 2u, 8u}) {
         exec::ThreadPool pool(threads);
@@ -115,14 +127,12 @@ TEST_P(ParallelSweepTest, MatchesSequentialOracleAcrossShardsAndThreads) {
             << parallel.status().ToString();
         EXPECT_EQ(FactSets(*parallel, db.store()), expected)
             << v.name << " @" << threads << "t/" << shards << "sh";
-        EXPECT_EQ(parallel->stats().total_facts,
-                  sequential->stats().total_facts)
+        EXPECT_EQ(parallel->stats().total_facts, oracle->stats().total_facts)
             << v.name << " @" << threads << "t/" << shards << "sh";
-        EXPECT_EQ(parallel->stats().iterations,
-                  sequential->stats().iterations)
+        EXPECT_EQ(parallel->stats().iterations, reference->stats().iterations)
             << v.name << " @" << threads << "t/" << shards << "sh";
         EXPECT_EQ(parallel->stats().instantiations,
-                  sequential->stats().instantiations)
+                  reference->stats().instantiations)
             << v.name << " @" << threads << "t/" << shards << "sh";
       }
     }
@@ -225,7 +235,7 @@ TEST(ParallelSemiNaiveTest, ReportsPerShardFactCounts) {
 
 TEST(ParallelSemiNaiveTest, CompoundValuesInternSafelyAcrossThreads) {
   // List construction interns new compound values inside worker threads;
-  // the result must still match the sequential oracle exactly.
+  // the result must still match the no-pool run exactly.
   eval::Database db;
   for (int i = 0; i < 40; ++i) db.AddPair("n", i, i + 1);
   ast::Program program = P(
@@ -258,15 +268,68 @@ TEST(ParallelSemiNaiveTest, FactBudgetAborts) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(ParallelSemiNaiveTest, ProvenanceIsRejected) {
+// Without a pool the engine records first-derivation provenance, with the
+// same derivation tree as ProvenanceTest.DerivationTreeForChain; a pool of
+// any width >= 1 rejects it.
+TEST(ParallelSemiNaiveTest, ProvenanceRecordedInlineRejectedOnPool) {
   eval::Database db;
   db.AddPair("e", 1, 2);
-  ast::Program program = P("t(X, Y) :- e(X, Y).");
+  db.AddPair("e", 2, 3);
+  ast::Program program =
+      P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
   exec::ParallelEvalOptions opts;
   opts.eval.track_provenance = true;
   auto result = exec::EvaluateParallel(program, &db, nullptr, opts);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  eval::FactKey t13{"t", {db.store().InternInt(1), db.store().InternInt(3)}};
+  ASSERT_NE(result->provenance().Find(t13), nullptr);
+  eval::DerivationTree tree =
+      eval::BuildDerivationTree(result->provenance(), t13);
+  // t(1,3) via rule 1 from e(1,2) and t(2,3); t(2,3) via rule 0 from e(2,3).
+  EXPECT_EQ(tree.rule_index, 1);
+  EXPECT_EQ(tree.Height(), 3u);
+  ASSERT_EQ(tree.children.size(), 2u);
+  EXPECT_EQ(tree.children[0].fact.predicate, "e");
+  EXPECT_EQ(tree.children[0].rule_index, -1);  // EDB leaf
+  EXPECT_EQ(tree.children[1].fact.predicate, "t");
+  EXPECT_EQ(tree.children[1].rule_index, 0);
+  std::string rendered = eval::DerivationTreeToString(tree, db.store());
+  EXPECT_NE(rendered.find("t(1, 3)"), std::string::npos);
+  EXPECT_NE(rendered.find("e(2, 3)"), std::string::npos);
+
+  for (size_t threads : {1u, 2u}) {
+    exec::ThreadPool pool(threads);
+    auto pooled = exec::EvaluateParallel(program, &db, &pool, opts);
+    ASSERT_FALSE(pooled.ok()) << threads << " threads";
+    EXPECT_EQ(pooled.status().code(), StatusCode::kInvalidArgument)
+        << threads << " threads";
+  }
+}
+
+// Under shared_edb the base relations are read-only: neither the inline
+// engine nor a pooled one may build an index on them (a concurrent reader
+// could be probing them).
+TEST(ParallelSemiNaiveTest, SharedEdbLeavesBaseRelationsUntouched) {
+  ast::Program program =
+      P("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y).");
+  for (size_t threads : {0u, 2u}) {
+    eval::Database db;
+    workload::MakeChain(200, "e", &db);  // 199 edges
+    const eval::Relation* e = db.Find("e");
+    ASSERT_NE(e, nullptr);
+    const uint64_t version = e->version();
+    std::unique_ptr<exec::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
+    exec::ParallelEvalOptions opts;
+    opts.eval.shared_edb = true;
+    auto result = exec::EvaluateParallel(program, &db, pool.get(), opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats().total_facts, 199u * 200u / 2) << threads;
+    EXPECT_EQ(e->version(), version) << threads << " threads";
+    EXPECT_EQ(e->FindIndexed({0}, {e->row(0)[0]}), nullptr)
+        << threads << " threads";
+  }
 }
 
 TEST(PrewarmIndexesTest, SharedEdbEvaluationMatchesPrivate) {

@@ -1,11 +1,11 @@
 // Tests for the compile-time join planner (src/plan) and its integration
-// with all three evaluators: the greedy cost model's decisions, the
-// planner-vs-left-to-right equivalence oracle over the sweep corpus at
-// 1/2/8 shards x 1/2/8 threads (identical fact sets, head instantiation
-// counts never higher), and the right-linear TC regression — the driver
-// literal is the outermost (plan-order-first) relation literal and planned
-// driver partitioning does strictly less join work than the left-to-right
-// baseline.
+// with the evaluators: the greedy cost model's decisions, the planned and
+// left-to-right sweep over the corpus at 1/2/8 shards x 1/2/8 threads
+// against the naive oracle (identical fact sets, head instantiation counts
+// never higher than left-to-right), and the right-linear TC regression —
+// the driver literal is the outermost (plan-order-first) relation literal
+// and planned driver partitioning does strictly less join work than the
+// left-to-right baseline.
 
 #include <gtest/gtest.h>
 
@@ -266,13 +266,16 @@ std::map<std::string, std::set<std::string>> FactSets(
 class PlannedSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-// The oracle check of this PR: for every corpus program (original and
-// pipeline-compiled), planned evaluation — sequential and parallel at 1/2/8
-// storage shards x 1/2/8 threads — produces exactly the fact sets of the
-// left-to-right sequential baseline, with head instantiation counts never
-// higher (a complete body match is join-order-invariant, so they are in
-// fact equal; the planner's win shows up in rows_matched).
-TEST_P(PlannedSweepTest, PlannedMatchesLeftToRightOracle) {
+// The planner's oracle check: for every corpus program (original and
+// pipeline-compiled), evaluation in left-to-right and planned order — with
+// no pool and on pools at 1/2/8 storage shards x 1/2/8 threads — produces
+// exactly the fact sets of naive T_P evaluation on flat storage (an
+// independent fixpoint, so no run is compared with itself). Every planned
+// run takes the left-to-right run's iteration count, and its head
+// instantiation count is never higher (a complete body match is
+// join-order-invariant, so they are in fact equal; the planner's win shows
+// up in rows_matched).
+TEST_P(PlannedSweepTest, PlannedMatchesNaiveOracle) {
   const test::SweepProgram& ps = kSweepPrograms[std::get<0>(GetParam())];
   const test::SweepWorkload& ws = kSweepWorkloads[std::get<1>(GetParam())];
 
@@ -289,6 +292,15 @@ TEST_P(PlannedSweepTest, PlannedMatchesLeftToRightOracle) {
                               {"compiled", &compiled->program}};
 
   for (const Variant& v : variants) {
+    eval::Database oracle_db;
+    ws.make(&oracle_db);
+    eval::EvalOptions naive;
+    naive.strategy = eval::Strategy::kNaive;
+    auto oracle = eval::Evaluate(*v.program, &oracle_db, naive);
+    ASSERT_TRUE(oracle.ok()) << v.name << ": " << oracle.status().ToString();
+    auto expected = FactSets(*oracle, oracle_db.store());
+
+    // Left-to-right, no pool: the join-order baseline.
     eval::Database ltr_db;
     ws.make(&ltr_db);
     eval::EvalOptions ltr;
@@ -296,9 +308,9 @@ TEST_P(PlannedSweepTest, PlannedMatchesLeftToRightOracle) {
     auto baseline = eval::Evaluate(*v.program, &ltr_db, ltr);
     ASSERT_TRUE(baseline.ok())
         << v.name << ": " << baseline.status().ToString();
-    auto expected = FactSets(*baseline, ltr_db.store());
+    EXPECT_EQ(FactSets(*baseline, ltr_db.store()), expected) << v.name;
 
-    // Planned sequential.
+    // Planned, no pool.
     eval::Database seq_db;
     ws.make(&seq_db);
     auto planned = eval::Evaluate(*v.program, &seq_db);
@@ -307,8 +319,10 @@ TEST_P(PlannedSweepTest, PlannedMatchesLeftToRightOracle) {
     EXPECT_LE(planned->stats().instantiations,
               baseline->stats().instantiations)
         << v.name;
+    EXPECT_EQ(planned->stats().iterations, baseline->stats().iterations)
+        << v.name;
 
-    // Planned parallel across the shard x thread grid.
+    // Planned on a pool across the shard x thread grid.
     for (size_t shards : {1u, 2u, 8u}) {
       for (size_t threads : {1u, 2u, 8u}) {
         eval::Database db(eval::StorageOptions{shards, {}});

@@ -1,8 +1,8 @@
 // The shared integration-sweep corpus: (program, query) pairs times workload
 // generators. integration_sweep_test.cc checks the optimizer pipeline
-// preserves answers over it; exec_test.cc checks the parallel fixpoint
-// reproduces the sequential evaluator's fact sets over it at every thread
-// count.
+// preserves answers over it; exec_test.cc and plan_test.cc check the
+// semi-naive engine reproduces naive evaluation's fact sets over it with and
+// without a pool at every thread and shard count.
 
 #ifndef FACTLOG_TESTS_SWEEP_CORPUS_H_
 #define FACTLOG_TESTS_SWEEP_CORPUS_H_
