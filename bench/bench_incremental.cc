@@ -5,17 +5,17 @@
 //
 // The workload is left-linear TC with the bound query t(1, Y) — the
 // canonical serving scenario: one expensive materialization, then a stream
-// of single-edge updates. Two regimes are measured, because DRed's cost is
-// the size of the over-deletion cone, not of the update:
+// of single-edge updates. Two regimes are measured, because a deletion's
+// cost depends on how much of the view it can invalidate:
 //
 //   * chain_plus_random: insertions of fresh random edges and their
 //     deletions. Inserting is delta-sized; deleting a random edge in a
-//     well-connected digraph used to be the regression — textbook DRed
-//     over-deletes almost the whole reachable set before re-deriving it.
-//     The edge-guided slice walks only the actual derivation cone and prunes
-//     facts with surviving alternate derivations, so this row is now a win
-//     too; the per-op counters (cone_input / cone_pruned / over_deleted /
-//     rederived) show why.
+//     well-connected digraph used to be the regression — a reachability
+//     cone (textbook DRed) spans almost the whole reachable set. The
+//     edge-guided support cascade walks only facts that actually lost a
+//     derivation and keeps facts with surviving alternate derivations, so
+//     this row is a win too; the per-op counters (cone_input / cone_pruned /
+//     over_deleted / rederived) show why.
 //   * chain: deletion and re-insertion of edges near the chain's tail. The
 //     affected cone is the short suffix, so maintenance is delta-sized —
 //     the case incremental maintenance exists for.
@@ -30,8 +30,10 @@
 //                            [--edge-budget E]
 //
 // --edge-budget caps the derivation-edge store (0 disables it entirely,
-// forcing the DRed fallback) — the knob for comparing the two deletion
-// regimes on identical workloads.
+// forcing the fallback that re-derives the affected SCC on every delete) —
+// the knob for comparing the two deletion paths on identical workloads. The
+// fallback costs one SCC evaluation per delete, so its delete rows sit just
+// above 1x.
 //
 //   $ ./bench_incremental --nodes 250 | python3 -m json.tool
 

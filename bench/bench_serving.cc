@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   std::minstd_rand rng(20260807);
   // Fresh-edge writes: insert a random absent edge, delete it again a few
   // writes later (FIFO), so the EDB stays near its initial size and deletes
-  // exercise DRed on recently-added edges.
+  // exercise recursive deletion on recently-added edges.
   std::deque<ast::Atom> inserted;
   auto next_write = [&](bool* insert) -> ast::Atom {
     if (inserted.size() >= 8) {

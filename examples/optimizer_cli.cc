@@ -38,8 +38,8 @@
 //
 // --incremental (requires --facts) materializes the query as a live view and
 // reads update commands from stdin, maintaining the answers with delta-sized
-// work (counting / derivation-edge slices / DRed fallback) instead of
-// re-running the fixpoint:
+// work (counting / derivation-edge slices / SCC re-evaluation fallback)
+// instead of re-running the fixpoint:
 //
 //   +e(1, 5).      insert a fact
 //   -e(1, 2).      remove a fact
@@ -59,12 +59,13 @@
 //   $ printf '+e(2, 4).\n-e(1, 2).\n?\n' |
 //       ./optimizer_cli tc.dl --facts facts.dl --incremental
 //
-// --serve (requires --facts) materializes the query as a live view, starts
-// the async serving subsystem (MVCC snapshot reads, single-writer updates),
-// and reads the same commands as --incremental from stdin — but submits them
-// through the request queue and prints each completion asynchronously with
-// its queue/apply/execute latency and snapshot epoch. Defaults --threads to
-// 2 when unset (serving needs a pool).
+// --serve (requires --facts) runs the same command loop with async dispatch:
+// it starts the serving subsystem (MVCC snapshot reads, single-writer
+// updates), submits `?` and `+`/`-` through the request queue, and prints
+// each completion asynchronously with its queue/apply/execute latency and
+// snapshot epoch. `stats` prints the serving counters; `why` and
+// `checkpoint` are rejected. Defaults --threads to 2 when unset (serving
+// needs a pool).
 //
 // --db <dir> opens (creating when absent) a disk-backed engine on the given
 // database directory: facts load through the WAL, a previous session's
@@ -199,184 +200,106 @@ void PrintStorageStats(factlog::api::Engine* engine, std::ostream& out) {
 void PrintEngineStats(factlog::api::Engine* engine, std::ostream& out) {
   const factlog::api::EngineStats es = engine->stats();
   out << "% engine: " << es.compiles << " compiles, " << es.cache_hits
-      << " cache hits; plans_recosted " << es.plans_recosted
-      << " (stale-guard firings " << es.plans_invalidated << "); replans "
+      << " cache hits; plans_recosted " << es.plans_recosted << "; replans "
       << es.replans << "\n";
 }
 
-// --incremental mode: materialize the query as a live view, then maintain it
-// under +fact./-fact. commands from stdin.
-int RunIncremental(factlog::api::Engine* engine,
-                   const factlog::ast::Program& program,
-                   const factlog::ast::Atom& query,
-                   factlog::core::Strategy strategy) {
-  using namespace factlog;
-  auto handle = engine->Materialize(program, query, strategy);
-  if (!handle.ok()) return Fail(handle.status());
-
-  auto print_answers = [&]() -> int {
-    api::QueryStats stats;
-    auto answers = engine->Query(program, query, strategy, &stats);
-    if (!answers.ok()) return Fail(answers.status());
-    std::cout << "% answers (" << answers->rows.size() << " rows, "
-              << (stats.view_hit ? "from view" : "recomputed") << ")\n"
-              << answers->ToString(engine->db().store());
-    return 0;
-  };
-  if (int rc = print_answers(); rc != 0) return rc;
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos || line[begin] == '%') continue;
-    size_t end = line.find_last_not_of(" \t\r");
-    std::string cmd = line.substr(begin, end - begin + 1);
-    if (cmd == "?") {
-      if (int rc = print_answers(); rc != 0) return rc;
-      continue;
-    }
-    if (cmd == "lint") {
-      PrintLintReport(engine, program, std::cout);
-      continue;
-    }
-    if (cmd == "stats") {
-      auto stats = engine->ViewStatsFor(*handle);
-      if (!stats.ok()) return Fail(stats.status());
-      std::cout << "% view: +" << stats->inserts_applied << " -"
-                << stats->deletes_applied << " EDB rows; IDB +"
-                << stats->idb_inserted << " -" << stats->idb_deleted
-                << "; support updates " << stats->support_updates
-                << "; overdeleted " << stats->overdeleted << ", rederived "
-                << stats->rederived << "; cone " << stats->cone_input
-                << " in / " << stats->cone_pruned << " pruned; "
-                << stats->delta_passes << " delta passes\n";
-      std::cout << "% edges: "
-                << (stats->edge_store_active
-                        ? std::to_string(stats->edge_store_edges) +
-                              " derivations over " +
-                              std::to_string(stats->edge_store_facts) +
-                              " facts (+" +
-                              std::to_string(stats->edges_added) + " -" +
-                              std::to_string(stats->edges_removed) + ")"
-                        : std::string(stats->edge_store_dropped
-                                          ? "store dropped over budget "
-                                            "(DRed fallback)"
-                                          : "not tracked"))
-                << "\n";
-      const factlog::inc::ViewUpdateStats& lu = stats->last_update;
-      std::cout << "% last update: IDB +" << lu.idb_inserted << " -"
-                << lu.idb_deleted << "; cone " << lu.cone_input << " in / "
-                << lu.cone_pruned << " pruned / " << lu.overdeleted
-                << " deleted; edges +" << lu.edges_added << " -"
-                << lu.edges_removed << "\n";
-      PrintEngineStats(engine, std::cout);
-      if (engine->persistent()) PrintStorageStats(engine, std::cout);
-      continue;
-    }
-    if (cmd.rfind("why ", 0) == 0) {
-      std::string text = cmd.substr(4);
-      size_t b = text.find_first_not_of(" \t");
-      text = b == std::string::npos ? std::string() : text.substr(b);
-      if (!text.empty() && text.back() == '.') text.pop_back();
-      auto fact = ast::ParseAtom(text);
-      if (!fact.ok()) return Fail(fact.status());
-      // The pipeline usually rewrites the query predicate (magic/factoring);
-      // when the asked fact uses the original query predicate, rebind the
-      // compiled query atom with its constants so `why t(1, 4).` explains
-      // the maintained fact behind that answer.
-      ast::Atom target = *fact;
-      const inc::MaterializedView* v = engine->view(*handle);
-      if (v != nullptr && v->Find(fact->predicate()) == nullptr &&
-          fact->predicate() == query.predicate() &&
-          v->program().query().has_value() &&
-          v->program().query()->predicate() != fact->predicate()) {
-        std::map<std::string, ast::Term> bind;
-        bool ok = fact->arity() == query.arity();
-        for (size_t i = 0; ok && i < query.arity(); ++i) {
-          const ast::Term& qa = query.args()[i];
-          if (qa.IsVariable()) {
-            bind.emplace(qa.var_name(), fact->args()[i]);
-          } else {
-            ok = qa == fact->args()[i];
-          }
-        }
-        const ast::Atom& vq = *v->program().query();
-        std::vector<ast::Term> args;
-        for (size_t i = 0; ok && i < vq.arity(); ++i) {
-          const ast::Term& t = vq.args()[i];
-          if (!t.IsVariable()) {
-            args.push_back(t);
-            continue;
-          }
-          auto it = bind.find(t.var_name());
-          if (it == bind.end()) {
-            ok = false;
-            break;
-          }
-          args.push_back(it->second);
-        }
-        if (ok) target = ast::Atom(vq.predicate(), std::move(args));
-      }
-      auto tree = engine->ExplainFromView(*handle, target);
-      if (!tree.ok()) return Fail(tree.status());
-      std::cout << *tree;
-      continue;
-    }
-    if (cmd == "checkpoint") {
-      if (!engine->persistent()) {
-        std::cout << "% no --db directory; nothing to checkpoint\n";
-        continue;
-      }
-      auto start = std::chrono::steady_clock::now();
-      if (Status st = engine->Checkpoint(); !st.ok()) return Fail(st);
-      auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-      auto ps = engine->persistence_stats();
-      std::cout << "% checkpoint #" << ps.storage.checkpoints << " ("
-                << ps.storage.num_pages << " pages, WAL reset, " << us
-                << " us)\n";
-      continue;
-    }
-    if (cmd.size() < 2 || (cmd[0] != '+' && cmd[0] != '-')) {
-      std::cerr << "error: expected '+fact.', '-fact.', 'why <fact>.', '?', "
-                   "'lint', 'stats', or 'checkpoint', got: " << cmd << "\n";
-      return StatusCodeToExitCode(StatusCode::kInvalidArgument);
-    }
-    bool insert = cmd[0] == '+';
-    std::string text = cmd.substr(1);
-    if (!text.empty() && text.back() == '.') text.pop_back();
-    auto fact = ast::ParseAtom(text);
-    if (!fact.ok()) return Fail(fact.status());
-    auto start = std::chrono::steady_clock::now();
-    Status st = insert ? engine->AddFact(*fact) : engine->RemoveFact(*fact);
-    if (!st.ok()) return Fail(st);
-    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    std::cout << "% " << (insert ? "+" : "-") << fact->ToString() << " ("
-              << us << " us)\n";
-  }
-  return 0;
+// The view's maintenance counters for the synchronous `stats` command:
+// cumulative, edge-store gauges, and the per-update `last update` snapshot.
+void PrintViewStats(const factlog::inc::ViewStats& stats, std::ostream& out) {
+  out << "% view: +" << stats.inserts_applied << " -" << stats.deletes_applied
+      << " EDB rows; IDB +" << stats.idb_inserted << " -" << stats.idb_deleted
+      << "; support updates " << stats.support_updates << "; overdeleted "
+      << stats.overdeleted << ", rederived " << stats.rederived << "; cone "
+      << stats.cone_input << " in / " << stats.cone_pruned << " pruned; "
+      << stats.delta_passes << " delta passes\n";
+  out << "% edges: "
+      << (stats.edge_store_active
+              ? std::to_string(stats.edge_store_edges) + " derivations over " +
+                    std::to_string(stats.edge_store_facts) + " facts (+" +
+                    std::to_string(stats.edges_added) + " -" +
+                    std::to_string(stats.edges_removed) + ")"
+              : std::string(stats.edge_store_dropped
+                                ? "store dropped over budget "
+                                  "(re-evaluation fallback)"
+                                : "not tracked"))
+      << "\n";
+  const factlog::inc::ViewUpdateStats& lu = stats.last_update;
+  out << "% last update: IDB +" << lu.idb_inserted << " -" << lu.idb_deleted
+      << "; cone " << lu.cone_input << " in / " << lu.cone_pruned
+      << " pruned / " << lu.overdeleted << " deleted; edges +"
+      << lu.edges_added << " -" << lu.edges_removed << "\n";
 }
 
-// --serve mode: the --incremental command language, asynchronously — every
-// command is submitted through the serving request queue and its completion
-// (with snapshot epoch and latencies) prints whenever it finishes, possibly
-// after later commands were already submitted.
-int RunServe(factlog::api::Engine* engine,
-             const factlog::ast::Program& program,
-             const factlog::ast::Atom& query,
-             factlog::core::Strategy strategy) {
+// The `why <fact>.` target: the pipeline usually rewrites the query
+// predicate (magic/factoring); when the asked fact uses the original query
+// predicate, rebind the compiled query atom with its constants so
+// `why t(1, 4).` explains the maintained fact behind that answer.
+factlog::ast::Atom WhyTarget(const factlog::inc::MaterializedView* v,
+                             const factlog::ast::Atom& query,
+                             const factlog::ast::Atom& fact) {
+  using namespace factlog;
+  if (v == nullptr || v->Find(fact.predicate()) != nullptr ||
+      fact.predicate() != query.predicate() ||
+      !v->program().query().has_value() ||
+      v->program().query()->predicate() == fact.predicate()) {
+    return fact;
+  }
+  if (fact.arity() != query.arity()) return fact;
+  std::map<std::string, ast::Term> bind;
+  for (size_t i = 0; i < query.arity(); ++i) {
+    const ast::Term& qa = query.args()[i];
+    if (qa.IsVariable()) {
+      bind.emplace(qa.var_name(), fact.args()[i]);
+    } else if (!(qa == fact.args()[i])) {
+      return fact;
+    }
+  }
+  const ast::Atom& vq = *v->program().query();
+  std::vector<ast::Term> args;
+  for (size_t i = 0; i < vq.arity(); ++i) {
+    const ast::Term& t = vq.args()[i];
+    if (!t.IsVariable()) {
+      args.push_back(t);
+      continue;
+    }
+    auto it = bind.find(t.var_name());
+    if (it == bind.end()) return fact;
+    args.push_back(it->second);
+  }
+  return ast::Atom(vq.predicate(), std::move(args));
+}
+
+// --incremental / --serve: materialize the query as a live view, then run
+// the command loop over stdin. With `serve` every query and update is
+// submitted through the serving request queue and its completion (with
+// snapshot epoch and latencies) prints whenever it finishes, possibly after
+// later commands were already submitted; otherwise each command runs
+// synchronously on the engine.
+int RunRepl(factlog::api::Engine* engine, const factlog::ast::Program& program,
+            const factlog::ast::Atom& query, factlog::core::Strategy strategy,
+            bool serve) {
   using namespace factlog;
   auto handle = engine->Materialize(program, query, strategy);
   if (!handle.ok()) return Fail(handle.status());
-  if (Status st = engine->StartServing(); !st.ok()) return Fail(st);
-  uint64_t session = engine->OpenSession();
+  uint64_t session = 0;
+  if (serve) {
+    if (Status st = engine->StartServing(); !st.ok()) return Fail(st);
+    session = engine->OpenSession();
+  }
 
   // Completions print from pool workers / the writer thread; serialize them.
   std::mutex out_mu;
-  auto submit_query = [&]() {
+  auto answer = [&]() -> int {
+    if (!serve) {
+      api::QueryStats stats;
+      auto answers = engine->Query(program, query, strategy, &stats);
+      if (!answers.ok()) return Fail(answers.status());
+      std::cout << "% answers (" << answers->rows.size() << " rows, "
+                << (stats.view_hit ? "from view" : "recomputed") << ")\n"
+                << answers->ToString(engine->db().store());
+      return 0;
+    }
     Status st = engine->SubmitQuery(
         session, program, query, strategy,
         [&out_mu, engine](serve::QueryResponse resp) {
@@ -396,57 +319,23 @@ int RunServe(factlog::api::Engine* engine,
       std::lock_guard<std::mutex> lock(out_mu);
       std::cout << "% query rejected: " << st.ToString() << "\n";
     }
+    return 0;
   };
-
-  submit_query();
-  std::string line;
-  int rc = 0;
-  while (std::getline(std::cin, line)) {
-    size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos || line[begin] == '%') continue;
-    size_t end = line.find_last_not_of(" \t\r");
-    std::string cmd = line.substr(begin, end - begin + 1);
-    if (cmd == "?") {
-      submit_query();
-      continue;
-    }
-    if (cmd == "lint") {
-      // Lint is pure (no snapshot pin, no mutation), so it answers inline
-      // even in serving mode.
-      std::lock_guard<std::mutex> lock(out_mu);
-      PrintLintReport(engine, program, std::cout);
-      continue;
-    }
-    if (cmd == "stats") {
-      serve::ServerStats s = engine->serving_stats();
-      std::lock_guard<std::mutex> lock(out_mu);
-      std::cout << "% serving: epoch " << engine->serving_epoch()
-                << "; queries " << s.completed_queries << "/"
-                << s.accepted_queries << " done (" << s.rejected_queries
-                << " rejected); updates " << s.completed_updates << "/"
-                << s.accepted_updates << " done (" << s.rejected_updates
-                << " rejected); " << s.epochs_installed
-                << " epochs installed; " << s.inflight << " in flight\n";
-      PrintEngineStats(engine, std::cout);
-      continue;
-    }
-    if (cmd.size() < 2 || (cmd[0] != '+' && cmd[0] != '-')) {
-      std::cerr << "error: expected '+fact.', '-fact.', '?', 'lint', or "
-                   "'stats', got: " << cmd << "\n";
-      rc = StatusCodeToExitCode(StatusCode::kInvalidArgument);
-      break;
-    }
-    bool insert = cmd[0] == '+';
-    std::string text = cmd.substr(1);
-    if (!text.empty() && text.back() == '.') text.pop_back();
-    auto fact = ast::ParseAtom(text);
-    if (!fact.ok()) {
-      rc = Fail(fact.status());
-      break;
+  auto update = [&](bool insert, const ast::Atom& fact) -> int {
+    if (!serve) {
+      auto start = std::chrono::steady_clock::now();
+      Status st = insert ? engine->AddFact(fact) : engine->RemoveFact(fact);
+      if (!st.ok()) return Fail(st);
+      auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+      std::cout << "% " << (insert ? "+" : "-") << fact.ToString() << " ("
+                << us << " us)\n";
+      return 0;
     }
     Status st = engine->SubmitUpdate(
-        session, insert, *fact,
-        [&out_mu, insert, rendered = fact->ToString()](
+        session, insert, fact,
+        [&out_mu, insert, rendered = fact.ToString()](
             serve::UpdateResponse resp) {
           std::lock_guard<std::mutex> lock(out_mu);
           if (!resp.status.ok()) {
@@ -463,11 +352,99 @@ int RunServe(factlog::api::Engine* engine,
       std::lock_guard<std::mutex> lock(out_mu);
       std::cout << "% update rejected: " << st.ToString() << "\n";
     }
+    return 0;
+  };
+  auto stats = [&]() -> int {
+    std::lock_guard<std::mutex> lock(out_mu);
+    if (serve) {
+      serve::ServerStats s = engine->serving_stats();
+      std::cout << "% serving: epoch " << engine->serving_epoch()
+                << "; queries " << s.completed_queries << "/"
+                << s.accepted_queries << " done (" << s.rejected_queries
+                << " rejected); updates " << s.completed_updates << "/"
+                << s.accepted_updates << " done (" << s.rejected_updates
+                << " rejected); " << s.epochs_installed
+                << " epochs installed; " << s.inflight << " in flight\n";
+      PrintEngineStats(engine, std::cout);
+      return 0;
+    }
+    auto vs = engine->ViewStatsFor(*handle);
+    if (!vs.ok()) return Fail(vs.status());
+    PrintViewStats(*vs, std::cout);
+    PrintEngineStats(engine, std::cout);
+    if (engine->persistent()) PrintStorageStats(engine, std::cout);
+    return 0;
+  };
+  auto why = [&](std::string text) -> int {
+    size_t b = text.find_first_not_of(" \t");
+    text = b == std::string::npos ? std::string() : text.substr(b);
+    if (!text.empty() && text.back() == '.') text.pop_back();
+    auto fact = ast::ParseAtom(text);
+    if (!fact.ok()) return Fail(fact.status());
+    auto tree = engine->ExplainFromView(
+        *handle, WhyTarget(engine->view(*handle), query, *fact));
+    if (!tree.ok()) return Fail(tree.status());
+    std::cout << *tree;
+    return 0;
+  };
+  auto checkpoint = [&]() -> int {
+    if (!engine->persistent()) {
+      std::cout << "% no --db directory; nothing to checkpoint\n";
+      return 0;
+    }
+    auto start = std::chrono::steady_clock::now();
+    if (Status st = engine->Checkpoint(); !st.ok()) return Fail(st);
+    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    auto ps = engine->persistence_stats();
+    std::cout << "% checkpoint #" << ps.storage.checkpoints << " ("
+              << ps.storage.num_pages << " pages, WAL reset, " << us
+              << " us)\n";
+    return 0;
+  };
+
+  int rc = answer();
+  std::string line;
+  while (rc == 0 && std::getline(std::cin, line)) {
+    size_t begin = line.find_first_not_of(" \t\r");
+    if (begin == std::string::npos || line[begin] == '%') continue;
+    size_t end = line.find_last_not_of(" \t\r");
+    std::string cmd = line.substr(begin, end - begin + 1);
+    if (cmd == "?") {
+      rc = answer();
+    } else if (cmd == "lint") {
+      // Lint is pure (no snapshot pin, no mutation), so it answers inline
+      // even in serving mode.
+      std::lock_guard<std::mutex> lock(out_mu);
+      PrintLintReport(engine, program, std::cout);
+    } else if (cmd == "stats") {
+      rc = stats();
+    } else if (!serve && cmd.rfind("why ", 0) == 0) {
+      rc = why(cmd.substr(4));
+    } else if (!serve && cmd == "checkpoint") {
+      rc = checkpoint();
+    } else if (cmd.size() >= 2 && (cmd[0] == '+' || cmd[0] == '-')) {
+      std::string text = cmd.substr(1);
+      if (!text.empty() && text.back() == '.') text.pop_back();
+      auto fact = ast::ParseAtom(text);
+      rc = fact.ok() ? update(cmd[0] == '+', *fact) : Fail(fact.status());
+    } else {
+      std::cerr << (serve ? "error: expected '+fact.', '-fact.', '?', "
+                            "'lint', or 'stats', got: "
+                          : "error: expected '+fact.', '-fact.', "
+                            "'why <fact>.', '?', 'lint', 'stats', or "
+                            "'checkpoint', got: ")
+                << cmd << "\n";
+      rc = StatusCodeToExitCode(StatusCode::kInvalidArgument);
+    }
   }
-  // Drain every in-flight completion (they reference out_mu) before the
-  // callbacks' captures go out of scope.
-  engine->CloseSession(session);
-  engine->StopServing();
+  if (serve) {
+    // Drain every in-flight completion (they reference out_mu) before the
+    // callbacks' captures go out of scope.
+    engine->CloseSession(session);
+    engine->StopServing();
+  }
   return rc;
 }
 
@@ -759,7 +736,7 @@ int main(int argc, char** argv) {
                 << ps.facts_replayed << " WAL facts replayed, "
                 << ps.views_restored << " views restored, "
                 << ps.plans_restored << " plans warm, "
-                << ps.plans_dropped_stale << " stale plans dropped)\n";
+                << ps.plans_dropped << " plans dropped)\n";
     } else {
       engine_owner = std::make_unique<api::Engine>(engine_options);
     }
@@ -770,11 +747,8 @@ int main(int argc, char** argv) {
       Status load = engine.LoadFacts(*facts_text);
       if (!load.ok()) return Fail(load);
     }
-    if (incremental) {
-      return RunIncremental(&engine, *program, *program->query(), strategy);
-    }
-    if (serve) {
-      return RunServe(&engine, *program, *program->query(), strategy);
+    if (incremental || serve) {
+      return RunRepl(&engine, *program, *program->query(), strategy, serve);
     }
     api::QueryStats stats;
     auto answers = engine.Execute(compiled, &stats);

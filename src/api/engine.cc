@@ -21,11 +21,10 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Stale-plan threshold: a plan whose costed extents drifted beyond this
-/// factor (either direction) is re-costed in place (cached plans) or dropped
-/// (persisted plans on Open) rather than trusted. The +1 smooth keeps empty
-/// relations comparable (0 vs 3 rows is not 4x drift worth acting on; 0 vs
-/// 1000 is).
+/// Stale-plan threshold: a cached plan whose costed extents drifted beyond
+/// this factor (either direction) is re-costed in place rather than trusted.
+/// eval::ExtentDrifted's +1 smooth keeps empty relations comparable (0 vs 3
+/// rows is not 4x drift worth acting on; 0 vs 1000 is).
 constexpr double kStaleDriftFactor = 4.0;
 
 bool ExtentsDrifted(const std::map<std::string, uint64_t>& hints,
@@ -35,11 +34,8 @@ bool ExtentsDrifted(const std::map<std::string, uint64_t>& hints,
     // Hints for predicates the database doesn't hold are measured IDB
     // extents from the statistics catalog — there is no live size to
     // compare them against, so they can't drift.
-    if (rel == nullptr) continue;
-    const double actual = static_cast<double>(rel->size()) + 1.0;
-    const double costed = static_cast<double>(hinted) + 1.0;
-    if (actual > costed * kStaleDriftFactor ||
-        costed > actual * kStaleDriftFactor) {
+    if (rel != nullptr &&
+        eval::ExtentDrifted(hinted, rel->size(), kStaleDriftFactor)) {
       return true;
     }
   }
@@ -328,7 +324,6 @@ Result<std::shared_ptr<const CompiledQuery>> Engine::CompileWithKey(
       const eval::Database* cost_db = hint_db != nullptr ? hint_db : &db_;
       if (!it->second.plan->planner_hints.empty() &&
           ExtentsDrifted(it->second.plan->planner_hints, *cost_db)) {
-        ++stats_.plans_invalidated;
         RecostCacheEntry(&it->second, *cost_db);
         ++stats_.plans_recosted;
       }
@@ -1172,21 +1167,17 @@ Status Engine::RestoreFromCheckpoint() {
     stats_catalog_.Restore(std::move(entries));
   }
 
-  // Cached plans: drop entries whose costed extents drifted past the
-  // threshold (they recompile lazily against fresh sizes on next use);
-  // warm-recompile the rest under their original cache keys.
+  // Cached plans: warm-recompile every entry under its original cache key.
+  // The compile costs against live sizes and the restored catalog, so a plan
+  // whose extents drifted since the checkpoint comes back re-costed.
   for (const storage::PlanDescriptor& pd : meta.plans) {
-    if (ExtentsDrifted(pd.extent_hints, db_)) {
-      ++plans_dropped_stale_;
-      continue;
-    }
     std::optional<Strategy> strat = core::StrategyFromString(pd.strategy);
     Result<ast::Program> prog = ast::ParseProgram(pd.program_text);
     Result<ast::Program> qprog =
         ast::ParseProgram("?- " + pd.query_text + ".");
     if (!strat.has_value() || !prog.ok() || !qprog.ok() ||
         !qprog->query().has_value()) {
-      ++plans_dropped_stale_;
+      ++plans_dropped_;
       continue;
     }
     Result<std::shared_ptr<const CompiledQuery>> plan = CompileWithKey(
@@ -1194,7 +1185,7 @@ Status Engine::RestoreFromCheckpoint() {
     if (plan.ok()) {
       ++plans_restored_;
     } else {
-      ++plans_dropped_stale_;
+      ++plans_dropped_;
     }
   }
   return Status::OK();
@@ -1338,8 +1329,9 @@ Status Engine::Checkpoint() {
     }
   }
 
-  // Cached plans: source texts plus the extents they were costed against
-  // (the stale-plan guard's baseline on the next Open).
+  // Cached plans: source texts plus the extents they were costed against.
+  // Open recompiles against live sizes and ignores the hints; they stay in
+  // the meta format so checkpoints keep one layout.
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, entry] : cache_) {
@@ -1386,7 +1378,7 @@ PersistenceStats Engine::persistence_stats() const {
   ps.facts_replayed = facts_replayed_;
   ps.views_restored = views_restored_;
   ps.plans_restored = plans_restored_;
-  ps.plans_dropped_stale = plans_dropped_stale_;
+  ps.plans_dropped = plans_dropped_;
   return ps;
 }
 

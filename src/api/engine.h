@@ -31,13 +31,14 @@
 //
 // Incremental maintenance: Materialize compiles a (program, query) and keeps
 // its full IDB as a live view (inc::MaterializedView) that AddFact/RemoveFact
-// update with delta-sized work — counting for non-recursive strata, DRed for
-// recursive ones — instead of re-running the fixpoint. Query answers from a
-// matching view directly. Mutations and queries must still be externally
-// serialized; as a safety net an evaluation-epoch guard detects the common
-// misuse, failing a mutation with kFailedPrecondition when a query is
-// already executing (a query that *starts* during a mutation is still a
-// race — the guard is detection, not mutual exclusion).
+// update with delta-sized work — counting for non-recursive strata, a
+// derivation-edge support cascade for recursive ones — instead of re-running
+// the fixpoint. Query answers from a matching view directly. Mutations and
+// queries must still be externally serialized; as a safety net an
+// evaluation-epoch guard detects the common misuse, failing a mutation with
+// kFailedPrecondition when a query is already executing (a query that
+// *starts* during a mutation is still a race — the guard is detection, not
+// mutual exclusion).
 //
 // Serving (StartServing): the engine switches to MVCC — reads pin an
 // immutable snapshot of copy-on-write shards (serve/snapshot.h) while a
@@ -127,7 +128,8 @@ struct EngineOptions {
   /// Incremental maintenance: derivation-edge budget per view for
   /// slice-guided deletion in recursive SCCs (see
   /// inc::IncrementalOptions::max_derivation_edges). Views whose hypergraph
-  /// would exceed it fall back to classic DRed; 0 disables edge tracking.
+  /// would exceed it re-derive the affected SCC on deletion instead; 0
+  /// disables edge tracking.
   uint64_t inc_max_derivation_edges = uint64_t{1} << 22;
   /// Database directory for disk-backed persistence. Filled in by
   /// Engine::Open — constructing an Engine directly leaves the engine fully
@@ -147,9 +149,9 @@ struct EngineStats {
   uint64_t batches = 0;        // ExecuteBatch calls
   uint64_t view_hits = 0;      // queries answered from a materialized view
   uint64_t view_updates = 0;   // AddFact/RemoveFact deltas propagated to views
-  uint64_t plans_invalidated = 0;  // stale-plan guard firings: a cached plan's
-                                   // costed extents drifted past 4x
-  uint64_t plans_recosted = 0;     // cached plans re-planned in place from
+  uint64_t plans_recosted = 0;     // stale-plan guard firings: a cached
+                                   // plan's costed extents drifted past 4x
+                                   // and it was re-planned in place from
                                    // measured cardinalities (no recompile)
   uint64_t replans = 0;            // mid-fixpoint driver switches (summed
                                    // eval::EvalStats::replans)
@@ -161,8 +163,8 @@ struct PersistenceStats {
   uint64_t facts_replayed = 0;       // WAL records applied on the last Open
   uint64_t views_restored = 0;       // materialized views rebuilt from meta
   uint64_t plans_restored = 0;       // cached plans warm-recompiled on Open
-  uint64_t plans_dropped_stale = 0;  // persisted plans dropped: extent drift
-                                     // beyond 4x, or unparseable
+  uint64_t plans_dropped = 0;        // persisted plans that failed to parse
+                                     // or compile on Open
 };
 
 /// Per-query statistics (optional out-param of Query/Execute).
@@ -246,8 +248,8 @@ class Engine {
   /// accepted no-ops.
   Status AddFact(const ast::Atom& fact);
   /// Removes a ground fact, propagating the deletion into every live view
-  /// (DRed over-delete + re-derive for recursive predicates). Absent facts
-  /// are accepted no-ops.
+  /// (support cascade, or SCC re-derivation without an edge store, for
+  /// recursive predicates). Absent facts are accepted no-ops.
   Status RemoveFact(const ast::Atom& fact);
   /// Adds `rel(a, b)` for an integer pair (graph edges). Asserts (debug)
   /// that the mutation was legal; prefer AddFact where failure matters.
@@ -549,7 +551,7 @@ class Engine {
   uint64_t facts_replayed_ = 0;
   uint64_t views_restored_ = 0;
   uint64_t plans_restored_ = 0;
-  uint64_t plans_dropped_stale_ = 0;
+  uint64_t plans_dropped_ = 0;
   eval::Database db_;
 
   /// Runtime statistics catalog (internally locked; safe to touch while

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "ast/special_predicates.h"
 #include "exec/parallel_seminaive.h"
 
 namespace factlog::inc {
@@ -168,82 +167,6 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
                               pred + "'");
     }
     info.shard_locks = std::make_unique<std::mutex[]>(rel->shard_count());
-  }
-
-  // Rederivation rules for DRed: the original body guarded by a candidate
-  // literal over the head's arguments, so re-derivation enumerates only the
-  // over-deleted facts instead of the whole relation.
-  cand_prefix_ = "__inc_cand__";
-  {
-    auto arities = program_.PredicateArities();
-    bool taken = true;
-    while (taken) {
-      taken = false;
-      for (const auto& [name, arity] : arities) {
-        if (name.rfind(cand_prefix_, 0) == 0) {
-          cand_prefix_ += "_";
-          taken = true;
-          break;
-        }
-      }
-    }
-  }
-  const std::string& cand_prefix = cand_prefix_;
-  // Rederivation bodies are planned through the same cost model as every
-  // other rule (the greedy planner replaced the old ad-hoc guard ordering):
-  // the leading literal is pinned — the candidate guard for round 0, the
-  // driving occurrence for the rotated variants — and the rest joins
-  // greedily on already-bound variables. Extent hints are exact here: the
-  // EDB and the freshly materialized IDB are both in hand; candidate guards
-  // are overdeletion-sized, so they rank as delta extents.
-  plan::PlanOptions ropts;
-  ropts.pinned_prefix = 1;
-  for (const auto& [name, rel] : db_->relations()) {
-    ropts.extent_hints[name] = rel->size();
-  }
-  for (const auto& [pred, rel] : result_.idb()) {
-    ropts.extent_hints[pred] = rel->size();
-  }
-  for (const auto& [pred, info] : pred_info_) {
-    if (info.recursive) ropts.delta_preds.insert(cand_prefix + pred);
-  }
-  auto compile_planned = [&](ast::Rule rule) -> Result<CompiledRule> {
-    plan::JoinPlan jp = plan::PlanRule(rule, ropts);
-    return CompiledRule::Compile(rule, &db_->store(), &jp);
-  };
-  rederive_rules_.resize(rules_.size());
-  rederive_occ_rules_.resize(rules_.size());
-  for (size_t i = 0; i < program_.rules().size(); ++i) {
-    const ast::Rule& r = program_.rules()[i];
-    const PredInfo& head_info = pred_info_.at(r.head().predicate());
-    if (!head_info.recursive) continue;
-    ast::Atom cand(cand_prefix + r.head().predicate(), r.head().args());
-    // Round-0 variant: the guard leads (scan bounded by the candidates).
-    std::vector<ast::Atom> body0 = {cand};
-    body0.insert(body0.end(), r.body().begin(), r.body().end());
-    FACTLOG_ASSIGN_OR_RETURN(
-        CompiledRule rr, compile_planned(ast::Rule(r.head(), body0)));
-    rederive_rules_[i] = std::make_unique<CompiledRule>(std::move(rr));
-    // Rotated variants for delta-driven rounds: the occurrence leads and the
-    // guard joins like any other literal — typically as an indexed filter on
-    // the by-then-bound head columns.
-    for (size_t b = 0; b < r.body().size(); ++b) {
-      const ast::Atom& lit = r.body()[b];
-      auto lit_info = pred_info_.find(lit.predicate());
-      if (lit_info == pred_info_.end() ||
-          lit_info->second.scc != head_info.scc) {
-        continue;
-      }
-      std::vector<ast::Atom> rot_body = {lit, cand};
-      for (size_t k = 0; k < r.body().size(); ++k) {
-        if (k != b) rot_body.push_back(r.body()[k]);
-      }
-      FACTLOG_ASSIGN_OR_RETURN(
-          CompiledRule rot,
-          compile_planned(ast::Rule(r.head(), std::move(rot_body))));
-      rederive_occ_rules_[i].emplace(
-          b, std::make_unique<CompiledRule>(std::move(rot)));
-    }
   }
 
   // Derivation edges are never persisted (checkpoints dump rows, not the
@@ -816,19 +739,18 @@ Status MaterializedView::InsertRecursive(
     std::vector<std::unique_ptr<Relation>>* owned) {
   std::set<std::string> in_scc(scc.begin(), scc.end());
   // acc = facts new this propagation (the eventual outward delta), cur = the
-  // current fixpoint delta, nxt = the next one. All sharded like the
-  // maintained relation so worker buffers merge shard-to-shard.
-  std::map<std::string, std::unique_ptr<Relation>> acc, cur, nxt;
+  // current fixpoint delta. Both sharded like the maintained relation so
+  // worker buffers merge shard-to-shard.
+  SccRelations acc, cur;
   for (const std::string& p : scc) {
     Relation* rel = result_.Find(p);
     acc[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
     cur[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-    nxt[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
   }
 
   // Seed: apply the lower-stratum deltas one occurrence at a time while the
-  // SCC's own extents sit at their old state; the fixpoint below then covers
-  // every instantiation involving a new SCC fact.
+  // SCC's own extents sit at their old state; the fixpoint then covers every
+  // instantiation involving a new SCC fact.
   for (const std::string& p : scc) {
     for (size_t ri : pred_info_.at(p).rules) {
       const CompiledRule& rule = rules_[ri];
@@ -880,14 +802,33 @@ Status MaterializedView::InsertRecursive(
     }
   }
 
-  // Semi-naive fixpoint within the SCC. Non-SCC literals sit uniformly at
-  // their new state; SCC literals before the occurrence see this round's
-  // view (stored ∪ acc ∪ cur — the three-way union), after it last round's.
+  // Non-SCC literals sit at their new state: stored ∪ Δ.
+  FACTLOG_RETURN_IF_ERROR(SemiNaiveScc(scc, *delta, &acc, &cur, *owned));
+  for (const std::string& p : scc) {
+    if (acc[p]->empty()) continue;
+    (*delta)[p] = acc[p].get();
+    owned->push_back(std::move(acc[p]));
+  }
+  return Status::OK();
+}
+
+Status MaterializedView::SemiNaiveScc(
+    const std::vector<std::string>& scc, const DeltaMap& outer,
+    SccRelations* acc, SccRelations* cur,
+    const std::vector<std::unique_ptr<Relation>>& owned) {
+  std::set<std::string> in_scc(scc.begin(), scc.end());
+  SccRelations nxt;
+  for (const std::string& p : scc) {
+    nxt[p] = std::make_unique<Relation>((*acc)[p]->arity(),
+                                        (*acc)[p]->storage_options());
+  }
+  // SCC literals before the occurrence see this round's view (stored ∪ acc ∪
+  // cur — the three-way union), after it last round's.
   uint64_t iterations = 0;
   while (true) {
     bool any = false;
     for (const std::string& p : scc) {
-      if (!cur[p]->empty()) {
+      if (!(*cur)[p]->empty()) {
         any = true;
         break;
       }
@@ -895,7 +836,7 @@ Status MaterializedView::InsertRecursive(
     if (!any) break;
     if (++iterations > opts_.eval.max_iterations) {
       return Status::ResourceExhausted(
-          "iteration budget exceeded during incremental insertion");
+          "iteration budget exceeded during incremental maintenance");
     }
     for (const std::string& p : scc) {
       for (size_t ri : pred_info_.at(p).rules) {
@@ -904,7 +845,8 @@ Status MaterializedView::InsertRecursive(
           const CompiledAtom& lit_j = rule.body()[j];
           if (lit_j.kind != LitKind::kRelation) continue;
           if (in_scc.count(lit_j.predicate) == 0) continue;
-          if (cur[lit_j.predicate]->empty()) continue;
+          const Relation* driving = (*cur)[lit_j.predicate].get();
+          if (driving->empty()) continue;
           std::vector<RelationView> views;
           views.reserve(rule.body().size());
           for (size_t k = 0; k < rule.body().size(); ++k) {
@@ -915,28 +857,27 @@ Status MaterializedView::InsertRecursive(
             }
             if (in_scc.count(lit.predicate) > 0) {
               Relation* base = result_.Find(lit.predicate);
-              Relation* a = acc[lit.predicate].get();
+              Relation* a = (*acc)[lit.predicate].get();
               views.push_back(
                   k < j ? RelationView{base, a, false,
-                                       cur[lit.predicate].get()}
+                                       (*cur)[lit.predicate].get()}
                         : RelationView{base, a});
               continue;
             }
             Relation* c = CurrentRel(lit.predicate);
-            auto dk = delta->find(lit.predicate);
-            Relation* d = dk != delta->end()
+            auto dk = outer.find(lit.predicate);
+            Relation* d = dk != outer.end()
                               ? const_cast<Relation*>(dk->second)
                               : nullptr;
             views.push_back(RelationView{c, d});
           }
           if (edges_ != nullptr) {
             Relation* base = result_.Find(p);
-            Relation* a = acc[p].get();
-            Relation* c = cur[p].get();
+            Relation* a = (*acc)[p].get();
+            Relation* c = (*cur)[p].get();
             Relation* target = nxt[p].get();
             FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-                ri, std::move(views), j, cur[lit_j.predicate].get(),
-                /*premises=*/true,
+                ri, std::move(views), j, driving, /*premises=*/true,
                 [&](const std::vector<ValueId>& row,
                     const std::vector<eval::FactKey>* prem) {
                   RecordEdge(p, row, ri, prem);
@@ -947,31 +888,25 @@ Status MaterializedView::InsertRecursive(
                 }));
           } else {
             FACTLOG_RETURN_IF_ERROR(RunPassInto(
-                ri, std::move(views), j, cur[lit_j.predicate].get(),
-                {result_.Find(p), acc[p].get(), cur[p].get()}, nxt[p].get(),
-                pred_info_.at(p).shard_locks.get()));
+                ri, std::move(views), j, driving,
+                {result_.Find(p), (*acc)[p].get(), (*cur)[p].get()},
+                nxt[p].get(), pred_info_.at(p).shard_locks.get()));
           }
         }
       }
     }
     uint64_t extra = 0;
     for (const std::string& p : scc) {
-      acc[p]->Absorb(*cur[p]);
-      cur[p] = std::move(nxt[p]);
-      nxt[p] = std::make_unique<Relation>(acc[p]->arity(),
-                                          acc[p]->storage_options());
-      extra += acc[p]->size() + cur[p]->size();
+      (*acc)[p]->Absorb(*(*cur)[p]);
+      (*cur)[p] = std::move(nxt[p]);
+      nxt[p] = std::make_unique<Relation>((*acc)[p]->arity(),
+                                          (*acc)[p]->storage_options());
+      extra += (*acc)[p]->size() + (*cur)[p]->size();
     }
-    if (total_facts() + InFlight(*owned) + extra > opts_.eval.max_facts) {
+    if (total_facts() + InFlight(owned) + extra > opts_.eval.max_facts) {
       return Status::ResourceExhausted(
-          "fact budget exceeded during incremental insertion");
+          "fact budget exceeded during incremental maintenance");
     }
-  }
-
-  for (const std::string& p : scc) {
-    if (acc[p]->empty()) continue;
-    (*delta)[p] = acc[p].get();
-    owned->push_back(std::move(acc[p]));
   }
   return Status::OK();
 }
@@ -1069,13 +1004,69 @@ Status MaterializedView::DeleteCounting(
 Status MaterializedView::DeleteRecursive(
     const std::vector<std::string>& scc, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
-  // Decision ladder: slice deletion along recorded derivation edges whenever
-  // the store is live; classic DRed otherwise (tracking disabled, or the
-  // store was dropped over budget).
+  // Slice deletion along recorded derivation edges whenever the store is
+  // live. Without it (tracking disabled, or the store was dropped over
+  // budget) the SCC is re-derived from scratch over the lower strata, which
+  // already hold their new state: one bounded SCC evaluation, never a
+  // cascade of unknown size. The store is not rebuilt afterwards — at the
+  // same budget it would overflow again.
   if (edges_ != nullptr && !edges_overflowed_) {
     return DeleteRecursiveSliced(scc, delta, owned);
   }
-  return DeleteRecursiveDRed(scc, delta, owned);
+  // 1. Set the old extents aside and clear each relation in place (a fresh
+  // Relation object could reuse the version FrozenAnswer cached against).
+  SccRelations old, acc, cur;
+  for (const std::string& p : scc) {
+    Relation* rel = result_.Find(p);
+    old[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
+    old[p]->Absorb(*rel);
+    rel->Clear();
+    acc[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
+    cur[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
+  }
+  // 2. Seed: every SCC rule once over the current extents. The SCC's own
+  // literals are empty, so only the exit rules produce rows.
+  for (const std::string& p : scc) {
+    Relation* target = cur[p].get();
+    for (size_t ri : pred_info_.at(p).rules) {
+      const CompiledRule& rule = rules_[ri];
+      std::vector<RelationView> views;
+      views.reserve(rule.body().size());
+      for (const CompiledAtom& lit : rule.body()) {
+        views.push_back(lit.kind == LitKind::kRelation
+                            ? RelationView{CurrentRel(lit.predicate), nullptr}
+                            : RelationView{});
+      }
+      JoinStats js;
+      FACTLOG_RETURN_IF_ERROR(EnumerateRule(
+          rule, &db_->store(), views, /*track_premises=*/false, &js,
+          [&](const std::vector<ValueId>& row,
+              const std::vector<eval::FactKey>*) {
+            target->Insert(row);
+            return true;
+          }));
+      FoldJoinStats(ri, js);
+    }
+  }
+  // 3. The shared fixpoint; no outer delta, the lower strata are current.
+  FACTLOG_RETURN_IF_ERROR(SemiNaiveScc(scc, DeltaMap{}, &acc, &cur, *owned));
+  // 4. Absorb the new extents; old − new is the SCC's outward delta.
+  for (const std::string& p : scc) {
+    Relation* rel = result_.Find(p);
+    rel->Absorb(*acc[p]);
+    rel->SyncShards();
+    const Relation& was = *old[p];
+    auto gone = std::make_unique<Relation>(rel->arity(),
+                                           rel->storage_options());
+    for (size_t r = 0; r < was.size(); ++r) {
+      if (!rel->Contains(was.row(r))) gone->Insert(was.row(r));
+    }
+    if (gone->empty()) continue;
+    stats_.idb_deleted += gone->size();
+    (*delta)[p] = gone.get();
+    owned->push_back(std::move(gone));
+  }
+  return Status::OK();
 }
 
 Status MaterializedView::DeleteRecursiveSliced(
@@ -1296,244 +1287,6 @@ Status MaterializedView::DeleteRecursiveSliced(
   for (auto& [p, d] : dead_rows) {
     (*delta)[p] = d.get();
     owned->push_back(std::move(d));
-  }
-  return Status::OK();
-}
-
-Status MaterializedView::DeleteRecursiveDRed(
-    const std::vector<std::string>& scc, DeltaMap* delta,
-    std::vector<std::unique_ptr<Relation>>* owned) {
-  std::set<std::string> in_scc(scc.begin(), scc.end());
-  // 1. Over-delete: everything in the SCC derivable (transitively) from a
-  // deleted fact, evaluated over the OLD state — lower strata as stored ∪
-  // deleted, SCC relations as stored (their rows are not erased yet).
-  std::map<std::string, std::unique_ptr<Relation>> d_all, d_cur, d_nxt;
-  for (const std::string& p : scc) {
-    Relation* rel = result_.Find(p);
-    d_all[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-    d_cur[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-    d_nxt[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-  }
-  auto old_views = [&](const CompiledRule& rule, size_t j) {
-    std::vector<RelationView> views;
-    views.reserve(rule.body().size());
-    for (size_t k = 0; k < rule.body().size(); ++k) {
-      const CompiledAtom& lit = rule.body()[k];
-      if (lit.kind != LitKind::kRelation || k == j) {
-        views.push_back(RelationView{});
-        continue;
-      }
-      if (in_scc.count(lit.predicate) > 0) {
-        views.push_back(RelationView{CurrentRel(lit.predicate), nullptr});
-        continue;
-      }
-      Relation* cur = CurrentRel(lit.predicate);
-      auto dk = delta->find(lit.predicate);
-      Relation* d = dk != delta->end() ? const_cast<Relation*>(dk->second)
-                                       : nullptr;
-      views.push_back(RelationView{cur, d});
-    }
-    return views;
-  };
-
-  // Seed from the lower-stratum deletions.
-  for (const std::string& p : scc) {
-    Relation* rel = result_.Find(p);
-    for (size_t ri : pred_info_.at(p).rules) {
-      const CompiledRule& rule = rules_[ri];
-      for (size_t j = 0; j < rule.body().size(); ++j) {
-        const CompiledAtom& lit_j = rule.body()[j];
-        if (lit_j.kind != LitKind::kRelation) continue;
-        if (in_scc.count(lit_j.predicate) > 0) continue;
-        auto dj = delta->find(lit_j.predicate);
-        if (dj == delta->end() || dj->second->empty()) continue;
-        FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-            ri, old_views(rule, j), j, dj->second, /*premises=*/false,
-            [&](const std::vector<ValueId>& row,
-                const std::vector<eval::FactKey>*) {
-              if (rel->Contains(row.data()) && d_all[p]->Insert(row)) {
-                d_cur[p]->Insert(row);
-              }
-            }));
-      }
-    }
-  }
-  // Transitive over-deletion within the SCC.
-  uint64_t iterations = 0;
-  while (true) {
-    bool any = false;
-    for (const std::string& p : scc) {
-      if (!d_cur[p]->empty()) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) break;
-    if (++iterations > opts_.eval.max_iterations) {
-      return Status::ResourceExhausted(
-          "iteration budget exceeded during over-deletion");
-    }
-    for (const std::string& p : scc) {
-      Relation* rel = result_.Find(p);
-      for (size_t ri : pred_info_.at(p).rules) {
-        const CompiledRule& rule = rules_[ri];
-        for (size_t j = 0; j < rule.body().size(); ++j) {
-          const CompiledAtom& lit_j = rule.body()[j];
-          if (lit_j.kind != LitKind::kRelation) continue;
-          if (in_scc.count(lit_j.predicate) == 0) continue;
-          if (d_cur[lit_j.predicate]->empty()) continue;
-          FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-              ri, old_views(rule, j), j, d_cur[lit_j.predicate].get(),
-              /*premises=*/false,
-              [&](const std::vector<ValueId>& row,
-                  const std::vector<eval::FactKey>*) {
-                if (rel->Contains(row.data()) && d_all[p]->Insert(row)) {
-                  d_nxt[p]->Insert(row);
-                }
-              }));
-        }
-      }
-    }
-    for (const std::string& p : scc) {
-      d_cur[p] = std::move(d_nxt[p]);
-      d_nxt[p] = std::make_unique<Relation>(d_cur[p]->arity(),
-                                            d_cur[p]->storage_options());
-    }
-  }
-
-  uint64_t overdeleted = 0;
-  for (const std::string& p : scc) overdeleted += d_all[p]->size();
-  stats_.overdeleted += overdeleted;
-  if (overdeleted == 0) return Status::OK();
-
-  // 2. Erase the over-deleted facts.
-  for (const std::string& p : scc) {
-    Relation* rel = result_.Find(p);
-    const Relation& d = *d_all[p];
-    for (size_t r = 0; r < d.size(); ++r) rel->Erase(d.row(r));
-    rel->SyncShards();
-  }
-
-  // 3. Re-derive: candidates with a derivation over the remaining state
-  // (including other candidates already re-derived) re-enter the relation.
-  // The candidate guard literal bounds every enumeration by the candidates;
-  // after the first full round, only passes driven by the newly re-derived
-  // facts run, so the fixpoint does delta-sized work per round instead of
-  // rescanning every remaining candidate.
-  // Each internal fixpoint gets the full iteration budget (the header's
-  // contract); over-deletion rounds must not eat into re-derivation's.
-  uint64_t rederive_iterations = 0;
-  std::map<std::string, std::unique_ptr<Relation>> cand, renew;
-  for (const std::string& p : scc) {
-    cand[p] = std::make_unique<Relation>(d_all[p]->arity());
-    cand[p]->Absorb(*d_all[p]);
-    renew[p] = std::make_unique<Relation>(d_all[p]->arity());
-  }
-  std::map<std::string, std::set<std::vector<ValueId>>> pending;
-  auto apply_pending = [&]() {
-    for (auto& [p, rows] : pending) {
-      Relation* rel = result_.Find(p);
-      for (const std::vector<ValueId>& row : rows) {
-        if (!cand[p]->Contains(row.data())) continue;
-        cand[p]->Erase(row.data());
-        rel->Insert(row);
-        renew[p]->Insert(row);
-        ++stats_.rederived;
-      }
-    }
-    pending.clear();
-  };
-  // Guard literals resolve to the head's candidate relation; everything
-  // else to its current (post-over-deletion) extent.
-  auto rederive_view = [&](const CompiledAtom& lit,
-                           const std::string& head) -> RelationView {
-    if (lit.kind != LitKind::kRelation) return RelationView{};
-    if (lit.predicate == cand_prefix_ + head) {
-      return RelationView{cand[head].get(), nullptr};
-    }
-    return RelationView{CurrentRel(lit.predicate), nullptr};
-  };
-
-  // First round: every candidate against the post-over-deletion state (the
-  // guard literal leads, so the scan is bounded by the candidates).
-  for (const std::string& p : scc) {
-    if (cand[p]->empty()) continue;
-    for (size_t ri : pred_info_.at(p).rules) {
-      const CompiledRule& rr = *rederive_rules_[ri];
-      std::vector<RelationView> views;
-      views.reserve(rr.body().size());
-      for (const CompiledAtom& lit : rr.body()) {
-        views.push_back(rederive_view(lit, p));
-      }
-      JoinStats js;
-      ++stats_.delta_passes;
-      FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rr, &db_->store(), views, /*track_premises=*/false, &js,
-          [&](const std::vector<ValueId>& row,
-              const std::vector<eval::FactKey>*) {
-            pending[p].insert(row);
-            return true;
-          }));
-    }
-  }
-  apply_pending();
-  // Later rounds: only derivations through a newly re-derived fact.
-  while (true) {
-    bool any = false;
-    for (const std::string& p : scc) {
-      if (!renew[p]->empty()) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) break;
-    if (++rederive_iterations > opts_.eval.max_iterations) {
-      return Status::ResourceExhausted(
-          "iteration budget exceeded during re-derivation");
-    }
-    std::map<std::string, std::unique_ptr<Relation>> driving;
-    driving.swap(renew);
-    for (const std::string& p : scc) {
-      renew[p] = std::make_unique<Relation>(d_all[p]->arity());
-      if (cand[p]->empty()) continue;
-      for (size_t ri : pred_info_.at(p).rules) {
-        for (const auto& [occ, rot] : rederive_occ_rules_[ri]) {
-          // `occ` indexes the SOURCE rule body (the compiled rules_ body is
-          // in plan order).
-          const Relation* extent =
-              driving.at(program_.rules()[ri].body()[occ].predicate()).get();
-          if (extent->empty()) continue;
-          // Rotated variant: the driving occurrence leads (delta-sized
-          // scan), the candidate guard joins on its bound columns.
-          std::vector<RelationView> views;
-          views.reserve(rot->body().size());
-          views.push_back(
-              RelationView{const_cast<Relation*>(extent), nullptr});
-          for (size_t k = 1; k < rot->body().size(); ++k) {
-            views.push_back(rederive_view(rot->body()[k], p));
-          }
-          JoinStats js;
-          ++stats_.delta_passes;
-          FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-              *rot, &db_->store(), views, /*track_premises=*/false, &js,
-              [&](const std::vector<ValueId>& row,
-                  const std::vector<eval::FactKey>*) {
-                pending[p].insert(row);
-                return true;
-              }));
-        }
-      }
-    }
-    apply_pending();
-  }
-
-  // 4. Outward deltas: candidates that never re-derived are the SCC's net
-  // deletions (already erased from the relations above).
-  for (const std::string& p : scc) {
-    if (cand[p]->empty()) continue;
-    stats_.idb_deleted += cand[p]->size();
-    (*delta)[p] = cand[p].get();
-    owned->push_back(std::move(cand[p]));
   }
   return Status::OK();
 }

@@ -1,5 +1,5 @@
-// Incremental view maintenance: counting deltas for non-recursive strata,
-// DRed (delete-and-rederive) for recursive ones.
+// Incremental view maintenance: counting deltas for non-recursive strata, a
+// derivation-edge support cascade for recursive ones.
 //
 // The engine's whole design amortizes one-time work — like the paper's
 // multi-prime argument reduction, where a cheap precomputation pays for
@@ -37,9 +37,10 @@
 //     mutually-supporting ungrounded cycles stay dead. The store is rebuilt
 //     (and ranks recomputed exactly) from a full rule sweep at
 //     Build/Restore and kept exact by every insertion pass; if it ever
-//     exceeds its edge budget it is dropped and the view falls back to
-//     classic *DRed* (over-delete everything derivable, then re-derive
-//     candidates with a guard-literal-bounded fixpoint).
+//     exceeds its edge budget it is dropped for good, and a deletion
+//     re-derives each affected SCC from scratch over the (already updated)
+//     lower strata with the same semi-naive loop insertions run — one
+//     bounded SCC evaluation per affected SCC.
 //
 // Deltas propagate over the shard seam: when a pass's driving extent is
 // sharded and large enough, the enumeration fans out across the engine's
@@ -79,7 +80,7 @@ namespace factlog::inc {
 struct IncrementalOptions {
   /// Budgets shared with the evaluators. `max_facts` bounds the maintained
   /// IDB plus in-flight deltas, `max_iterations` bounds every internal
-  /// fixpoint (insertion, over-deletion, re-derivation). track_provenance
+  /// SCC fixpoint (insertion and fallback re-derivation). track_provenance
   /// must be false: maintenance does not update derivation trees.
   eval::EvalOptions eval;
   /// Optional pool for shard-parallel delta passes. nullptr keeps
@@ -90,8 +91,8 @@ struct IncrementalOptions {
   size_t min_rows_to_partition = 64;
   /// Edge budget for the derivation edge store backing slice deletions in
   /// recursive SCCs. When the live hypergraph would exceed it, the store is
-  /// dropped permanently and deletion falls back to classic DRed. 0 disables
-  /// edge tracking entirely.
+  /// dropped permanently and deletion falls back to re-deriving the affected
+  /// SCC. 0 disables edge tracking entirely.
   uint64_t max_derivation_edges = uint64_t{1} << 22;
 };
 
@@ -101,10 +102,10 @@ struct ViewUpdateStats {
   uint64_t inserts_applied = 0;  // EDB delta rows propagated as insertions
   uint64_t deletes_applied = 0;  // EDB delta rows propagated as deletions
   uint64_t idb_inserted = 0;     // IDB facts added across all predicates
-  uint64_t idb_deleted = 0;      // IDB facts removed (post-rederivation)
+  uint64_t idb_deleted = 0;      // IDB facts removed (net, every path)
   uint64_t support_updates = 0;  // counting: derivation-count adjustments
-  uint64_t overdeleted = 0;      // tentative deletions (slice cascade or DRed)
-  uint64_t rederived = 0;        // tentative deletions rescinded (rescued)
+  uint64_t overdeleted = 0;      // slice: tentative deletions of the cascade
+  uint64_t rederived = 0;        // slice: tentative deletions rescued
   uint64_t delta_passes = 0;     // (rule, occurrence) delta passes run
   uint64_t cone_input = 0;       // slice: facts touched by the support cascade
   uint64_t cone_pruned = 0;      // slice: cone facts kept (surviving support)
@@ -127,7 +128,7 @@ struct ViewStats : ViewUpdateStats {
   uint64_t edge_store_edges = 0;
   bool edge_store_active = false;
   /// True once the edge budget was exceeded and the store was dropped;
-  /// recursive deletions use the DRed fallback from then on.
+  /// recursive deletions re-derive the affected SCC from then on.
   bool edge_store_dropped = false;
 };
 
@@ -151,8 +152,8 @@ struct ViewPredState {
 class MaterializedView {
  public:
   /// Evaluates `program` against `db` from scratch (on `opts.pool` when
-  /// given) and prepares the maintenance state: SCC strata, rederivation
-  /// rules, and exact support counts for every non-recursive predicate.
+  /// given) and prepares the maintenance state: SCC strata, the derivation
+  /// edge store, and exact support counts for every non-recursive predicate.
   static Result<std::unique_ptr<MaterializedView>> Build(
       const ast::Program& program, eval::Database* db,
       const IncrementalOptions& opts);
@@ -237,7 +238,7 @@ class MaterializedView {
  private:
   struct PredInfo {
     size_t scc = 0;
-    /// Member of a recursive SCC (DRed); false selects counting.
+    /// Member of a recursive SCC (edge cascade); false selects counting.
     bool recursive = false;
     /// Rule indices whose head is this predicate.
     std::vector<size_t> rules;
@@ -247,6 +248,8 @@ class MaterializedView {
   };
 
   using DeltaMap = std::map<std::string, const eval::Relation*>;
+  /// One owned relation per predicate of an SCC.
+  using SccRelations = std::map<std::string, std::unique_ptr<eval::Relation>>;
   /// Pass sinks see each head row plus, when the pass tracks premises for
   /// edge recording, the instantiation's body facts in source order.
   using RowSink = std::function<void(const std::vector<eval::ValueId>&,
@@ -296,17 +299,24 @@ class MaterializedView {
                         std::vector<std::unique_ptr<eval::Relation>>* owned);
   Status InsertRecursive(const std::vector<std::string>& scc, DeltaMap* delta,
                          std::vector<std::unique_ptr<eval::Relation>>* owned);
+  /// Slice deletion while the edge store is live; otherwise re-derives the
+  /// SCC through SemiNaiveScc and emits old − new as its outward delta.
   Status DeleteRecursive(const std::vector<std::string>& scc, DeltaMap* delta,
                          std::vector<std::unique_ptr<eval::Relation>>* owned);
+  /// The semi-naive fixpoint within one SCC, shared by insertion and the
+  /// deletion fallback: drives every SCC body occurrence by `cur` (the
+  /// seeded delta) until no new facts appear, accumulating them in `acc`.
+  /// SCC literals read stored ∪ acc (∪ cur before the occurrence); non-SCC
+  /// literals read their current extent ∪ `outer` — the insertion delta, or
+  /// empty when the lower strata already hold the new state.
+  Status SemiNaiveScc(
+      const std::vector<std::string>& scc, const DeltaMap& outer,
+      SccRelations* acc, SccRelations* cur,
+      const std::vector<std::unique_ptr<eval::Relation>>& owned);
   /// Slice deletion along derivation edges (requires a live edge store):
   /// forward cone from the deleted facts, least-fixpoint safety pruning,
   /// erase of the unsupported remainder, edge retirement.
   Status DeleteRecursiveSliced(
-      const std::vector<std::string>& scc, DeltaMap* delta,
-      std::vector<std::unique_ptr<eval::Relation>>* owned);
-  /// Classic DRed (over-delete + guarded re-derivation), the fallback when
-  /// the edge store is disabled or was dropped over budget.
-  Status DeleteRecursiveDRed(
       const std::vector<std::string>& scc, DeltaMap* delta,
       std::vector<std::unique_ptr<eval::Relation>>* owned);
 
@@ -353,30 +363,14 @@ class MaterializedView {
   /// Per-rule join counters accumulated across delta passes (the per-literal
   /// vectors feed DrainObservations).
   std::vector<eval::JoinStats> rule_join_stats_;
-  /// Rederivation variant of each recursive-head rule: the body prefixed
-  /// with a candidate guard literal over the head's arguments (pinned
-  /// first), the rest planned through plan::PlanRule's greedy cost model
-  /// (absent for counting-maintained heads).
-  std::vector<std::unique_ptr<eval::CompiledRule>> rederive_rules_;
-  /// Delta-driven rederivation variants, one per same-SCC body occurrence:
-  /// the driving occurrence pinned first, the candidate guard and the rest
-  /// planned greedily (the guard typically lands as an indexed filter on the
-  /// bound head columns), keeping later rederivation rounds delta-sized
-  /// instead of rescanning every remaining candidate. Keyed by the
-  /// occurrence's source body index.
-  std::vector<std::map<size_t, std::unique_ptr<eval::CompiledRule>>>
-      rederive_occ_rules_;
   std::map<std::string, PredInfo> pred_info_;
-  /// Collision-free prefix of the candidate guard predicates: the guard for
-  /// predicate p is named cand_prefix_ + p.
-  std::string cand_prefix_;
   /// SCCs of the IDB dependency graph, dependencies first.
   std::vector<std::vector<std::string>> sccs_;
 
   eval::EvalResult result_;
   /// Derivation hypergraph of the recursive SCCs; null when the program has
   /// none, tracking is disabled, or the budget was exceeded (then
-  /// stats_.edge_store_dropped is set and deletions fall back to DRed).
+  /// stats_.edge_store_dropped is set and deletions re-derive the SCC).
   std::unique_ptr<eval::DerivationEdgeStore> edges_;
   /// Set when a RecordEdge hit the budget mid-pass; SettleEdgeStore drops
   /// the (now incomplete) store at the end of the propagation.

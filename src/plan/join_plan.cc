@@ -174,7 +174,6 @@ JoinPlan PlanRule(const ast::Rule& rule, const PlanOptions& opts) {
   std::set<std::string> bound;
 
   const bool reorder = opts.reorder && SourceOrderWellFormed(rule);
-  const size_t pinned = std::min(opts.pinned_prefix, body.size());
 
   if (!reorder) {
     for (size_t i = 0; i < body.size(); ++i) {
@@ -186,11 +185,6 @@ JoinPlan PlanRule(const ast::Rule& rule, const PlanOptions& opts) {
 
   std::vector<bool> done(body.size(), false);
   size_t remaining = body.size();
-  for (size_t i = 0; i < pinned; ++i) {
-    Schedule(rule, i, BaseEstimate(body[i].predicate(), opts), &bound, &plan);
-    done[i] = true;
-    --remaining;
-  }
 
   while (remaining > 0) {
     // Builtins run the moment their inputs are bound: they filter or compute

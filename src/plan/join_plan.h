@@ -91,10 +91,6 @@ struct PlanOptions {
   std::map<std::string, std::map<std::string, double>> probe_hints;
   /// The cost model's constants; callers (optimizer_cli --cost-*) may tune.
   CostModelParams cost;
-  /// Keep the first N body literals exactly in place (and bind their
-  /// variables first). The incremental engine pins its candidate guard /
-  /// driving occurrence this way.
-  size_t pinned_prefix = 0;
   /// When false the plan keeps the source body order (the left-to-right
   /// baseline); index_cols and the driver are still computed.
   bool reorder = true;

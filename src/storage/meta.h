@@ -80,7 +80,8 @@ struct ViewDumpRec {
 };
 
 /// One cached plan worth rebuilding on open: the source text plus the extent
-/// hints it was costed against, so the engine can detect stale plans.
+/// hints it was costed against (informational: the engine recompiles
+/// against live sizes on open).
 struct PlanDescriptor {
   std::string cache_key;
   std::string strategy;

@@ -129,16 +129,6 @@ TEST(PlanRuleTest, IllFormedBuiltinOrderIsPreservedVerbatim) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(PlanRuleTest, PinnedPrefixStaysInPlace) {
-  plan::PlanOptions opts;
-  opts.extent_hints["huge"] = 1000000;
-  opts.pinned_prefix = 1;
-  plan::JoinPlan jp =
-      plan::PlanRule(R("r(X, Y) :- huge(X, Y), small(X)."), opts);
-  EXPECT_EQ(jp.order[0].body_index, 0u);
-  EXPECT_EQ(jp.driver, 0);
-}
-
 TEST(PlanRuleTest, DeterministicAcrossCalls) {
   ast::Rule rule = R("r(X, Z) :- a(X, Y), b(Y, Z), c(Z, X), geq(X, 0).");
   plan::PlanOptions opts;

@@ -60,9 +60,9 @@ struct UpdateOp {
 };
 
 // A deterministic update script shared by every sweep configuration: grows a
-// fresh chain off node 1, breaks and rebuilds it (counting and DRed paths),
-// deletes original chain edges, closes and reopens a cycle through node 1,
-// and feeds node 8 (the reverse_bound query's constant). Deletions of absent
+// fresh chain off node 1, breaks and rebuilds it (counting and recursive
+// deletion paths), deletes original chain edges, closes and reopens a cycle
+// through node 1, and feeds node 8 (the reverse_bound query's constant). Deletions of absent
 // facts are accepted no-ops, so the script is valid for every workload.
 std::vector<UpdateOp> UpdateScript() {
   return {{true, 1, 101},   {true, 101, 102}, {true, 102, 103},
@@ -251,34 +251,46 @@ TEST(ServeOracleSweep, DenseGraphDeleteBatchesStayConsistent) {
     expected.push_back(Rendered(*answers, oracle.db().store()));
   }
 
-  EngineOptions options;
-  options.num_threads = 4;
-  options.num_shards = 2;
-  options.inc_min_rows_to_partition = 1;
-  Engine engine(options);
-  make_dense(&engine);
-  ASSERT_TRUE(engine.Materialize(*program, *query).ok());
-  ASSERT_TRUE(engine.StartServing().ok());
+  // Both deletion paths: the derivation-edge cascade (default budget) and
+  // SCC re-evaluation (budget 1 drops the store at Materialize). The
+  // fallback clears the maintained relations in place, so querying after
+  // every delete checks that no snapshot is served from a stale version.
+  for (const uint64_t budget :
+       {EngineOptions{}.inc_max_derivation_edges, uint64_t{1}}) {
+    EngineOptions options;
+    options.num_threads = 4;
+    options.num_shards = 2;
+    options.inc_min_rows_to_partition = 1;
+    options.inc_max_derivation_edges = budget;
+    Engine engine(options);
+    make_dense(&engine);
+    ASSERT_TRUE(engine.Materialize(*program, *query).ok());
+    ASSERT_TRUE(engine.StartServing().ok());
 
-  uint64_t session = engine.OpenSession();
-  ASSERT_NE(session, 0u);
-  for (const auto& [a, b] : deletes) {
-    serve::UpdateResponse resp =
-        engine.SubmitUpdate(session, /*insert=*/false, Edge(a, b)).get();
-    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    uint64_t session = engine.OpenSession();
+    ASSERT_NE(session, 0u);
+    for (size_t i = 0; i < deletes.size(); ++i) {
+      const auto& [a, b] = deletes[i];
+      serve::UpdateResponse up =
+          engine.SubmitUpdate(session, /*insert=*/false, Edge(a, b)).get();
+      ASSERT_TRUE(up.status.ok()) << up.status.ToString();
+      // Read-your-writes through the same session: the view already
+      // reflects this delete.
+      serve::QueryResponse resp =
+          engine.SubmitQuery(session, *program, *query, Strategy::kAuto)
+              .get();
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      EXPECT_EQ(Rendered(resp.answers, engine.db().store()), expected[i])
+          << "budget=" << budget << " after delete #" << i;
+    }
+    engine.CloseSession(session);
+    ASSERT_TRUE(engine.StopServing().ok());
+
+    auto final_answers = engine.Query(*program, *query);
+    ASSERT_TRUE(final_answers.ok());
+    EXPECT_EQ(Rendered(*final_answers, engine.db().store()), expected.back())
+        << "budget=" << budget;
   }
-  // Read-your-writes through the same session: the view already reflects
-  // every delete in the batch.
-  serve::QueryResponse resp =
-      engine.SubmitQuery(session, *program, *query, Strategy::kAuto).get();
-  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(Rendered(resp.answers, engine.db().store()), expected.back());
-  engine.CloseSession(session);
-  ASSERT_TRUE(engine.StopServing().ok());
-
-  auto final_answers = engine.Query(*program, *query);
-  ASSERT_TRUE(final_answers.ok());
-  EXPECT_EQ(Rendered(*final_answers, engine.db().store()), expected.back());
 }
 
 TEST(CowSnapshotTest, FrozenCopyUnaffectedByLiveMutations) {
