@@ -28,6 +28,21 @@ using eval::RelationView;
 using eval::StorageOptions;
 using eval::ValueId;
 
+// Merges a worker's thread-local `buffer` (sharded exactly like `target`)
+// into `target` shard-to-shard, taking only `locks[s]` around each
+// Relation::MergeShard(s, ...). Workers merging different shards proceed
+// concurrently; the caller must SyncShards() on `target` from a single thread
+// before reading it.
+void MergeBufferLocked(Relation* target, const Relation& buffer,
+                       std::mutex* locks) {
+  for (size_t s = 0; s < buffer.shard_count(); ++s) {
+    const Relation& rows = buffer.shard(s);
+    if (rows.empty()) continue;
+    std::lock_guard<std::mutex> lock(locks[s]);
+    target->MergeShard(s, rows);
+  }
+}
+
 class SemiNaiveEngine {
  public:
   SemiNaiveEngine(const ast::Program& program, Database* db, ThreadPool* pool,
@@ -828,16 +843,6 @@ class SemiNaiveEngine {
 };
 
 }  // namespace
-
-void MergeBufferLocked(eval::Relation* target, const eval::Relation& buffer,
-                       std::mutex* locks) {
-  for (size_t s = 0; s < buffer.shard_count(); ++s) {
-    const eval::Relation& rows = buffer.shard(s);
-    if (rows.empty()) continue;
-    std::lock_guard<std::mutex> lock(locks[s]);
-    target->MergeShard(s, rows);
-  }
-}
 
 Result<EvalResult> EvaluateParallel(const ast::Program& program, Database* db,
                                     ThreadPool* pool,

@@ -52,8 +52,6 @@
 #ifndef FACTLOG_EXEC_PARALLEL_SEMINAIVE_H_
 #define FACTLOG_EXEC_PARALLEL_SEMINAIVE_H_
 
-#include <mutex>
-
 #include "ast/program.h"
 #include "common/status.h"
 #include "eval/database.h"
@@ -61,15 +59,6 @@
 #include "exec/thread_pool.h"
 
 namespace factlog::exec {
-
-/// Merges a worker's thread-local `buffer` (sharded exactly like `target`)
-/// into `target` shard-to-shard, taking only `locks[s]` around each
-/// Relation::MergeShard(s, ...). Workers merging different shards proceed
-/// concurrently; this is the per-(pred, shard) merge seam shared by the
-/// parallel fixpoint and incremental delta propagation (src/inc). The caller
-/// must SyncShards() on `target` from a single thread before reading it.
-void MergeBufferLocked(eval::Relation* target, const eval::Relation& buffer,
-                       std::mutex* locks);
 
 struct ParallelEvalOptions {
   /// Budgets and flags shared with eval::Evaluate. `strategy` kNaive runs

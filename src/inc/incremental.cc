@@ -1,11 +1,11 @@
 #include "inc/incremental.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
+#include "analysis/dependency_graph.h"
 #include "exec/parallel_seminaive.h"
 
 namespace factlog::inc {
@@ -20,6 +20,33 @@ using eval::Relation;
 using eval::RelationView;
 using eval::DerivationEdgeStore;
 using eval::ValueId;
+
+Status PoisonedError() {
+  return Status::FailedPrecondition(
+      "materialized view poisoned by an earlier failed propagation; drop "
+      "and re-materialize");
+}
+
+// Calls `each(i, &out)` for every i in [0, n) — in up to 16 chunks across
+// `pool` when there is one and n reaches `min_rows` — and appends the chunks'
+// outputs to `out` in index order, so callers see the same sequence either
+// way.
+template <typename T, typename Fn>
+void GatherChunked(exec::ThreadPool* pool, size_t min_rows, size_t n,
+                   const Fn& each, std::vector<T>* out) {
+  if (pool == nullptr || n < min_rows) {
+    for (size_t i = 0; i < n; ++i) each(i, out);
+    return;
+  }
+  const size_t chunk = (n + 15) / 16;
+  const size_t tasks = (n + chunk - 1) / chunk;
+  std::vector<std::vector<T>> outs(tasks);
+  pool->ParallelFor(tasks, [&](size_t t) {
+    const size_t end = std::min(n, (t + 1) * chunk);
+    for (size_t i = t * chunk; i < end; ++i) each(i, &outs[t]);
+  });
+  for (auto& o : outs) out->insert(out->end(), o.begin(), o.end());
+}
 
 }  // namespace
 
@@ -45,20 +72,19 @@ ViewUpdateStats ViewUpdateStats::Since(const ViewUpdateStats& before) const {
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Build(
     const ast::Program& program, eval::Database* db,
     const IncrementalOptions& opts) {
-  if (opts.eval.track_provenance) {
-    return Status::Invalid(
-        "materialized views do not maintain provenance; use the sequential "
-        "evaluator for derivation trees");
-  }
-  std::unique_ptr<MaterializedView> view(
-      new MaterializedView(program, db, opts));
-  FACTLOG_RETURN_IF_ERROR(view->Init());
-  return view;
+  return Make(program, db, opts, nullptr);
 }
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Restore(
     const ast::Program& program, eval::Database* db,
     const IncrementalOptions& opts, const std::vector<ViewPredState>& preds) {
+  return Make(program, db, opts, &preds);
+}
+
+Result<std::unique_ptr<MaterializedView>> MaterializedView::Make(
+    const ast::Program& program, eval::Database* db,
+    const IncrementalOptions& opts,
+    const std::vector<ViewPredState>* restore) {
   if (opts.eval.track_provenance) {
     return Status::Invalid(
         "materialized views do not maintain provenance; use the sequential "
@@ -66,7 +92,7 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Restore(
   }
   std::unique_ptr<MaterializedView> view(
       new MaterializedView(program, db, opts));
-  FACTLOG_RETURN_IF_ERROR(view->Init(&preds));
+  FACTLOG_RETURN_IF_ERROR(view->Init(restore));
   return view;
 }
 
@@ -113,12 +139,25 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
     pred_info_[r.head().predicate()].rules.push_back(i);
   }
   rule_join_stats_.resize(rules_.size());
-  ComputeSccs();
+
+  // Strata: the IDB components of the dependency graph, dependencies first.
+  // A component is recursive when it has several members or a self-edge.
+  const analysis::DependencyGraph graph =
+      analysis::DependencyGraph::Build(program_);
+  analysis::SccCondensation condensation = graph.Condense();
+  for (std::vector<std::string>& scc : condensation.sccs) {
+    if (!IsIdb(scc.front())) continue;
+    const bool recursive =
+        scc.size() > 1 || graph.edges().at(scc.front()).count(scc.front()) > 0;
+    for (const std::string& p : scc) pred_info_[p].recursive = recursive;
+    sccs_.push_back(std::move(scc));
+  }
 
   if (restore != nullptr) {
     // Checkpointed state replaces the from-scratch evaluation: fill the
     // maintained relations (including exact support counts) from the dump.
     for (const ViewPredState& pd : *restore) {
+      FACTLOG_RETURN_IF_ERROR(CheckDump(pd));
       auto rel =
           std::make_unique<Relation>(pd.arity, db_->storage_options());
       if (pd.counts_enabled) {
@@ -160,13 +199,11 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
   // never read it again — its CompiledQuery may be evicted from the cache.
   opts_.eval.program_plan = nullptr;
 
-  for (auto& [pred, info] : pred_info_) {
-    Relation* rel = result_.Find(pred);
-    if (rel == nullptr) {
+  for (const auto& [pred, info] : pred_info_) {
+    if (result_.Find(pred) == nullptr) {
       return Status::Internal("evaluation produced no relation for IDB '" +
                               pred + "'");
     }
-    info.shard_locks = std::make_unique<std::mutex[]>(rel->shard_count());
   }
 
   // Derivation edges are never persisted (checkpoints dump rows, not the
@@ -179,56 +216,51 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
   return RebuildSupportCounts();
 }
 
-void MaterializedView::ComputeSccs() {
-  // Tarjan over the IDB dependency graph (head -> body). SCCs pop only after
-  // every SCC they reach has popped, so the emission order is exactly the
-  // dependencies-first order propagation wants.
-  std::map<std::string, std::set<std::string>> adj;
-  for (const std::string& p : idb_preds_) adj[p];
-  for (const ast::Rule& r : program_.rules()) {
-    for (const ast::Atom& b : r.body()) {
-      if (IsIdb(b.predicate())) adj[r.head().predicate()].insert(b.predicate());
+Status MaterializedView::CheckDump(const ViewPredState& pd) const {
+  const std::string what = "checkpointed view state for '" + pd.pred + "' ";
+  auto info = pred_info_.find(pd.pred);
+  if (info == pred_info_.end()) {
+    return Status::Invalid(what + "names no predicate the program defines");
+  }
+  if (result_.Find(pd.pred) != nullptr) {
+    return Status::Invalid(what + "appears twice");
+  }
+  const size_t arity =
+      program_.rules()[info->second.rules.front()].head().arity();
+  if (pd.arity != arity) {
+    return Status::Invalid(what + "has arity " + std::to_string(pd.arity) +
+                           ", the program " + std::to_string(arity));
+  }
+  // Counting-maintained predicates need their counts; a recursive one must
+  // not carry any, or later deletions would drive them below zero.
+  if (pd.counts_enabled == info->second.recursive) {
+    return Status::Invalid(
+        what + (pd.counts_enabled
+                    ? "carries support counts for a recursive predicate"
+                    : "lacks the support counts of a counting predicate"));
+  }
+  const bool rows_fit =
+      pd.arity == 0 ? pd.rows.empty() && pd.num_rows <= 1
+                    : pd.rows.size() % pd.arity == 0 &&
+                          pd.rows.size() / pd.arity == pd.num_rows;
+  if (!rows_fit ||
+      pd.row_counts.size() != (pd.counts_enabled ? pd.num_rows : 0)) {
+    return Status::Invalid(what + "claims " + std::to_string(pd.num_rows) +
+                           " rows but holds " +
+                           std::to_string(pd.rows.size()) + " values and " +
+                           std::to_string(pd.row_counts.size()) + " counts");
+  }
+  for (int64_t c : pd.row_counts) {
+    if (c <= 0) return Status::Invalid(what + "holds a non-positive count");
+  }
+  const size_t num_values = db_->store().size();
+  for (ValueId v : pd.rows) {
+    if (v < 0 || static_cast<size_t>(v) >= num_values) {
+      return Status::Invalid(what + "holds value id " + std::to_string(v) +
+                             " outside the value store");
     }
   }
-  std::map<std::string, int> index, low;
-  std::vector<std::string> stack;
-  std::set<std::string> on_stack;
-  int counter = 0;
-  std::function<void(const std::string&)> strongconnect =
-      [&](const std::string& v) {
-        index[v] = low[v] = counter++;
-        stack.push_back(v);
-        on_stack.insert(v);
-        for (const std::string& w : adj[v]) {
-          if (index.find(w) == index.end()) {
-            strongconnect(w);
-            low[v] = std::min(low[v], low[w]);
-          } else if (on_stack.count(w) > 0) {
-            low[v] = std::min(low[v], index[w]);
-          }
-        }
-        if (low[v] != index[v]) return;
-        std::vector<std::string> scc;
-        while (true) {
-          std::string w = stack.back();
-          stack.pop_back();
-          on_stack.erase(w);
-          scc.push_back(w);
-          if (w == v) break;
-        }
-        bool recursive = scc.size() > 1;
-        for (const std::string& w : scc) {
-          if (adj[w].count(w) > 0) recursive = true;
-        }
-        for (const std::string& w : scc) {
-          pred_info_[w].scc = sccs_.size();
-          pred_info_[w].recursive = recursive;
-        }
-        sccs_.push_back(std::move(scc));
-      };
-  for (const std::string& p : idb_preds_) {
-    if (index.find(p) == index.end()) strongconnect(p);
-  }
+  return Status::OK();
 }
 
 Status MaterializedView::RebuildSupportCounts() {
@@ -245,16 +277,9 @@ Status MaterializedView::RebuildSupportCounts() {
     Relation* rel = result_.Find(pred);
     for (size_t ri : info.rules) {
       const CompiledRule& rule = rules_[ri];
-      std::vector<RelationView> views;
-      views.reserve(rule.body().size());
-      for (const CompiledAtom& lit : rule.body()) {
-        views.push_back(lit.kind == LitKind::kRelation
-                            ? RelationView{CurrentRel(lit.predicate), nullptr}
-                            : RelationView{});
-      }
       JoinStats js;
       FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rule, &db_->store(), views, /*track_premises=*/false, &js,
+          rule, &db_->store(), FullViews(rule), /*track_premises=*/false, &js,
           [&](const std::vector<ValueId>& row, const std::vector<eval::FactKey>*) {
             rel->AddSupport(row.data(), 1);
             return true;
@@ -279,17 +304,10 @@ Status MaterializedView::RebuildDerivationEdges() {
     if (!info.recursive) continue;
     for (size_t ri : info.rules) {
       const CompiledRule& rule = rules_[ri];
-      std::vector<RelationView> views;
-      views.reserve(rule.body().size());
-      for (const CompiledAtom& lit : rule.body()) {
-        views.push_back(lit.kind == LitKind::kRelation
-                            ? RelationView{CurrentRel(lit.predicate), nullptr}
-                            : RelationView{});
-      }
       JoinStats js;
       const std::string& p = pred;
       FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rule, &db_->store(), views, /*track_premises=*/true, &js,
+          rule, &db_->store(), FullViews(rule), /*track_premises=*/true, &js,
           [&](const std::vector<ValueId>& row,
               const std::vector<eval::FactKey>* premises) {
             RecordEdge(p, row, ri, premises);
@@ -359,20 +377,12 @@ void MaterializedView::SettleEdgeStore() {
 // ----------------------------------------------------------------- queries --
 
 Result<eval::AnswerSet> MaterializedView::Answer(const ast::Atom& query) {
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "materialized view poisoned by an earlier failed propagation; drop "
-        "and re-materialize");
-  }
+  if (poisoned_) return PoisonedError();
   return eval::ExtractAnswers(query, &result_, db_);
 }
 
 Result<std::string> MaterializedView::Explain(const ast::Atom& fact) {
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "materialized view poisoned by an earlier failed propagation; drop "
-        "and re-materialize");
-  }
+  if (poisoned_) return PoisonedError();
   for (const ast::Term& t : fact.args()) {
     if (!t.IsGround()) {
       return Status::Invalid("why needs a ground fact, got variable in '" +
@@ -462,6 +472,33 @@ bool MaterializedView::SccAffected(const std::vector<std::string>& scc,
     }
   }
   return false;
+}
+
+std::vector<RelationView> MaterializedView::FullViews(
+    const CompiledRule& rule) {
+  std::vector<RelationView> views;
+  views.reserve(rule.body().size());
+  for (const CompiledAtom& lit : rule.body()) {
+    views.push_back(lit.kind == LitKind::kRelation
+                        ? RelationView{CurrentRel(lit.predicate), nullptr}
+                        : RelationView{});
+  }
+  return views;
+}
+
+std::vector<RelationView> MaterializedView::OccurrenceViews(
+    const CompiledRule& rule, size_t j, const DeltaMap& delta,
+    bool delta_before) {
+  std::vector<RelationView> views = FullViews(rule);
+  for (size_t k = 0; k < views.size(); ++k) {
+    const CompiledAtom& lit = rule.body()[k];
+    if (k == j || (k < j) != delta_before || lit.kind != LitKind::kRelation) {
+      continue;
+    }
+    auto dk = delta.find(lit.predicate);
+    if (dk != delta.end()) views[k].second = const_cast<Relation*>(dk->second);
+  }
+  return views;
 }
 
 uint64_t MaterializedView::InFlight(
@@ -577,69 +614,11 @@ Status MaterializedView::RunPassCollect(size_t rule_index,
   return Status::OK();
 }
 
-Status MaterializedView::RunPassInto(
-    size_t rule_index, std::vector<RelationView> views, size_t occ,
-    const Relation* delta, const std::vector<const Relation*>& known,
-    Relation* target, std::mutex* locks) {
-  if (delta == nullptr || delta->empty()) return Status::OK();
-  ++stats_.delta_passes;
-  const CompiledRule& rule = rules_[rule_index];
-  auto is_known = [&known](const ValueId* row) {
-    for (const Relation* k : known) {
-      if (k != nullptr && k->Contains(row)) return true;
-    }
-    return false;
-  };
-  if (!PreparePass(rule_index, &views, occ, delta)) {
-    views[occ] = RelationView{const_cast<Relation*>(delta), nullptr};
-    JoinStats js;
-    Status st = EnumerateRule(
-        rule, &db_->store(), views, /*track_premises=*/false, &js,
-        [&](const std::vector<ValueId>& row, const std::vector<eval::FactKey>*) {
-          if (!is_known(row.data())) target->Insert(row);
-          return true;
-        });
-    FoldJoinStats(rule_index, js);
-    return st;
-  }
-  // Workers deduplicate against the frozen `known` extents into thread-local
-  // buffers sharded like the target, then merge shard-to-shard under the
-  // head predicate's per-shard locks — the exec merge seam.
-  const size_t shards = delta->shard_count();
-  std::vector<Status> statuses(shards, Status::OK());
-  std::vector<JoinStats> shard_js(shards);
-  opts_.pool->ParallelFor(shards, [&](size_t s) {
-    const Relation& extent = delta->shard(s);
-    if (extent.empty()) return;
-    std::vector<RelationView> wviews = views;
-    wviews[occ] = RelationView{const_cast<Relation*>(&extent), nullptr,
-                               /*shared=*/true};
-    Relation buffer(target->arity(), target->storage_options());
-    statuses[s] = EnumerateRule(
-        rule, &db_->store(), wviews, /*track_premises=*/false, &shard_js[s],
-        [&](const std::vector<ValueId>& row, const std::vector<eval::FactKey>*) {
-          if (!is_known(row.data())) buffer.Insert(row);
-          return true;
-        });
-    if (statuses[s].ok() && !buffer.empty()) {
-      exec::MergeBufferLocked(target, buffer, locks);
-    }
-  });
-  for (const JoinStats& js : shard_js) FoldJoinStats(rule_index, js);
-  for (const Status& st : statuses) FACTLOG_RETURN_IF_ERROR(st);
-  target->SyncShards();
-  return Status::OK();
-}
-
 // ------------------------------------------------------------- insertions --
 
 Status MaterializedView::ApplyInsert(const std::string& pred,
                                      const Relation& delta) {
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "materialized view poisoned by an earlier failed propagation; drop "
-        "and re-materialize");
-  }
+  if (poisoned_) return PoisonedError();
   // EDB facts named like an IDB predicate are invisible to evaluation (IDB
   // relations shadow them), so there is nothing to maintain.
   if (delta.empty() || IsIdb(pred)) return Status::OK();
@@ -698,24 +677,9 @@ Status MaterializedView::InsertCounting(
       // Occurrence decomposition: before j at the new state (stored-old
       // union delta), j at the delta, after j at the old state. Each
       // instantiation is one new derivation.
-      std::vector<RelationView> views;
-      views.reserve(rule.body().size());
-      for (size_t k = 0; k < rule.body().size(); ++k) {
-        const CompiledAtom& lit = rule.body()[k];
-        if (lit.kind != LitKind::kRelation || k == j) {
-          views.push_back(RelationView{});
-          continue;
-        }
-        Relation* cur = CurrentRel(lit.predicate);
-        auto dk = delta->find(lit.predicate);
-        Relation* d =
-            (k < j && dk != delta->end())
-                ? const_cast<Relation*>(dk->second)
-                : nullptr;
-        views.push_back(RelationView{cur, d});
-      }
       FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-          ri, std::move(views), j, dj->second, /*premises=*/false,
+          ri, OccurrenceViews(rule, j, *delta, /*delta_before=*/true), j,
+          dj->second, /*premises=*/false,
           [&](const std::vector<ValueId>& row,
               const std::vector<eval::FactKey>*) {
             ++stats_.support_updates;
@@ -739,8 +703,8 @@ Status MaterializedView::InsertRecursive(
     std::vector<std::unique_ptr<Relation>>* owned) {
   std::set<std::string> in_scc(scc.begin(), scc.end());
   // acc = facts new this propagation (the eventual outward delta), cur = the
-  // current fixpoint delta. Both sharded like the maintained relation so
-  // worker buffers merge shard-to-shard.
+  // current fixpoint delta. Both sharded like the maintained relation, so
+  // passes driven by cur fan out per shard and Absorb copies shard-to-shard.
   SccRelations acc, cur;
   for (const std::string& p : scc) {
     Relation* rel = result_.Find(p);
@@ -760,44 +724,20 @@ Status MaterializedView::InsertRecursive(
         if (in_scc.count(lit_j.predicate) > 0) continue;
         auto dj = delta->find(lit_j.predicate);
         if (dj == delta->end() || dj->second->empty()) continue;
-        std::vector<RelationView> views;
-        views.reserve(rule.body().size());
-        for (size_t k = 0; k < rule.body().size(); ++k) {
-          const CompiledAtom& lit = rule.body()[k];
-          if (lit.kind != LitKind::kRelation || k == j) {
-            views.push_back(RelationView{});
-            continue;
-          }
-          if (in_scc.count(lit.predicate) > 0) {
-            views.push_back(RelationView{CurrentRel(lit.predicate), nullptr});
-            continue;
-          }
-          Relation* c = CurrentRel(lit.predicate);
-          auto dk = delta->find(lit.predicate);
-          Relation* d = (k < j && dk != delta->end())
-                            ? const_cast<Relation*>(dk->second)
-                            : nullptr;
-          views.push_back(RelationView{c, d});
-        }
-        if (edges_ != nullptr) {
-          // Edge-recording variant: every instantiation is a new derivation
-          // of its head (novel rows and alternate derivations of known rows
-          // alike), so collect with premises and apply serially — the store
-          // is single-writer.
-          Relation* base = result_.Find(p);
-          Relation* target = cur[p].get();
-          FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-              ri, std::move(views), j, dj->second, /*premises=*/true,
-              [&](const std::vector<ValueId>& row,
-                  const std::vector<eval::FactKey>* prem) {
-                RecordEdge(p, row, ri, prem);
-                if (!base->Contains(row.data())) target->Insert(row);
-              }));
-        } else {
-          FACTLOG_RETURN_IF_ERROR(RunPassInto(
-              ri, std::move(views), j, dj->second, {result_.Find(p)},
-              cur[p].get(), pred_info_.at(p).shard_locks.get()));
-        }
+        // No SCC predicate is in the delta map yet, so SCC literals read
+        // their old state. Every instantiation is a new derivation of its
+        // head (novel rows and alternate derivations of known rows alike):
+        // record it when the store is live, keep the novel rows.
+        Relation* base = result_.Find(p);
+        Relation* target = cur[p].get();
+        FACTLOG_RETURN_IF_ERROR(RunPassCollect(
+            ri, OccurrenceViews(rule, j, *delta, /*delta_before=*/true), j,
+            dj->second, /*premises=*/edges_ != nullptr,
+            [&](const std::vector<ValueId>& row,
+                const std::vector<eval::FactKey>* prem) {
+              RecordEdge(p, row, ri, prem);
+              if (!base->Contains(row.data())) target->Insert(row);
+            }));
       }
     }
   }
@@ -871,36 +811,31 @@ Status MaterializedView::SemiNaiveScc(
                               : nullptr;
             views.push_back(RelationView{c, d});
           }
-          if (edges_ != nullptr) {
-            Relation* base = result_.Find(p);
-            Relation* a = (*acc)[p].get();
-            Relation* c = (*cur)[p].get();
-            Relation* target = nxt[p].get();
-            FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-                ri, std::move(views), j, driving, /*premises=*/true,
-                [&](const std::vector<ValueId>& row,
-                    const std::vector<eval::FactKey>* prem) {
-                  RecordEdge(p, row, ri, prem);
-                  if (!base->Contains(row.data()) &&
-                      !a->Contains(row.data()) && !c->Contains(row.data())) {
-                    target->Insert(row);
-                  }
-                }));
-          } else {
-            FACTLOG_RETURN_IF_ERROR(RunPassInto(
-                ri, std::move(views), j, driving,
-                {result_.Find(p), (*acc)[p].get(), (*cur)[p].get()},
-                nxt[p].get(), pred_info_.at(p).shard_locks.get()));
-          }
+          Relation* base = result_.Find(p);
+          Relation* a = (*acc)[p].get();
+          Relation* c = (*cur)[p].get();
+          Relation* target = nxt[p].get();
+          FACTLOG_RETURN_IF_ERROR(RunPassCollect(
+              ri, std::move(views), j, driving,
+              /*premises=*/edges_ != nullptr,
+              [&](const std::vector<ValueId>& row,
+                  const std::vector<eval::FactKey>* prem) {
+                RecordEdge(p, row, ri, prem);
+                if (!base->Contains(row.data()) && !a->Contains(row.data()) &&
+                    !c->Contains(row.data())) {
+                  target->Insert(row);
+                }
+              }));
         }
       }
     }
+    // acc += cur; cur = nxt; nxt = the old cur, cleared (Clear keeps the
+    // dedup capacity for the next round).
     uint64_t extra = 0;
     for (const std::string& p : scc) {
       (*acc)[p]->Absorb(*(*cur)[p]);
-      (*cur)[p] = std::move(nxt[p]);
-      nxt[p] = std::make_unique<Relation>((*acc)[p]->arity(),
-                                          (*acc)[p]->storage_options());
+      std::swap((*cur)[p], nxt[p]);
+      nxt[p]->Clear();
       extra += (*acc)[p]->size() + (*cur)[p]->size();
     }
     if (total_facts() + InFlight(owned) + extra > opts_.eval.max_facts) {
@@ -915,11 +850,7 @@ Status MaterializedView::SemiNaiveScc(
 
 Status MaterializedView::ApplyDelete(const std::string& pred,
                                      const Relation& delta) {
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "materialized view poisoned by an earlier failed propagation; drop "
-        "and re-materialize");
-  }
+  if (poisoned_) return PoisonedError();
   if (delta.empty() || IsIdb(pred)) return Status::OK();
   const ViewUpdateStats before = stats_;
   Status st = PropagateDelete(pred, delta);
@@ -963,23 +894,9 @@ Status MaterializedView::DeleteCounting(
       if (lit_j.kind != LitKind::kRelation) continue;
       auto dj = delta->find(lit_j.predicate);
       if (dj == delta->end() || dj->second->empty()) continue;
-      std::vector<RelationView> views;
-      views.reserve(rule.body().size());
-      for (size_t k = 0; k < rule.body().size(); ++k) {
-        const CompiledAtom& lit = rule.body()[k];
-        if (lit.kind != LitKind::kRelation || k == j) {
-          views.push_back(RelationView{});
-          continue;
-        }
-        Relation* cur = CurrentRel(lit.predicate);
-        auto dk = delta->find(lit.predicate);
-        Relation* d = (k > j && dk != delta->end())
-                          ? const_cast<Relation*>(dk->second)
-                          : nullptr;
-        views.push_back(RelationView{cur, d});
-      }
       FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-          ri, std::move(views), j, dj->second, /*premises=*/false,
+          ri, OccurrenceViews(rule, j, *delta, /*delta_before=*/false), j,
+          dj->second, /*premises=*/false,
           [&](const std::vector<ValueId>& row,
               const std::vector<eval::FactKey>*) { ++lost[row]; }));
     }
@@ -1030,16 +947,9 @@ Status MaterializedView::DeleteRecursive(
     Relation* target = cur[p].get();
     for (size_t ri : pred_info_.at(p).rules) {
       const CompiledRule& rule = rules_[ri];
-      std::vector<RelationView> views;
-      views.reserve(rule.body().size());
-      for (const CompiledAtom& lit : rule.body()) {
-        views.push_back(lit.kind == LitKind::kRelation
-                            ? RelationView{CurrentRel(lit.predicate), nullptr}
-                            : RelationView{});
-      }
       JoinStats js;
       FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rule, &db_->store(), views, /*track_premises=*/false, &js,
+          rule, &db_->store(), FullViews(rule), /*track_premises=*/false, &js,
           [&](const std::vector<ValueId>& row,
               const std::vector<eval::FactKey>*) {
             target->Insert(row);
@@ -1099,28 +1009,16 @@ Status MaterializedView::DeleteRecursiveSliced(
   std::vector<FactId> seeds;
   std::unordered_set<FactId> seed_set;
   for (const auto& [p, d] : *delta) {
-    const size_t n = d->size();
+    const std::string& pred = p;
+    const Relation* rel = d;
     std::vector<FactId> found;
-    if (opts_.pool != nullptr && n >= opts_.min_rows_to_partition) {
-      const size_t chunk = (n + 15) / 16;
-      const size_t tasks = (n + chunk - 1) / chunk;
-      std::vector<std::vector<FactId>> outs(tasks);
-      const std::string& pred = p;
-      const Relation* rel = d;
-      opts_.pool->ParallelFor(tasks, [&](size_t t) {
-        const size_t end = std::min(n, (t + 1) * chunk);
-        for (size_t r = t * chunk; r < end; ++r) {
+    GatherChunked(
+        opts_.pool, opts_.min_rows_to_partition, rel->size(),
+        [&](size_t r, std::vector<FactId>* out) {
           FactId f = es.FindFact(pred, rel->row(r), rel->arity());
-          if (f != DerivationEdgeStore::kNoFact) outs[t].push_back(f);
-        }
-      });
-      for (auto& o : outs) found.insert(found.end(), o.begin(), o.end());
-    } else {
-      for (size_t r = 0; r < n; ++r) {
-        FactId f = es.FindFact(p, d->row(r), d->arity());
-        if (f != DerivationEdgeStore::kNoFact) found.push_back(f);
-      }
-    }
+          if (f != DerivationEdgeStore::kNoFact) out->push_back(f);
+        },
+        &found);
     for (FactId f : found) {
       if (seed_set.insert(f).second) seeds.push_back(f);
     }
@@ -1171,31 +1069,15 @@ Status MaterializedView::DeleteRecursiveSliced(
   std::vector<std::pair<EdgeId, FactId>> gathered;
   while (!frontier.empty()) {
     gathered.clear();
-    const size_t n = frontier.size();
-    if (opts_.pool != nullptr && n >= opts_.min_rows_to_partition) {
-      const size_t chunk = (n + 15) / 16;
-      const size_t tasks = (n + chunk - 1) / chunk;
-      std::vector<std::vector<std::pair<EdgeId, FactId>>> outs(tasks);
-      opts_.pool->ParallelFor(tasks, [&](size_t t) {
-        const size_t end = std::min(n, (t + 1) * chunk);
-        for (size_t i = t * chunk; i < end; ++i) {
+    GatherChunked(
+        opts_.pool, opts_.min_rows_to_partition, frontier.size(),
+        [&](size_t i, std::vector<std::pair<EdgeId, FactId>>* out) {
           for (EdgeId e : es.uses_of(frontier[i])) {
             FactId h = es.head_of(e);
-            if (in_this_scc(h)) outs[t].emplace_back(e, h);
+            if (in_this_scc(h)) out->emplace_back(e, h);
           }
-        }
-      });
-      for (auto& o : outs) {
-        gathered.insert(gathered.end(), o.begin(), o.end());
-      }
-    } else {
-      for (FactId f : frontier) {
-        for (EdgeId e : es.uses_of(f)) {
-          FactId h = es.head_of(e);
-          if (in_this_scc(h)) gathered.emplace_back(e, h);
-        }
-      }
-    }
+        },
+        &gathered);
     const size_t already_dead = tentative_list.size();
     for (const auto& [e, h] : gathered) apply_kill(e, h);
     frontier.assign(tentative_list.begin() +

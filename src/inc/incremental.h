@@ -45,9 +45,9 @@
 // Deltas propagate over the shard seam: when a pass's driving extent is
 // sharded and large enough, the enumeration fans out across the engine's
 // exec::ThreadPool — one task per delta shard, probing pre-built frozen
-// indices — and set-semantics passes merge worker buffers shard-to-shard
-// under per-(predicate, shard) locks (exec::MergeBufferLocked), exactly the
-// structure of the parallel fixpoint.
+// indices. Workers only collect head rows (and premises when edges are
+// recorded); the calling thread applies them, so every pass, with or without
+// a pool, ends in the same single-threaded sink.
 //
 // A view is single-writer: Apply* and Answer must be externally serialized
 // (api::Engine routes them through its mutation guard). A failed propagation
@@ -61,7 +61,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -237,14 +236,10 @@ class MaterializedView {
 
  private:
   struct PredInfo {
-    size_t scc = 0;
     /// Member of a recursive SCC (edge cascade); false selects counting.
     bool recursive = false;
     /// Rule indices whose head is this predicate.
     std::vector<size_t> rules;
-    /// One lock per storage shard of the maintained relation, for the
-    /// parallel merge path.
-    std::unique_ptr<std::mutex[]> shard_locks;
   };
 
   using DeltaMap = std::map<std::string, const eval::Relation*>;
@@ -259,11 +254,18 @@ class MaterializedView {
                    const IncrementalOptions& opts)
       : program_(program), db_(db), opts_(opts) {}
 
+  /// Build (null `restore`) and Restore.
+  static Result<std::unique_ptr<MaterializedView>> Make(
+      const ast::Program& program, eval::Database* db,
+      const IncrementalOptions& opts,
+      const std::vector<ViewPredState>* restore);
   /// Non-null `restore` replaces the from-scratch evaluation with the dumped
   /// relations (and skips the support-count rebuild — the dump carries exact
-  /// counts).
-  Status Init(const std::vector<ViewPredState>* restore = nullptr);
-  void ComputeSccs();
+  /// counts). A dump that does not fit the program fails with
+  /// kInvalidArgument before any of its rows are read.
+  Status Init(const std::vector<ViewPredState>* restore);
+  /// Checks one dumped predicate against the program and the value store.
+  Status CheckDump(const ViewPredState& pd) const;
   Status RebuildSupportCounts();
   /// (Re)builds the derivation edge store with one full sweep of every
   /// recursive-head rule over the final evaluated state — the same mechanism
@@ -286,6 +288,15 @@ class MaterializedView {
   }
   bool SccAffected(const std::vector<std::string>& scc,
                    const DeltaMap& delta) const;
+  /// Every relation literal of `rule` over its current full extent.
+  std::vector<eval::RelationView> FullViews(const eval::CompiledRule& rule);
+  /// The occurrence decomposition of `rule` around relation literal `j`,
+  /// whose view the pass replaces with the delta: literals before `j` read
+  /// current ∪ delta when `delta_before`, literals after `j` read it
+  /// otherwise, and the rest read the current extent alone.
+  std::vector<eval::RelationView> OccurrenceViews(
+      const eval::CompiledRule& rule, size_t j, const DeltaMap& delta,
+      bool delta_before);
   uint64_t InFlight(const std::vector<std::unique_ptr<eval::Relation>>& owned)
       const;
 
@@ -330,15 +341,6 @@ class MaterializedView {
                         std::vector<eval::RelationView> views, size_t occ,
                         const eval::Relation* delta, bool premises,
                         const RowSink& apply);
-
-  /// Set-semantics variant: rows contained in any of `known` are dropped,
-  /// survivors land in `target` (sharded like the head's relation). On the
-  /// parallel path workers deduplicate against the frozen `known` extents
-  /// into thread-local buffers and merge shard-to-shard under `locks`.
-  Status RunPassInto(size_t rule_index, std::vector<eval::RelationView> views,
-                     size_t occ, const eval::Relation* delta,
-                     const std::vector<const eval::Relation*>& known,
-                     eval::Relation* target, std::mutex* locks);
 
   /// Pre-builds every index the pass probes and marks views shared; returns
   /// true when the pass should fan out across the pool.

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -58,6 +60,18 @@ void ExpectMatchesOracle(api::Engine* engine, const ast::Program& plan_program,
   EXPECT_EQ(view->idb().size(), oracle->idb().size()) << context;
 }
 
+// The ViewStats counters that do not depend on the order rows reach a sink.
+// Edge-store ranks do, and with them the cascade's overdeleted, rederived
+// and cone_* counts, so those are left out.
+std::map<std::string, uint64_t> OrderFreeCounters(const ViewStats& s) {
+  return {{"idb_inserted", s.idb_inserted},
+          {"idb_deleted", s.idb_deleted},
+          {"delta_passes", s.delta_passes},
+          {"support_updates", s.support_updates},
+          {"edges_added", s.edges_added},
+          {"edges_removed", s.edges_removed}};
+}
+
 // ---- Oracle sweep: random interleaved inserts and deletes ------------------
 //
 // For every corpus program × workload and every shard × thread combination,
@@ -66,7 +80,9 @@ void ExpectMatchesOracle(api::Engine* engine, const ast::Program& plan_program,
 // from-scratch re-evaluation exactly. Each combination runs twice: with the
 // default edge budget (deletions cascade along derivation edges) and with a
 // budget of 1, which drops the store at Materialize so every recursive
-// deletion re-derives its SCC.
+// deletion re-derives its SCC. All nine combinations replay one update
+// sequence per program × workload, and must agree on every order-free
+// counter: the pooled passes do the same work as the inline ones.
 
 class IncSweepTest : public ::testing::TestWithParam<int> {};
 
@@ -79,6 +95,7 @@ TEST_P(IncSweepTest, InterleavedUpdatesMatchOracle) {
   for (int w = 0; w < test::kNumSweepWorkloads; ++w) {
     const test::SweepWorkload& workload = test::kSweepWorkloads[w];
     for (const uint64_t budget : budgets) {
+      std::map<std::string, uint64_t> reference;
       for (const auto& combo : combos) {
         const size_t shards = combo[0];
         const size_t threads = combo[1];
@@ -107,14 +124,13 @@ TEST_P(IncSweepTest, InterleavedUpdatesMatchOracle) {
 
         // The update universe: a fixed pool of edges over the workload's node
         // range, so inserts sometimes duplicate and deletes sometimes miss.
-        std::minstd_rand rng(1234 + GetParam() * 97 + w * 13 +
-                             static_cast<unsigned>(shards * 8 + threads));
+        std::minstd_rand rng(1234 + GetParam() * 97 + w * 13);
         auto random_edge = [&rng]() {
           int64_t a = 1 + static_cast<int64_t>(rng() % 26);
           int64_t b = 1 + static_cast<int64_t>(rng() % 26);
           return Edge(a, b);
         };
-        for (int op = 0; op < 10; ++op) {
+        for (int op = 0; op < 30; ++op) {
           ast::Atom edge = random_edge();
           Status st;
           bool deleted = (rng() % 3) == 0;  // insert-leaning mix
@@ -145,6 +161,12 @@ TEST_P(IncSweepTest, InterleavedUpdatesMatchOracle) {
         EXPECT_EQ(from_view->rows, fresh->rows)
             << prog.name << "/" << workload.name << " budget=" << budget
             << " shards=" << shards << " threads=" << threads;
+
+        if (reference.empty()) reference = OrderFreeCounters(view->stats());
+        EXPECT_EQ(OrderFreeCounters(view->stats()), reference)
+            << prog.name << "/" << workload.name << " budget=" << budget
+            << " shards=" << shards << " threads=" << threads
+            << " vs shards=1 threads=1";
       }
     }
   }
@@ -488,6 +510,75 @@ TEST(IncStatsTest, LastUpdateSnapshotsOnlyTheMostRecentDelta) {
   EXPECT_EQ(stats->last_update.idb_inserted, 0u);
   EXPECT_GT(stats->last_update.idb_deleted, 0u);
   EXPECT_GT(stats->idb_inserted, 0u);  // cumulative history is untouched
+}
+
+// ---- Checkpoint restore ----------------------------------------------------
+
+// Restore reads a dump the persistence layer decoded from disk. Each dump
+// below breaks one property a well-formed one has; Restore must reject it
+// with kInvalidArgument before reading past a buffer (ASan checks that) or
+// restoring state later deltas would corrupt.
+TEST(IncRestoreTest, MalformedDumpIsRejected) {
+  Harness h;
+  h.db.AddPair("e", 1, 2);
+  h.db.AddPair("e", 2, 1);
+  h.db.AddPair("e", 2, 3);
+  const char* text =
+      "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). "
+      "back(X) :- t(X, Y), e(Y, X). ?- t(1, Y).";
+  h.Build(text);
+  const std::vector<ViewPredState> good = h.view->DumpState();
+  ASSERT_EQ(good.size(), 2u);
+  const size_t back = good[0].pred == "back" ? 0 : 1;
+  const size_t t = 1 - back;
+  ASSERT_TRUE(good[back].counts_enabled);
+  ASSERT_FALSE(good[t].counts_enabled);
+  ASSERT_GT(good[t].num_rows, 0u);
+
+  auto restored = MaterializedView::Restore(P(text), &h.db, {}, good);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(RowSet(*(*restored)->Find("t")), RowSet(*h.view->Find("t")));
+
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<ViewPredState>*)> corrupt;
+  };
+  const Case cases[] = {
+      {"num_rows past the row buffer",
+       [t](auto* d) { (*d)[t].num_rows += 1; }},
+      {"row counts shorter than num_rows",
+       [back](auto* d) { (*d)[back].row_counts.pop_back(); }},
+      {"predicate the program does not define",
+       [t](auto* d) { (*d)[t].pred = "nope"; }},
+      {"arity differs from the program's",
+       [t](auto* d) {
+         (*d)[t].arity = 1;
+         (*d)[t].num_rows = (*d)[t].rows.size();
+       }},
+      {"support counts on a recursive predicate",
+       [t](auto* d) {
+         (*d)[t].counts_enabled = true;
+         (*d)[t].row_counts.assign((*d)[t].num_rows, 1);
+       }},
+      {"no support counts on a counting predicate",
+       [back](auto* d) {
+         (*d)[back].counts_enabled = false;
+         (*d)[back].row_counts.clear();
+       }},
+      {"non-positive support count",
+       [back](auto* d) { (*d)[back].row_counts[0] = 0; }},
+      {"value id outside the store",
+       [t](auto* d) { (*d)[t].rows[0] = 1 << 30; }},
+      {"predicate listed twice", [t](auto* d) { d->push_back((*d)[t]); }},
+  };
+  for (const Case& c : cases) {
+    std::vector<ViewPredState> dump = good;
+    c.corrupt(&dump);
+    auto view = MaterializedView::Restore(P(text), &h.db, {}, dump);
+    ASSERT_FALSE(view.ok()) << c.name;
+    EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument)
+        << c.name << ": " << view.status().ToString();
+  }
 }
 
 // ---- Engine integration -----------------------------------------------------
