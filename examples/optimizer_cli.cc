@@ -462,10 +462,12 @@ std::string ShardRowsSuffix(const std::vector<uint64_t>& shard_facts) {
 
 // --batch mode: every nonblank line of the batch file is a query atom posed
 // against the program's rules; all queries execute concurrently.
-int RunBatch(const factlog::ast::Program& program,
-             const std::string& batch_path, const std::string& facts_path,
-             factlog::core::Strategy strategy, size_t threads, size_t shards,
-             const factlog::plan::CostModelParams& cost) {
+int ExecuteBatchFile(const factlog::ast::Program& program,
+                     const std::string& batch_path,
+                     const std::string& facts_path,
+                     factlog::core::Strategy strategy, size_t threads,
+                     size_t shards,
+                     const factlog::plan::CostModelParams& cost) {
   using namespace factlog;
   auto batch_text = ReadFile(batch_path);
   if (!batch_text.ok()) return Fail(batch_text.status());
@@ -504,25 +506,28 @@ int RunBatch(const factlog::ast::Program& program,
 
   auto result = engine.ExecuteBatch(batch);
   if (!result.ok()) return Fail(result.status());
+  size_t failed = 0;
+  int64_t sum_execute_us = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
-    const exec::ExecStats& s = result->stats[i];
+    const api::QueryStats& s = result->stats[i];
+    sum_execute_us += s.execute_us;
     std::cout << "% [" << i << "] " << rendered[i] << " : ";
-    if (s.status.ok()) {
-      std::cout << s.num_answers << " answers, " << s.total_facts
-                << " facts, " << (s.cache_hit ? "cache hit" : "compiled")
-                << ", " << s.execute_us << " us"
-                << ShardRowsSuffix(s.shard_facts) << "\n";
+    if (result->status[i].ok()) {
+      std::cout << result->answers[i].size() << " answers, "
+                << s.eval.total_facts << " facts, "
+                << (s.cache_hit ? "cache hit" : "compiled") << ", "
+                << s.execute_us << " us" << ShardRowsSuffix(s.eval.shard_facts)
+                << "\n";
     } else {
-      std::cout << "error: " << s.status.ToString() << "\n";
+      ++failed;
+      std::cout << "error: " << result->status[i].ToString() << "\n";
     }
   }
-  const exec::BatchSummary& sum = result->summary;
-  std::cout << "% batch: " << sum.queries << " queries (" << sum.succeeded
-            << " ok, " << sum.failed << " failed) on " << sum.threads
-            << " threads in " << sum.wall_us << " us wall ("
-            << sum.sum_execute_us << " us summed execute)\n";
-  return sum.failed == 0 ? 0
-                         : StatusCodeToExitCode(StatusCode::kInvalidArgument);
+  std::cout << "% batch: " << batch.size() << " queries ("
+            << batch.size() - failed << " ok, " << failed << " failed) on "
+            << threads << " threads in " << result->wall_us << " us wall ("
+            << sum_execute_us << " us summed execute)\n";
+  return failed == 0 ? 0 : StatusCodeToExitCode(StatusCode::kInvalidArgument);
 }
 
 }  // namespace
@@ -632,8 +637,8 @@ int main(int argc, char** argv) {
       std::cerr << "error: --db and --batch are exclusive\n";
       return 2;
     }
-    return RunBatch(*program, batch_path, facts_path, strategy, threads,
-                    shards, cost);
+    return ExecuteBatchFile(*program, batch_path, facts_path, strategy,
+                            threads, shards, cost);
   }
   if (!program->query().has_value()) {
     std::cerr << "error: the program has no '?-' query\n";

@@ -2,12 +2,15 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <set>
 #include <utility>
 
 #include "ast/parser.h"
 #include "common/dcheck.h"
 #include "core/canonical.h"
 #include "exec/parallel_seminaive.h"
+#include "plan/join_plan.h"
 #include "storage/log_records.h"
 #include "storage/paged_store.h"
 
@@ -285,20 +288,6 @@ Result<analysis::LintReport> Engine::Lint(
 Result<std::shared_ptr<const CompiledQuery>> Engine::Compile(
     const ast::Program& program, const ast::Atom& query, Strategy strategy,
     QueryStats* stats) {
-  if (!options_.enable_plan_cache) {
-    const auto start = std::chrono::steady_clock::now();
-    FACTLOG_ASSIGN_OR_RETURN(
-        CompiledQuery compiled,
-        core::CompileQuery(program, query, strategy,
-                           PipelineOptionsForCompile()));
-    if (stats != nullptr) {
-      stats->compile_us = MicrosSince(start);
-      stats->lint_warnings = compiled.diagnostics.size();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.compiles;
-    return std::make_shared<const CompiledQuery>(std::move(compiled));
-  }
   return CompileWithKey(program, query, strategy, stats,
                         PlanCacheKey(program, query, strategy));
 }
@@ -530,37 +519,14 @@ Result<eval::AnswerSet> Engine::Query(const ast::Program& program,
     return std::move(resp.answers);
   }
   // A materialized view with this plan key answers without executing. The
-  // key doubles as the compile key below, so it is derived at most once.
-  std::string key;
-  inc::MaterializedView* view = nullptr;
-  if (options_.enable_plan_cache || num_views() > 0) {
-    key = PlanCacheKey(program, query, strategy);
-  }
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    if (!views_.empty()) {
-      auto it = views_.find(key);
-      if (it != views_.end()) view = it->second.get();
-    }
-  }
-  if (view != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.view_hits;
-    }
-    // The view materializes the *transformed* program; answer with its query
-    // (as Execute would) and rename the columns to the caller's variables.
-    if (!view->program().query().has_value()) {
-      return Status::Internal("materialized view's plan carries no query");
-    }
+  // key doubles as the compile key below, so it is derived once.
+  const std::string key = PlanCacheKey(program, query, strategy);
+  if (FindView(key) != nullptr) {
+    // The view materializes the *transformed* program and answers with its
+    // query; rename the columns to the caller's variables.
     if (stats != nullptr) stats->view_hit = true;
-    QueryScope scope(this);
-    eval::AnswerSet answers;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      FACTLOG_ASSIGN_OR_RETURN(answers,
-                               view->Answer(*view->program().query()));
-    }
+    FACTLOG_ASSIGN_OR_RETURN(eval::AnswerSet answers,
+                             AnswerFromView(ViewHandle{key}));
     RenameAnswerVars(query, &answers);
     return answers;
   }
@@ -571,9 +537,7 @@ Result<eval::AnswerSet> Engine::Query(const ast::Program& program,
   QueryScope scope(this);
   FACTLOG_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledQuery> plan,
-      options_.enable_plan_cache
-          ? CompileWithKey(program, query, strategy, stats, key)
-          : Compile(program, query, strategy, stats));
+      CompileWithKey(program, query, strategy, stats, key));
   FACTLOG_ASSIGN_OR_RETURN(eval::AnswerSet answers, Execute(*plan, stats));
   RenameAnswerVars(query, &answers);
   return answers;
@@ -612,9 +576,7 @@ Result<ViewHandle> Engine::Materialize(const ast::Program& program,
   const std::string key = PlanCacheKey(program, query, strategy);
   FACTLOG_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledQuery> plan,
-      options_.enable_plan_cache
-          ? CompileWithKey(program, query, strategy, stats, key)
-          : Compile(program, query, strategy, stats));
+      CompileWithKey(program, query, strategy, stats, key));
   {
     std::lock_guard<std::mutex> lock(view_mu_);
     if (views_.count(key) > 0) return ViewHandle{key};
@@ -714,8 +676,35 @@ size_t Engine::num_views() const {
 
 // ---- Batch ------------------------------------------------------------------
 
-Result<exec::BatchResult> Engine::ExecuteBatch(
+Result<BatchResult> Engine::ExecuteBatch(
     const std::vector<BatchQuery>& batch) {
+  return ExecuteBatchImpl(batch, std::vector<Status>(batch.size()));
+}
+
+Result<BatchResult> Engine::ExecuteBatch(
+    const std::vector<std::string>& program_texts, Strategy strategy) {
+  // Parse failures are per-query outcomes, not batch failures: valid texts
+  // still execute, and the invalid ones report their status index-aligned.
+  std::vector<BatchQuery> batch(program_texts.size());
+  std::vector<Status> status(program_texts.size());
+  for (size_t i = 0; i < program_texts.size(); ++i) {
+    auto program = ast::ParseProgram(program_texts[i]);
+    if (!program.ok()) {
+      status[i] = program.status();
+    } else if (!program->query().has_value()) {
+      status[i] = Status::Invalid("batch program text has no '?-' query: " +
+                                  program_texts[i]);
+    } else {
+      batch[i].query = *program->query();
+      batch[i].program = std::move(program).value();
+      batch[i].strategy = strategy;
+    }
+  }
+  return ExecuteBatchImpl(batch, std::move(status));
+}
+
+Result<BatchResult> Engine::ExecuteBatchImpl(
+    const std::vector<BatchQuery>& batch, std::vector<Status> status) {
   if (options_.execution != ExecutionMode::kBottomUp) {
     return Status::Invalid(
         "ExecuteBatch requires bottom-up execution (top-down resolution is "
@@ -726,75 +715,69 @@ Result<exec::BatchResult> Engine::ExecuteBatch(
         "ExecuteBatch while serving; use SubmitQuery (the serving queue "
         "already multiplexes the pool) or StopServing first");
   }
+  const auto wall_start = std::chrono::steady_clock::now();
   QueryScope scope(this);
-  exec::BatchCompileFn compile =
-      [this, &batch](size_t i, exec::ExecStats* stats)
-      -> Result<std::shared_ptr<const CompiledQuery>> {
-    QueryStats qs;
-    auto plan =
-        Compile(batch[i].program, batch[i].query, batch[i].strategy, &qs);
-    stats->cache_hit = qs.cache_hit;
-    stats->compile_us = qs.compile_us;
-    return plan;
+  const size_t n = batch.size();
+  BatchResult result;
+  result.answers.resize(n);
+  result.status = std::move(status);
+  result.stats.resize(n);
+  exec::ThreadPool* pool = EnsurePool();
+  auto for_each_query = [&](const std::function<void(size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, fn);
+    } else {
+      for (size_t i = 0; i < n; ++i) fn(i);
+    }
   };
-  FACTLOG_ASSIGN_OR_RETURN(
-      exec::BatchResult result,
-      exec::RunBatch(EnsurePool(), &db_, batch.size(), compile,
-                     options_.eval));
+
+  // Phase 1: compile every query on the pool. The plan cache is
+  // single-flight, so concurrent workers share plans.
+  std::vector<std::shared_ptr<const CompiledQuery>> plans(n);
+  for_each_query([&](size_t i) {
+    if (!result.status[i].ok()) return;
+    auto plan = Compile(batch[i].program, batch[i].query, batch[i].strategy,
+                        &result.stats[i]);
+    if (plan.ok()) {
+      plans[i] = std::move(plan).value();
+    } else {
+      result.status[i] = plan.status();
+    }
+  });
+
+  // Phase 2 (control thread): build the base-relation indices each distinct
+  // plan probes, so phase 3 stays on the read-only path. The needs come from
+  // the plan evaluation will resolve (the identity plan under kLeftToRight):
+  // indices for any other plan would leave its probes scanning.
+  std::set<const CompiledQuery*> warmed;
+  for (const auto& plan : plans) {
+    if (plan == nullptr || !warmed.insert(plan.get()).second) continue;
+    eval::EvalOptions eopts = options_.eval;
+    eopts.program_plan = &plan->plans;
+    for (const auto& [pred, cols] : plan::BaseIndexNeeds(
+             plan->program,
+             eval::PlanForEvaluation(plan->program, db_, eopts),
+             plan->query)) {
+      if (eval::Relation* rel = db_.Find(pred)) rel->EnsureIndex(cols);
+    }
+  }
+
+  // Phase 3: evaluate concurrently, each query with private IDB state.
+  for_each_query([&](size_t i) {
+    if (plans[i] == nullptr) return;
+    auto answers =
+        EvaluateShared(*plans[i], batch[i].query, &db_, &result.stats[i]);
+    if (answers.ok()) {
+      result.answers[i] = std::move(answers).value();
+    } else {
+      result.status[i] = answers.status();
+    }
+  });
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches;
-    stats_.executions += result.summary.succeeded + result.summary.failed;
   }
-  return result;
-}
-
-Result<exec::BatchResult> Engine::ExecuteBatch(
-    const std::vector<std::string>& program_texts, Strategy strategy) {
-  // Parse failures are per-query outcomes, not batch failures: valid texts
-  // still execute, and the invalid ones report their status index-aligned.
-  std::vector<BatchQuery> batch;
-  std::vector<size_t> batch_to_original;
-  std::vector<Status> parse_errors(program_texts.size(), Status::OK());
-  for (size_t i = 0; i < program_texts.size(); ++i) {
-    auto program = ast::ParseProgram(program_texts[i]);
-    if (!program.ok()) {
-      parse_errors[i] = program.status();
-      continue;
-    }
-    if (!program->query().has_value()) {
-      parse_errors[i] =
-          Status::Invalid("batch program text has no '?-' query: " +
-                          program_texts[i]);
-      continue;
-    }
-    BatchQuery q;
-    q.query = *program->query();
-    q.program = std::move(program).value();
-    q.strategy = strategy;
-    batch.push_back(std::move(q));
-    batch_to_original.push_back(i);
-  }
-
-  FACTLOG_ASSIGN_OR_RETURN(exec::BatchResult ran, ExecuteBatch(batch));
-  if (batch.size() == program_texts.size()) return ran;
-
-  // Scatter the executed results back to their original positions.
-  exec::BatchResult result;
-  result.answers.resize(program_texts.size());
-  result.stats.resize(program_texts.size());
-  result.summary = ran.summary;
-  result.summary.queries = program_texts.size();
-  for (size_t b = 0; b < batch.size(); ++b) {
-    result.answers[batch_to_original[b]] = std::move(ran.answers[b]);
-    result.stats[batch_to_original[b]] = std::move(ran.stats[b]);
-  }
-  for (size_t i = 0; i < program_texts.size(); ++i) {
-    if (!parse_errors[i].ok()) {
-      result.stats[i].status = parse_errors[i];
-      ++result.summary.failed;
-    }
-  }
+  result.wall_us = MicrosSince(wall_start);
   return result;
 }
 
@@ -998,24 +981,34 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
   // Register the plan's probe columns; the writer builds them at the next
   // install (adaptive indexing — see serve::IndexVocabulary).
   serving_->vocab.RegisterFromPlan(**plan);
-  eval::EvalOptions eopts = options_.eval;
-  eopts.program_plan = &(*plan)->plans;
-  eopts.shared_edb = true;          // snapshot relations are shared-immutable
-  eopts.track_provenance = false;   // provenance needs private relations
-  eval::EvalStats es;
-  Result<eval::AnswerSet> answers = eval::EvaluateQuery(
-      (*plan)->program, (*plan)->query, snap->db.get(), eopts, &es);
-  if (answers.ok()) RecordEvalObservations(es);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.executions;
-  }
+  Result<eval::AnswerSet> answers =
+      EvaluateShared(**plan, query, snap->db.get(), &qs);
   if (!answers.ok()) {
     resp->status = answers.status();
     return;
   }
   resp->answers = std::move(answers).value();
-  RenameAnswerVars(query, &resp->answers);
+}
+
+Result<eval::AnswerSet> Engine::EvaluateShared(const CompiledQuery& plan,
+                                               const ast::Atom& caller_query,
+                                               eval::Database* db,
+                                               QueryStats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  eval::EvalOptions eopts = options_.eval;
+  eopts.program_plan = &plan.plans;
+  eopts.shared_edb = true;         // base relations are shared read-only
+  eopts.track_provenance = false;  // provenance needs private relations
+  Result<eval::AnswerSet> answers =
+      eval::EvaluateQuery(plan.program, plan.query, db, eopts, &stats->eval);
+  if (answers.ok()) RecordEvalObservations(stats->eval);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.executions;
+  }
+  stats->execute_us = MicrosSince(start);
+  if (answers.ok()) RenameAnswerVars(caller_query, &*answers);
+  return answers;
 }
 
 // ---- Persistence ------------------------------------------------------------

@@ -74,7 +74,6 @@
 #include "eval/database.h"
 #include "eval/seminaive.h"
 #include "eval/topdown.h"
-#include "exec/batch.h"
 #include "exec/thread_pool.h"
 #include "inc/incremental.h"
 #include "plan/stats_catalog.h"
@@ -106,9 +105,8 @@ struct EngineOptions {
   /// Top-down resolution budgets (kTopDown only).
   eval::SldOptions sld;
   ExecutionMode execution = ExecutionMode::kBottomUp;
-  /// Plan caching. Disable to recompile on every query.
-  bool enable_plan_cache = true;
-  /// Maximum cached plans; least recently used plans are evicted.
+  /// Maximum cached plans; least recently used plans are evicted. 0 caches
+  /// nothing: every query recompiles.
   size_t plan_cache_capacity = 128;
   /// Worker threads for the parallel fixpoint and ExecuteBatch. 0 keeps the
   /// engine fully sequential (no pool is created). The pool is built lazily
@@ -145,7 +143,7 @@ struct EngineOptions {
 struct EngineStats {
   uint64_t compiles = 0;       // plans built (cache misses included)
   uint64_t cache_hits = 0;     // compiles avoided by the plan cache
-  uint64_t executions = 0;     // plans executed (batch queries included)
+  uint64_t executions = 0;     // plans evaluated (batch queries included)
   uint64_t batches = 0;        // ExecuteBatch calls
   uint64_t view_hits = 0;      // queries answered from a materialized view
   uint64_t view_updates = 0;   // AddFact/RemoveFact deltas propagated to views
@@ -167,7 +165,8 @@ struct PersistenceStats {
                                      // or compile on Open
 };
 
-/// Per-query statistics (optional out-param of Query/Execute).
+/// Per-query statistics (optional out-param of Query/Execute; one per query
+/// of an ExecuteBatch).
 struct QueryStats {
   bool cache_hit = false;
   /// The answer came from a materialized view (no execution ran).
@@ -188,6 +187,16 @@ struct QueryStats {
   eval::EvalStats eval;
   /// Resolution counters (kTopDown).
   eval::SldStats sld;
+};
+
+/// Result of Engine::ExecuteBatch: answers, status and stats are
+/// index-aligned with the requests (a failed query has an empty AnswerSet).
+struct BatchResult {
+  std::vector<eval::AnswerSet> answers;
+  std::vector<Status> status;
+  std::vector<QueryStats> stats;
+  /// Whole batch, end to end.
+  int64_t wall_us = 0;
 };
 
 /// Handle to a materialized view registered with an Engine. Views are keyed
@@ -322,13 +331,15 @@ class Engine {
   /// Compiles and executes every query concurrently on the engine's pool
   /// against the current database snapshot, sharing the plan cache. The
   /// database must not be mutated during the call. Requires kBottomUp
-  /// execution. Per-query failures are reported in the result's stats; the
-  /// call only fails outright on infrastructure errors.
-  Result<exec::BatchResult> ExecuteBatch(const std::vector<BatchQuery>& batch);
+  /// execution. Per-query failures are reported in the result's status; the
+  /// call itself only fails when the engine cannot run a batch (top-down
+  /// execution, serving).
+  Result<BatchResult> ExecuteBatch(const std::vector<BatchQuery>& batch);
 
   /// Convenience: every element of `program_texts` is a full program with a
-  /// `?- query.` line, compiled under `strategy`.
-  Result<exec::BatchResult> ExecuteBatch(
+  /// `?- query.` line, compiled under `strategy`. A text that does not parse
+  /// fails only its own query.
+  Result<BatchResult> ExecuteBatch(
       const std::vector<std::string>& program_texts,
       Strategy strategy = Strategy::kAuto);
 
@@ -509,6 +520,21 @@ class Engine {
   /// read hook, also the inline Query path while serving).
   void ServingRead(const ast::Program& program, const ast::Atom& query,
                    Strategy strategy, serve::QueryResponse* resp);
+  /// ExecuteBatch's body; queries whose `status` is not OK (parse failures)
+  /// are skipped and keep it.
+  Result<BatchResult> ExecuteBatchImpl(const std::vector<BatchQuery>& batch,
+                                       std::vector<Status> status);
+  /// The one read step against a database whose base relations are shared
+  /// read-only (a serving snapshot, or db_ during a batch): evaluates `plan`
+  /// under the engine's EvalOptions with shared_edb on and provenance off,
+  /// feeds the statistics catalog, counts the execution, fills
+  /// stats->execute_us and stats->eval, and names the answer columns after
+  /// `caller_query`. The indices it can probe must be built beforehand
+  /// (plan::BaseIndexNeeds).
+  Result<eval::AnswerSet> EvaluateShared(const CompiledQuery& plan,
+                                         const ast::Atom& caller_query,
+                                         eval::Database* db,
+                                         QueryStats* stats);
   /// kFailedPrecondition when a query is executing (mutations must not race).
   Status CheckMutable(const char* op) const;
   /// Open()'s body: attaches the table space, restores the checkpoint, and

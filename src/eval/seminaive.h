@@ -54,8 +54,9 @@ struct EvalOptions {
   /// Record first-derivation provenance (enables derivation trees).
   bool track_provenance = false;
   /// The database's base relations are shared read-only with concurrent
-  /// evaluations (exec::ExecuteBatch): never build indices on them lazily —
-  /// probe pre-built ones (exec::PrewarmIndexes) and otherwise scan. The
+  /// evaluations (api::Engine::ExecuteBatch, serving reads): never build
+  /// indices on them lazily — probe pre-built ones (plan::BaseIndexNeeds
+  /// names them) and otherwise scan. The
   /// ValueStore itself is always safe to share; this flag only governs the
   /// relations.
   bool shared_edb = false;

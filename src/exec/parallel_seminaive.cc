@@ -678,7 +678,7 @@ class SemiNaiveEngine {
   // extent instead, so the rule prefix is scanned exactly once across the
   // tasks. Small extents collapse to one task. Base relations shared under
   // shared_edb are never indexed here: workers probe the indices the caller
-  // pre-built (exec::PrewarmIndexes) and scan otherwise.
+  // pre-built (plan::BaseIndexNeeds) and scan otherwise.
   Status RunIterationPooled() {
     const bool shared_edb = opts_.eval.shared_edb;
     std::vector<Pass> passes;

@@ -26,7 +26,8 @@
 //      on the frozen full/delta/base relations (Relation::EnsureIndex), so
 //      workers only touch the const read path (RelationView::shared).
 //      Under EvalOptions::shared_edb base relations are never indexed:
-//      workers probe what the caller pre-built (PrewarmIndexes) or scan.
+//      workers probe what the caller pre-built (plan::BaseIndexNeeds) or
+//      scan.
 //   3. Workers evaluate one slice each into a thread-local Relation buffer
 //      sharded exactly like the head relation, deduplicating against the
 //      frozen full/delta extents.

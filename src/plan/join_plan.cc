@@ -291,6 +291,33 @@ ProgramPlan PlanProgram(const ast::Program& program, PlanOptions opts) {
   return plan;
 }
 
+std::vector<std::pair<std::string, std::vector<int>>> BaseIndexNeeds(
+    const ast::Program& program, const ProgramPlan& program_plan,
+    const ast::Atom& query) {
+  std::vector<std::pair<std::string, std::vector<int>>> needs;
+  if (!program_plan.Compatible(program)) return needs;
+  // IDB predicates are private per evaluation and need no shared index.
+  const std::set<std::string> idb = program.IdbPredicates();
+  for (size_t i = 0; i < program.rules().size(); ++i) {
+    const ast::Rule& rule = program.rules()[i];
+    for (const LiteralPlan& lp : program_plan.rules[i].order) {
+      if (!lp.is_relation || lp.index_cols.empty()) continue;
+      const std::string& pred = rule.body()[lp.body_index].predicate();
+      if (idb.count(pred) == 0) needs.emplace_back(pred, lp.index_cols);
+    }
+  }
+  if (idb.count(query.predicate()) == 0) {
+    // Answer extraction probes a base query predicate on the query's ground
+    // argument positions.
+    std::vector<int> cols;
+    for (size_t i = 0; i < query.arity(); ++i) {
+      if (query.args()[i].IsGround()) cols.push_back(static_cast<int>(i));
+    }
+    if (!cols.empty()) needs.emplace_back(query.predicate(), std::move(cols));
+  }
+  return needs;
+}
+
 std::string Explain(const ast::Program& program, const ProgramPlan& plan,
                     const StatsCatalog* observed) {
   std::map<std::string, PredicateStats> stats;

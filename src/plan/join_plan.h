@@ -21,7 +21,7 @@
 //   * The per-literal `index_cols` — the argument positions ground when the
 //     planned join reaches the literal — are the rule's complete index
 //     requirement: engines pre-build exactly these indices before sharing
-//     relations read-only across threads (exec::PrewarmIndexes, the parallel
+//     relations read-only across threads (`BaseIndexNeeds`, the parallel
 //     fixpoint's prewarm step).
 //
 //   * The `driver` is the first relation literal in plan order: the literal
@@ -45,6 +45,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ast/program.h"
@@ -142,6 +143,17 @@ struct ProgramPlan {
 /// Plans every rule. `opts.delta_preds` is unioned with the program's IDB
 /// predicates (their occurrences range over deltas in semi-naive fixpoints).
 ProgramPlan PlanProgram(const ast::Program& program, PlanOptions opts = {});
+
+/// The base-relation indices, as (predicate, key columns) pairs, that an
+/// evaluation of `program` under `program_plan` probes: every relation
+/// literal's planned `index_cols` on a non-IDB predicate, plus the
+/// answer-extraction probe of `query` (its ground argument positions) when
+/// the query predicate is a base relation. These are the indices to build
+/// before sharing the base relations read-only. Empty when the plan does not
+/// match the program.
+std::vector<std::pair<std::string, std::vector<int>>> BaseIndexNeeds(
+    const ast::Program& program, const ProgramPlan& program_plan,
+    const ast::Atom& query);
 
 /// Multi-line human-readable rendering: one block per rule with the source
 /// rule, join order, per-literal index columns, and driver literal. When an

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "plan/join_plan.h"
+
 namespace factlog::serve {
 
 std::shared_ptr<Snapshot> SnapshotBuilder::Build(eval::Database* live) {
@@ -49,28 +51,9 @@ void IndexVocabulary::Register(const std::string& rel,
 }
 
 void IndexVocabulary::RegisterFromPlan(const core::CompiledQuery& plan) {
-  // Mirrors exec::PrewarmIndexes: the plan's per-literal index_cols are the
-  // probe keys the plan-ordered join will use; IDB predicates are private
-  // per evaluation and need no shared index.
-  if (!plan.plans.Compatible(plan.program)) return;
-  std::set<std::string> idb = plan.program.IdbPredicates();
-  for (size_t i = 0; i < plan.program.rules().size(); ++i) {
-    const ast::Rule& rule = plan.program.rules()[i];
-    for (const plan::LiteralPlan& lp : plan.plans.rules[i].order) {
-      if (!lp.is_relation || lp.index_cols.empty()) continue;
-      const std::string& pred = rule.body()[lp.body_index].predicate();
-      if (idb.count(pred) > 0) continue;
-      Register(pred, lp.index_cols);
-    }
-  }
-  if (idb.count(plan.query.predicate()) == 0) {
-    std::vector<int> cols;
-    for (size_t i = 0; i < plan.query.arity(); ++i) {
-      if (plan.query.args()[i].IsGround()) {
-        cols.push_back(static_cast<int>(i));
-      }
-    }
-    if (!cols.empty()) Register(plan.query.predicate(), cols);
+  for (const auto& [pred, cols] :
+       plan::BaseIndexNeeds(plan.program, plan.plans, plan.query)) {
+    Register(pred, cols);
   }
 }
 

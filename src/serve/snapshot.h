@@ -114,9 +114,9 @@ class IndexVocabulary {
  public:
   void Register(const std::string& rel, const std::vector<int>& cols);
 
-  /// Registers every base-relation index the compiled plan's join order
-  /// probes, plus the answer-extraction probe for its query — the same set
-  /// exec::PrewarmIndexes builds eagerly for batches.
+  /// Registers the compiled plan's plan::BaseIndexNeeds: every base-relation
+  /// index its join order probes, plus the answer-extraction probe for its
+  /// query.
   void RegisterFromPlan(const core::CompiledQuery& plan);
 
   /// Returns the accumulated needs and clears the registry.

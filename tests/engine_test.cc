@@ -347,7 +347,7 @@ TEST(EnginePlanCacheTest, LruEviction) {
 
 TEST(EnginePlanCacheTest, CanBeDisabled) {
   EngineOptions options;
-  options.enable_plan_cache = false;
+  options.plan_cache_capacity = 0;
   Engine engine(options);
   for (int i = 1; i < 8; ++i) engine.AddPair("e", i, i + 1);
   ASSERT_TRUE(engine.Query(kRightTc).ok());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -15,7 +16,6 @@
 #include "api/engine.h"
 #include "core/pipeline.h"
 #include "eval/seminaive.h"
-#include "exec/batch.h"
 #include "exec/parallel_seminaive.h"
 #include "exec/thread_pool.h"
 #include "tests/sweep_corpus.h"
@@ -332,24 +332,6 @@ TEST(ParallelSemiNaiveTest, SharedEdbLeavesBaseRelationsUntouched) {
   }
 }
 
-TEST(PrewarmIndexesTest, SharedEdbEvaluationMatchesPrivate) {
-  eval::Database db;
-  workload::MakeGrid(4, 4, "e", &db);
-  ast::Program program =
-      P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
-  ast::Atom query = A("t(1, Y)");
-
-  auto baseline = eval::EvaluateQuery(program, query, &db);
-  ASSERT_TRUE(baseline.ok());
-
-  ASSERT_TRUE(exec::PrewarmIndexes(program, &query, &db).ok());
-  eval::EvalOptions opts;
-  opts.shared_edb = true;
-  auto shared = eval::EvaluateQuery(program, query, &db, opts);
-  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-  EXPECT_EQ(shared->rows, baseline->rows);
-}
-
 // ---- Engine integration ----------------------------------------------------
 
 const char* kTcQueries[] = {
@@ -362,6 +344,12 @@ const char* kTcQueries[] = {
     "r(X, Z) :- e(X, Y), e(Y, Z). ?- r(1, Z).",
     "s(Y) :- e(1, Y). s(Y) :- e(X, Y), s(X). ?- s(Y).",
 };
+
+// Queries of a batch that ran to an OK status.
+size_t Succeeded(const api::BatchResult& result) {
+  return std::count_if(result.status.begin(), result.status.end(),
+                       [](const Status& st) { return st.ok(); });
+}
 
 TEST(EngineParallelTest, ParallelSingleQueryMatchesSequentialEngine) {
   api::EngineOptions seq_opts;
@@ -415,11 +403,11 @@ TEST(ExecuteBatchTest, ReportsPerShardRowCounts) {
 
   auto batch = engine.ExecuteBatch(std::vector<std::string>{kTcQueries[0]});
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_TRUE(batch->stats[0].status.ok());
-  ASSERT_EQ(batch->stats[0].shard_facts.size(), 4u);
+  ASSERT_TRUE(batch->status[0].ok());
+  ASSERT_EQ(batch->stats[0].eval.shard_facts.size(), 4u);
   uint64_t sum = 0;
-  for (uint64_t n : batch->stats[0].shard_facts) sum += n;
-  EXPECT_EQ(sum, batch->stats[0].total_facts);
+  for (uint64_t n : batch->stats[0].eval.shard_facts) sum += n;
+  EXPECT_EQ(sum, batch->stats[0].eval.total_facts);
 }
 
 TEST(ExecuteBatchTest, BatchAnswersMatchOneAtATimeQueries) {
@@ -431,33 +419,37 @@ TEST(ExecuteBatchTest, BatchAnswersMatchOneAtATimeQueries) {
   api::Engine oracle;  // sequential, same EDB
   workload::MakeGrid(5, 5, "e", &oracle.db());
 
+  // Each round also asks kTcQueries[0] with its answer variable renamed: it
+  // shares that query's plan, and its answers must carry its own names.
   std::vector<std::string> texts;
   for (int rep = 0; rep < 8; ++rep) {
     for (const char* q : kTcQueries) texts.push_back(q);
+    texts.push_back(
+        "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Z).");
   }
 
   auto batch = engine.ExecuteBatch(texts);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->answers.size(), texts.size());
+  ASSERT_EQ(batch->status.size(), texts.size());
   ASSERT_EQ(batch->stats.size(), texts.size());
-  EXPECT_EQ(batch->summary.queries, texts.size());
-  EXPECT_EQ(batch->summary.succeeded, texts.size());
-  EXPECT_EQ(batch->summary.failed, 0u);
-  EXPECT_GT(batch->summary.wall_us, 0);
+  EXPECT_EQ(Succeeded(*batch), texts.size());
+  EXPECT_GT(batch->wall_us, 0);
 
   for (size_t i = 0; i < texts.size(); ++i) {
-    ASSERT_TRUE(batch->stats[i].status.ok())
-        << i << ": " << batch->stats[i].status.ToString();
+    ASSERT_TRUE(batch->status[i].ok())
+        << i << ": " << batch->status[i].ToString();
     auto expected = oracle.Query(texts[i]);
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ(batch->answers[i].ToString(engine.db().store()),
               expected->ToString(oracle.db().store()))
         << texts[i];
-    EXPECT_EQ(batch->stats[i].num_answers, expected->size());
+    EXPECT_EQ(batch->answers[i].vars, expected->vars) << texts[i];
+    EXPECT_EQ(batch->answers[i].size(), expected->size());
   }
 
   // Every Compile call either hits the shared cache or compiles; with 8
-  // distinct plans, almost all of the 64 calls must be hits (concurrent
+  // distinct plans, almost all of the 72 calls must be hits (concurrent
   // cold-cache misses may compile a plan more than once).
   auto stats = engine.stats();
   EXPECT_EQ(stats.batches, 1u);
@@ -486,7 +478,7 @@ TEST(ExecuteBatchTest, StressPlanCacheWithEvictions) {
   for (int round = 0; round < 3; ++round) {
     auto batch = engine.ExecuteBatch(texts);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    EXPECT_EQ(batch->summary.failed, 0u);
+    EXPECT_EQ(Succeeded(*batch), texts.size());
     for (size_t i = 0; i < texts.size(); ++i) {
       auto expected = oracle.Query(texts[i]);
       ASSERT_TRUE(expected.ok());
@@ -518,11 +510,11 @@ TEST(ExecuteBatchTest, PerQueryFailuresAreIsolated) {
 
   auto result = engine.ExecuteBatch(batch);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->summary.succeeded, 2u);
-  EXPECT_EQ(result->summary.failed, 1u);
-  EXPECT_TRUE(result->stats[0].status.ok());
-  EXPECT_FALSE(result->stats[1].status.ok());
-  EXPECT_TRUE(result->stats[2].status.ok());
+  ASSERT_EQ(result->status.size(), 3u);
+  EXPECT_EQ(Succeeded(*result), 2u);
+  EXPECT_TRUE(result->status[0].ok());
+  EXPECT_FALSE(result->status[1].ok());
+  EXPECT_TRUE(result->status[2].ok());
   EXPECT_EQ(result->answers[0].size(), 5u);
   EXPECT_EQ(result->answers[1].size(), 0u);
   EXPECT_EQ(result->answers[2].size(), 4u);
@@ -543,13 +535,12 @@ TEST(ExecuteBatchTest, ParseFailuresAreIsolatedInTextBatches) {
   auto result = engine.ExecuteBatch(texts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->stats.size(), texts.size());
-  EXPECT_EQ(result->summary.queries, texts.size());
-  EXPECT_EQ(result->summary.succeeded, 2u);
-  EXPECT_EQ(result->summary.failed, 2u);
-  EXPECT_TRUE(result->stats[0].status.ok());
-  EXPECT_FALSE(result->stats[1].status.ok());
-  EXPECT_FALSE(result->stats[2].status.ok());
-  EXPECT_TRUE(result->stats[3].status.ok());
+  ASSERT_EQ(result->status.size(), texts.size());
+  EXPECT_EQ(Succeeded(*result), 2u);
+  EXPECT_TRUE(result->status[0].ok());
+  EXPECT_FALSE(result->status[1].ok());
+  EXPECT_FALSE(result->status[2].ok());
+  EXPECT_TRUE(result->status[3].ok());
   EXPECT_EQ(result->answers[0].size(), 1u);  // t(1, Y) on a chain: {2}
   EXPECT_EQ(result->answers[3].size(), 1u);  // t(2, Y): {3}
 }
@@ -558,8 +549,62 @@ TEST(ExecuteBatchTest, EmptyBatchIsANoOp) {
   api::Engine engine;
   auto result = engine.ExecuteBatch(std::vector<std::string>{});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->summary.queries, 0u);
-  EXPECT_EQ(result->summary.succeeded, 0u);
+  EXPECT_EQ(result->status.size(), 0u);
+  EXPECT_EQ(Succeeded(*result), 0u);
+}
+
+TEST(ExecuteBatchTest, FeedsStatsCatalog) {
+  api::EngineOptions opts;
+  opts.num_threads = 2;
+  api::Engine engine(opts);
+  workload::MakeChain(6, "e", &engine.db());
+
+  // Two queries evaluate; the third fails to compile and never runs.
+  ast::Program p = P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
+  ast::Program nonlinear =
+      P("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).");
+  std::vector<api::Engine::BatchQuery> batch = {
+      {p, A("t(1, Y)"), core::Strategy::kAuto},
+      {p, A("t(2, Y)"), core::Strategy::kAuto},
+      {nonlinear, A("t(1, Y)"), core::Strategy::kLinearRewrite},
+  };
+  auto result = engine.ExecuteBatch(batch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(Succeeded(*result), 2u);
+  EXPECT_FALSE(engine.stats_catalog().Snapshot().empty());
+  EXPECT_EQ(engine.stats().executions, 2u);
+}
+
+TEST(ExecuteBatchTest, BuildsThePlannedBaseIndexes) {
+  // On a 200-node chain the compiled t(1, Y) plan probes e on its first
+  // column (a 2-row e would plan a scan instead). The batch builds exactly
+  // that index before its shared read-only evaluation, and the answers
+  // match a private evaluation of the same plan.
+  api::EngineOptions opts;
+  opts.num_threads = 2;
+  api::Engine engine(opts);
+  workload::MakeChain(200, "e", &engine.db());
+  const std::string text =
+      "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Y).";
+
+  auto result = engine.ExecuteBatch(std::vector<std::string>{text});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->status[0].ok()) << result->status[0].ToString();
+  const eval::Relation* e = engine.db().Find("e");
+  ASSERT_NE(e, nullptr);
+  EXPECT_TRUE(e->HasIndex({0}));
+  EXPECT_FALSE(e->HasIndex({1}));
+
+  ast::Program program = P(text);
+  auto compiled = engine.Compile(program, *program.query());
+  ASSERT_TRUE(compiled.ok());
+  eval::Database private_db;
+  workload::MakeChain(200, "e", &private_db);
+  auto expected = eval::EvaluateQuery((*compiled)->program,
+                                      (*compiled)->query, &private_db);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(result->answers[0].ToString(engine.db().store()),
+            expected->ToString(private_db.store()));
 }
 
 TEST(ExecuteBatchTest, TopDownIsRejected) {

@@ -16,7 +16,6 @@
 
 #include "core/pipeline.h"
 #include "eval/seminaive.h"
-#include "exec/batch.h"
 #include "exec/parallel_seminaive.h"
 #include "exec/thread_pool.h"
 #include "plan/join_plan.h"
@@ -395,22 +394,30 @@ TEST(RightLinearTcRegressionTest, PlannedDriverPartitioningDoesLessWork) {
                 baseline->stats().instantiations);
 }
 
-// ---- Prewarm derives exactly the plan's index set ---------------------------
+// ---- BaseIndexNeeds derives exactly the plan's index set -------------------
 
-TEST(PrewarmFromPlanTest, CompiledQueryOverloadMatchesSharedEdbEvaluation) {
+TEST(BaseIndexNeedsTest, NamesThePlannedBaseProbesAndMatchesSharedEvaluation) {
   eval::Database db;
-  workload::MakeGrid(4, 4, "e", &db);
+  workload::MakeChain(200, "e", &db);
   ast::Program program =
       P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Y).");
   auto compiled =
       core::CompileQuery(program, *program.query(), core::Strategy::kAuto);
   ASSERT_TRUE(compiled.ok());
 
+  // The compiled program probes e on its bound first column in both of its
+  // rules; the query predicate is derived, so there is no extraction probe.
+  auto needs = plan::BaseIndexNeeds(compiled->program, compiled->plans,
+                                    compiled->query);
+  const std::vector<std::pair<std::string, std::vector<int>>> want = {
+      {"e", {0}}, {"e", {0}}};
+  EXPECT_EQ(needs, want);
+
   auto baseline =
       eval::EvaluateQuery(compiled->program, compiled->query, &db);
   ASSERT_TRUE(baseline.ok());
 
-  ASSERT_TRUE(exec::PrewarmIndexes(*compiled, &db).ok());
+  for (const auto& [pred, cols] : needs) db.Find(pred)->EnsureIndex(cols);
   eval::EvalOptions opts;
   opts.shared_edb = true;
   opts.program_plan = &compiled->plans;
@@ -418,6 +425,22 @@ TEST(PrewarmFromPlanTest, CompiledQueryOverloadMatchesSharedEdbEvaluation) {
                                     opts);
   ASSERT_TRUE(shared.ok()) << shared.status().ToString();
   EXPECT_EQ(shared->rows, baseline->rows);
+}
+
+TEST(BaseIndexNeedsTest, BaseQueryAddsTheExtractionProbe) {
+  ast::Program program = P("t(X, Y) :- e(X, Y).");
+  plan::ProgramPlan plan = plan::PlanProgram(program);
+  // A base query predicate is probed on its ground positions.
+  auto needs = plan::BaseIndexNeeds(program, plan, A("e(1, Y)"));
+  ASSERT_EQ(needs.size(), 1u);
+  EXPECT_EQ(needs[0].first, "e");
+  EXPECT_EQ(needs[0].second, std::vector<int>{0});
+  // A derived query predicate is extracted from private IDB state.
+  EXPECT_TRUE(plan::BaseIndexNeeds(program, plan, A("t(1, Y)")).empty());
+  // A plan built for another program yields nothing.
+  EXPECT_TRUE(plan::BaseIndexNeeds(P("t(X, Y) :- e(X, Y), e(Y, X)."), plan,
+                                   A("e(1, Y)"))
+                  .empty());
 }
 
 // ---- Per-rule stats ---------------------------------------------------------

@@ -637,6 +637,35 @@ TEST(ServeEngineTest, ViewHitsServeFromFrozenEpochs) {
   EXPECT_TRUE(engine.StopServing().ok());
 }
 
+TEST(ServeEngineTest, InstallBuildsTheIndexesReadsRegistered) {
+  // On a 200-node chain the compiled t(1, Y) plan probes e on its first
+  // column. Snapshots are immutable, so the read scans and registers the
+  // need; the next install (here driven by an update) builds it on the live
+  // relation.
+  EngineOptions options;
+  options.num_threads = 2;
+  Engine engine(options);
+  for (int64_t i = 1; i < 200; ++i) engine.AddPair("e", i, i + 1);
+  ASSERT_TRUE(engine.StartServing().ok());
+  auto program = ast::ParseProgram(kRightTcText);
+  auto query = ast::ParseAtom("t(1, Y)");
+  ASSERT_TRUE(program.ok() && query.ok());
+  uint64_t session = engine.OpenSession();
+
+  serve::QueryResponse read =
+      engine.SubmitQuery(session, *program, *query, Strategy::kAuto).get();
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  EXPECT_EQ(read.answers.rows.size(), 199u);
+  EXPECT_FALSE(engine.db().Find("e")->HasIndex({0}));
+
+  serve::UpdateResponse update =
+      engine.SubmitUpdate(session, true, Edge(200, 201)).get();
+  ASSERT_TRUE(update.status.ok());
+  EXPECT_TRUE(engine.db().Find("e")->HasIndex({0}));
+  EXPECT_FALSE(engine.db().Find("e")->HasIndex({1}));
+  EXPECT_TRUE(engine.StopServing().ok());
+}
+
 TEST(ServeEngineTest, SynchronousQueryReroutesWhileServing) {
   EngineOptions options;
   options.num_threads = 2;
