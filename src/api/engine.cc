@@ -978,9 +978,17 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
     return;
   }
   resp->cache_hit = qs.cache_hit;
-  // Register the plan's probe columns; the writer builds them at the next
-  // install (adaptive indexing — see serve::IndexVocabulary).
-  serving_->vocab.RegisterFromPlan(**plan);
+  // Register the probe columns of the plan the evaluation runs (under
+  // kLeftToRight the source-order plan, not the compiled one); the writer
+  // builds them at the next install (adaptive indexing — see
+  // serve::IndexVocabulary).
+  if (options_.eval.join_order == eval::JoinOrder::kLeftToRight) {
+    serving_->vocab.RegisterFromPlan(
+        **plan, eval::PlanForEvaluation((*plan)->program, *snap->db,
+                                        options_.eval));
+  } else {
+    serving_->vocab.RegisterFromPlan(**plan, (*plan)->plans);
+  }
   Result<eval::AnswerSet> answers =
       EvaluateShared(**plan, query, snap->db.get(), &qs);
   if (!answers.ok()) {

@@ -1,6 +1,7 @@
 #include "eval/seminaive.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "exec/parallel_seminaive.h"
@@ -235,33 +236,115 @@ std::string AnswerSet::ToString(const ValueStore& values) const {
   return out;
 }
 
+std::vector<std::vector<ValueId>> SortedUniqueRows(
+    const std::vector<ValueId>& cells, size_t width, size_t n) {
+  std::vector<std::vector<ValueId>> rows;
+  if (n == 0) return rows;
+  if (width == 0) {
+    rows.emplace_back();  // every match is the one empty row
+    return rows;
+  }
+  // LSD radix sort of row indices. Digit (c, b) is byte b of column c's id
+  // with the sign bit flipped, so unsigned byte order is signed ValueId
+  // order; passes run from the last column's low byte to the first column's
+  // high byte. One sweep counts every digit's byte values up front.
+  auto key = [&cells, width](uint32_t r, size_t c) {
+    return static_cast<uint32_t>(cells[r * width + c]) ^ 0x80000000u;
+  };
+  std::vector<uint32_t> counts(width * 4 * 256, 0);  // [column][byte][value]
+  for (uint32_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < width; ++c) {
+      const uint32_t k = key(r, c);
+      uint32_t* h = &counts[c * 4 * 256];
+      ++h[k & 0xFFu];
+      ++h[256 + ((k >> 8) & 0xFFu)];
+      ++h[512 + ((k >> 16) & 0xFFu)];
+      ++h[768 + (k >> 24)];
+    }
+  }
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  {
+    std::vector<uint32_t> next(n);
+    for (size_t c = width; c-- > 0;) {
+      for (int b = 0; b < 4; ++b) {
+        uint32_t* start = &counts[(c * 4 + b) * 256];
+        // A byte equal across all rows cannot reorder anything: no pass.
+        if (start[(key(0, c) >> (8 * b)) & 0xFFu] == n) continue;
+        uint32_t sum = 0;
+        for (int d = 0; d < 256; ++d) {
+          const uint32_t count = start[d];
+          start[d] = sum;
+          sum += count;
+        }
+        for (uint32_t r : order) {
+          next[start[(key(r, c) >> (8 * b)) & 0xFFu]++] = r;
+        }
+        order.swap(next);
+      }
+    }
+  }
+  // Equal rows are adjacent now: keep the first of each run.
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const ValueId* row = cells.data() + size_t{order[i]} * width;
+    if (kept > 0 &&
+        std::equal(row, row + width,
+                   cells.data() + size_t{order[kept - 1]} * width)) {
+      continue;
+    }
+    order[kept++] = order[i];
+  }
+  rows.reserve(kept);
+  for (size_t i = 0; i < kept; ++i) {
+    const ValueId* row = cells.data() + size_t{order[i]} * width;
+    rows.emplace_back(row, row + width);
+  }
+  return rows;
+}
+
 Result<AnswerSet> ExtractAnswersFrom(const ast::Atom& query, Relation* rel,
                                      ValueStore* store, bool shared) {
   AnswerSet answers;
   answers.vars = query.DistinctVars();
   if (rel == nullptr) return answers;  // unknown predicate: no facts
 
-  std::vector<ast::Term> head_args;
-  head_args.reserve(answers.vars.size());
-  for (const std::string& v : answers.vars) {
-    head_args.push_back(ast::Term::Var(v));
+  const size_t width = answers.vars.size();
+  std::vector<ValueId> cells;  // the matches, `width` ids each
+  size_t n = 0;
+  const std::vector<ast::Term>& args = query.args();
+  if (width == args.size() && width == rel->arity() &&
+      std::all_of(args.begin(), args.end(),
+                  [](const ast::Term& t) { return t.IsVariable(); })) {
+    // t(X, Y, ...) with distinct variables: every row is an answer, its
+    // columns in variable order.
+    n = rel->size();
+    cells.resize(n * width);
+    for (size_t r = 0; r < n; ++r) {
+      // Copy before the next row() call: a page-backed row() aims into a
+      // per-thread copy-out ring.
+      std::copy_n(rel->row(r), width, cells.data() + r * width);
+    }
+  } else {
+    std::vector<ast::Term> head_args;
+    head_args.reserve(width);
+    for (const std::string& v : answers.vars) {
+      head_args.push_back(ast::Term::Var(v));
+    }
+    ast::Rule probe(ast::Atom("__ans", std::move(head_args)), {query});
+    FACTLOG_ASSIGN_OR_RETURN(CompiledRule rule,
+                             CompiledRule::Compile(probe, store));
+    JoinStats stats;
+    FACTLOG_RETURN_IF_ERROR(EnumerateRule(
+        rule, store, {RelationView{rel, nullptr, shared}}, false, &stats,
+        [&cells, &n](const std::vector<ValueId>& row,
+                     const std::vector<FactKey>*) {
+          cells.insert(cells.end(), row.begin(), row.end());
+          ++n;
+          return true;
+        }));
   }
-  ast::Rule probe(ast::Atom("__ans", std::move(head_args)), {query});
-  FACTLOG_ASSIGN_OR_RETURN(CompiledRule rule,
-                           CompiledRule::Compile(probe, store));
-
-  // Collect, then sort + unique: the same lexicographic order a std::set
-  // would give, without a tree node per answer.
-  std::vector<std::vector<ValueId>>& rows = answers.rows;
-  JoinStats stats;
-  FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-      rule, store, {RelationView{rel, nullptr, shared}}, false, &stats,
-      [&rows](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
-        rows.push_back(row);
-        return true;
-      }));
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  answers.rows = SortedUniqueRows(cells, width, n);
   return answers;
 }
 

@@ -210,8 +210,22 @@ Result<AnswerSet> ExtractAnswers(const ast::Atom& query, EvalResult* result,
 /// empty answers). `shared` marks `rel` read-only-shared across threads
 /// (probe pre-built indices or scan; never build). The serving subsystem
 /// answers snapshot and view-hit queries through this entry point.
+///
+/// Rows come out duplicate-free in SortedUniqueRows order. When every query
+/// argument is a variable, none repeats, and the argument count equals
+/// `rel`'s arity (`t(X, Y)`), the rows are copied straight out of `rel`;
+/// any other query (constants, repeated variables, compound patterns) runs
+/// as a one-literal join.
 Result<AnswerSet> ExtractAnswersFrom(const ast::Atom& query, Relation* rel,
                                      ValueStore* store, bool shared);
+
+/// The one definition of answer order: sorts the `n` rows of `width` ids
+/// stored back to back in `cells` lexicographically over signed ValueId
+/// (std::vector<ValueId>::operator<), drops duplicates, and returns them as
+/// AnswerSet rows. Width 0 gives one empty row when n > 0. An LSD radix
+/// sort over the id bytes that vary between rows.
+std::vector<std::vector<ValueId>> SortedUniqueRows(
+    const std::vector<ValueId>& cells, size_t width, size_t n);
 
 /// Convenience: Evaluate + ExtractAnswers. When `stats_out` is non-null the
 /// evaluation statistics are copied there.

@@ -1,6 +1,5 @@
 #include "eval/topdown.h"
 
-#include <algorithm>
 #include <set>
 
 #include "ast/special_predicates.h"
@@ -39,25 +38,20 @@ class SldEngine {
     Substitution empty;
     FACTLOG_ASSIGN_OR_RETURN(std::vector<Substitution> solutions,
                              SolveGoal(query_, empty, 0));
-    // Collect, then sort + unique (the lexicographic order a std::set of
-    // rows would give).
-    std::vector<std::vector<ValueId>>& rows = answers.rows;
-    rows.reserve(solutions.size());
+    std::vector<ValueId> cells;  // one row of answers.vars per solution
+    cells.reserve(solutions.size() * answers.vars.size());
     for (const Substitution& s : solutions) {
-      std::vector<ValueId> row;
-      row.reserve(answers.vars.size());
       for (const std::string& v : answers.vars) {
         Term t = s.DeepApply(Term::Var(v));
         if (!t.IsGround()) {
           return Status::Invalid("non-ground answer for variable " + v);
         }
         FACTLOG_ASSIGN_OR_RETURN(ValueId id, db_->store().FromTerm(t));
-        row.push_back(id);
+        cells.push_back(id);
       }
-      rows.push_back(std::move(row));
     }
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    answers.rows =
+        SortedUniqueRows(cells, answers.vars.size(), solutions.size());
     return answers;
   }
 

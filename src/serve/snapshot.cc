@@ -50,9 +50,10 @@ void IndexVocabulary::Register(const std::string& rel,
   needs_[rel].insert(cols);
 }
 
-void IndexVocabulary::RegisterFromPlan(const core::CompiledQuery& plan) {
+void IndexVocabulary::RegisterFromPlan(const core::CompiledQuery& compiled,
+                                       const plan::ProgramPlan& evaluated) {
   for (const auto& [pred, cols] :
-       plan::BaseIndexNeeds(plan.program, plan.plans, plan.query)) {
+       plan::BaseIndexNeeds(compiled.program, evaluated, compiled.query)) {
     Register(pred, cols);
   }
 }

@@ -114,10 +114,13 @@ class IndexVocabulary {
  public:
   void Register(const std::string& rel, const std::vector<int>& cols);
 
-  /// Registers the compiled plan's plan::BaseIndexNeeds: every base-relation
-  /// index its join order probes, plus the answer-extraction probe for its
-  /// query.
-  void RegisterFromPlan(const core::CompiledQuery& plan);
+  /// Registers plan::BaseIndexNeeds of `compiled` evaluated under
+  /// `evaluated` (the plan the reader's evaluation resolves — the compiled
+  /// plans, or the source-order plan under kLeftToRight): every
+  /// base-relation index its join order probes, plus the answer-extraction
+  /// probe for its query.
+  void RegisterFromPlan(const core::CompiledQuery& compiled,
+                        const plan::ProgramPlan& evaluated);
 
   /// Returns the accumulated needs and clears the registry.
   std::map<std::string, std::set<std::vector<int>>> Drain();

@@ -666,6 +666,35 @@ TEST(ServeEngineTest, InstallBuildsTheIndexesReadsRegistered) {
   EXPECT_TRUE(engine.StopServing().ok());
 }
 
+TEST(ServeEngineTest, LeftToRightRegistersTheIndexesItProbes) {
+  // Under kLeftToRight the reader evaluates the source-order plan, which
+  // probes e(Y, Z) on both columns once the magic seed binds Z; the
+  // cost-ordered compiled plan would probe e on column 1 instead. The
+  // install must build the index the reader actually probes.
+  EngineOptions options;
+  options.num_threads = 2;
+  options.eval.join_order = eval::JoinOrder::kLeftToRight;
+  Engine engine(options);
+  for (int64_t i = 1; i < 200; ++i) engine.AddPair("e", i, i + 1);
+  ASSERT_TRUE(engine.StartServing().ok());
+  auto program = ast::ParseProgram("r(X, Z) :- e(X, Y), e(Y, Z).");
+  auto query = ast::ParseAtom("r(X, 7)");
+  ASSERT_TRUE(program.ok() && query.ok());
+  uint64_t session = engine.OpenSession();
+
+  serve::QueryResponse read =
+      engine.SubmitQuery(session, *program, *query, Strategy::kAuto).get();
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  EXPECT_EQ(read.answers.rows.size(), 1u);  // X = 5
+
+  serve::UpdateResponse update =
+      engine.SubmitUpdate(session, true, Edge(200, 201)).get();
+  ASSERT_TRUE(update.status.ok());
+  EXPECT_TRUE(engine.db().Find("e")->HasIndex({0, 1}));
+  EXPECT_FALSE(engine.db().Find("e")->HasIndex({1}));
+  EXPECT_TRUE(engine.StopServing().ok());
+}
+
 TEST(ServeEngineTest, SynchronousQueryReroutesWhileServing) {
   EngineOptions options;
   options.num_threads = 2;
