@@ -32,8 +32,11 @@
 // --edge-budget caps the derivation-edge store (0 disables it entirely,
 // forcing the fallback that re-derives the affected SCC on every delete) —
 // the knob for comparing the two deletion paths on identical workloads. The
-// fallback costs one SCC evaluation per delete, so its delete rows sit just
-// above 1x.
+// fallback costs one SCC evaluation per delete, on the same engine the
+// re-evaluation runs, so its delete rows sit near 1x. Measured at --nodes
+// 250 (Release, 4-vCPU shared host, three runs): inline, delete_random
+// 1.3-1.8x and delete_tail 1.7-2.7x; with --threads 2 --shards 2,
+// delete_random 0.5-1.0x and delete_tail 0.4-1.5x.
 //
 //   $ ./bench_incremental --nodes 250 | python3 -m json.tool
 

@@ -440,6 +440,19 @@ void EnumerateFrom(size_t lit_index, JoinContext* ctx) {
 
 }  // namespace
 
+void JoinStats::Add(const JoinStats& other) {
+  rows_matched += other.rows_matched;
+  instantiations += other.instantiations;
+  if (lit_probes.size() < other.lit_probes.size()) {
+    lit_probes.resize(other.lit_probes.size(), 0);
+    lit_matched.resize(other.lit_probes.size(), 0);
+  }
+  for (size_t k = 0; k < other.lit_probes.size(); ++k) {
+    lit_probes[k] += other.lit_probes[k];
+    lit_matched[k] += other.lit_matched[k];
+  }
+}
+
 Status EnumerateRule(const CompiledRule& rule, ValueStore* store,
                      const std::vector<RelationView>& views,
                      bool track_premises, JoinStats* stats,

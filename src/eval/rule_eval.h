@@ -157,6 +157,9 @@ struct JoinStats {
   /// (plan::StatsCatalog).
   std::vector<uint64_t> lit_probes;
   std::vector<uint64_t> lit_matched;
+
+  /// Adds `other`'s counters to these (per-literal vectors grow as needed).
+  void Add(const JoinStats& other);
 };
 
 /// Enumerates all instantiations of `rule` where body literal i ranges over

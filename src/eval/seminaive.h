@@ -111,6 +111,8 @@ struct EvalStats {
   std::vector<uint64_t> rule_rows_matched;
   /// Rules re-planned mid-fixpoint (EvalOptions::replan_threshold).
   uint64_t replans = 0;
+  /// (rule, body occurrence) passes run over a non-empty delta.
+  uint64_t delta_passes = 0;
   /// Planner feedback (plan::StatsCatalog::ObserveBatch / ObserveExtent /
   /// ObserveDelta consume these): per-literal probe totals keyed by
   /// predicate + bound columns, IDB extents at fixpoint, and mean

@@ -5,7 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,13 +45,18 @@ void MergeBufferLocked(Relation* target, const Relation& buffer,
 
 class SemiNaiveEngine {
  public:
+  // Null `seeds` runs from scratch (EvaluateParallel), else EvaluateSeeded.
   SemiNaiveEngine(const ast::Program& program, Database* db, ThreadPool* pool,
-                  const ParallelEvalOptions& opts)
+                  const ParallelEvalOptions& opts,
+                  const std::map<std::string, SeedExtent>* seeds,
+                  const DerivationCallback* on_derivation)
       : program_(program),
         db_(db),
         pool_(pool),
         opts_(opts),
         inline_(pool == nullptr || pool->num_threads() == 0),
+        seeds_(seeds),
+        on_derivation_(on_derivation),
         inline_sink_([this](const std::vector<ValueId>& row,
                             const std::vector<FactKey>* premises) {
           return InsertInline(row, premises);
@@ -63,8 +68,13 @@ class SemiNaiveEngine {
           "evaluation on a thread pool does not record provenance; evaluate "
           "without a pool (eval::Evaluate) for derivation trees");
     }
+    if (on_derivation_ != nullptr && !inline_) {
+      return Status::Invalid(
+          "a derivation callback needs an inline run; evaluate without a "
+          "pool");
+    }
     FACTLOG_RETURN_IF_ERROR(Prepare());
-    FACTLOG_RETURN_IF_ERROR(SeedBaseRules());
+    if (seeds_ == nullptr) FACTLOG_RETURN_IF_ERROR(SeedBaseRules());
     FACTLOG_RETURN_IF_ERROR(RunFixpoint());
     return Finish();
   }
@@ -74,6 +84,10 @@ class SemiNaiveEngine {
     std::unique_ptr<Relation> full;
     std::unique_ptr<Relation> delta;
     std::unique_ptr<Relation> next;
+    // Seeded runs: the caller's stored extent (read-only, may be null), and
+    // whether the predicate is seeded input no rule defines.
+    Relation* stored = nullptr;
+    bool input = false;
     // One lock per storage shard (pooled runs only): workers merging
     // different shards of the same head predicate never contend.
     std::unique_ptr<std::mutex[]> shard_locks;
@@ -135,7 +149,6 @@ class SemiNaiveEngine {
 
   Status Prepare() {
     FACTLOG_RETURN_IF_ERROR(program_.Validate());
-    idb_preds_ = program_.IdbPredicates();
     plan_ = eval::PlanForEvaluation(program_, *db_, opts_.eval);
     const size_t n = program_.rules().size();
     rules_.reserve(n);
@@ -151,8 +164,8 @@ class SemiNaiveEngine {
     size_t shards = opts_.num_shards > 0 ? opts_.num_shards
                                          : db_->storage_options().num_shards;
     shards = std::max<size_t>(1, shards);
-    auto arities = program_.PredicateArities();
-    for (const std::string& p : idb_preds_) {
+    const auto arities = program_.PredicateArities();
+    auto add = [&](const std::string& p, bool input) {
       StorageOptions storage;
       storage.num_shards = shards;
       storage.partition_cols = PartitionCols(p);
@@ -161,11 +174,24 @@ class SemiNaiveEngine {
       st.full = std::make_unique<Relation>(arity, storage);
       st.delta = std::make_unique<Relation>(arity, storage);
       st.next = std::make_unique<Relation>(arity, storage);
+      st.input = input;
       if (!inline_) {
         st.shard_locks =
             std::make_unique<std::mutex[]>(st.next->shard_count());
       }
-      preds_.emplace(p, std::move(st));
+      return &preds_.emplace(p, std::move(st)).first->second;
+    };
+    for (const std::string& p : program_.IdbPredicates()) add(p, false);
+    if (seeds_ != nullptr) {
+      // Seeded predicates the program never mentions cannot matter.
+      for (const auto& [p, seed] : *seeds_) {
+        if (arities.count(p) == 0) continue;
+        auto it = preds_.find(p);
+        PredState* st =
+            it != preds_.end() ? &it->second : add(p, /*input=*/true);
+        st->stored = seed.stored;
+        if (seed.delta != nullptr) st->delta->Absorb(*seed.delta);
+      }
     }
     // Saturating 2x slack over the fact budget: cross-task duplicates make
     // the in-flight counter an overestimate, so the hard mid-iteration trip
@@ -209,24 +235,35 @@ class SemiNaiveEngine {
     return {};
   }
 
-  bool IsIdb(const std::string& pred) const {
-    return idb_preds_.count(pred) > 0;
-  }
+  // True for the predicates the engine keeps full/delta/next for: the
+  // program's IDB predicates and, in a seeded run, the seeded ones.
+  bool IsIdb(const std::string& pred) const { return preds_.count(pred) > 0; }
 
+  // The facts counted against max_facts: everything derived so far (seeded
+  // input is not derived).
   uint64_t TotalIdbFacts() const {
     uint64_t n = 0;
     for (const auto& [name, st] : preds_) {
+      if (st.input) continue;
       n += st.full->size() + st.delta->size() + st.next->size();
     }
     return n;
+  }
+
+  // True when `row` is already known for `st`: stored, derived, or in this
+  // round's delta.
+  static bool Known(const PredState& st, const ValueId* row) {
+    return st.full->Contains(row) || st.delta->Contains(row) ||
+           (st.stored != nullptr && st.stored->Contains(row));
   }
 
   // The extent body literal k of rule `rule` ranges over in the pass whose
   // delta occurrence is `occ`, with `occ_rows` (the delta or one of its
   // shards) standing in for that occurrence. Literals before the occurrence
   // see this round's F_i (full union delta), literals after it F_{i-1}
-  // (full). Pooled runs share every view read-only: workers never mutate
-  // relations during the parallel region and probe pre-built indices.
+  // (full); both union in a seeded predicate's stored extent. Pooled runs
+  // share every view read-only: workers never mutate relations during the
+  // parallel region and probe pre-built indices.
   // Inline runs let the join build IDB indices lazily (Relation::Lookup) and
   // share base relations only under shared_edb.
   RelationView ViewFor(size_t rule, size_t occ, size_t k,
@@ -245,20 +282,21 @@ class SemiNaiveEngine {
       // engine's own delta, which the join may index lazily.
       return RelationView{const_cast<Relation*>(occ_rows), nullptr, shared};
     }
-    if (k < occ) return RelationView{st.full.get(), st.delta.get(), shared};
-    return RelationView{st.full.get(), nullptr, shared};
+    if (k < occ) {
+      return RelationView{st.full.get(), st.delta.get(), shared, st.stored};
+    }
+    return RelationView{st.full.get(), nullptr, shared, st.stored};
   }
 
-  // The inline head sink: inserts straight into the target relation unless
-  // the row is already known, records first-derivation provenance, and
-  // enforces the exact fact budget.
+  // The inline head sink: reports the instantiation to the derivation
+  // callback, inserts straight into the target relation unless the row is
+  // already known, records first-derivation provenance, and enforces the
+  // exact fact budget.
   bool InsertInline(const std::vector<ValueId>& row,
                     const std::vector<FactKey>* premises) {
     const InlineTarget& t = target_;
-    if (t.check_known && (t.head->full->Contains(row.data()) ||
-                          t.head->delta->Contains(row.data()))) {
-      return true;
-    }
+    if (on_derivation_ != nullptr) (*on_derivation_)(t.rule, row, *premises);
+    if (t.check_known && Known(*t.head, row.data())) return true;
     if (!t.rel->Insert(row)) return true;
     if (opts_.eval.track_provenance) {
       result_.mutable_provenance()->Record(
@@ -280,7 +318,8 @@ class SemiNaiveEngine {
     target_ = InlineTarget{rule, &preds_.at(rules_[rule].head().predicate),
                            target, check_known};
     FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-        rules_[rule], &db_->store(), views, opts_.eval.track_provenance,
+        rules_[rule], &db_->store(), views,
+        opts_.eval.track_provenance || on_derivation_ != nullptr,
         &rule_stats_[rule], inline_sink_));
     return sink_status_;
   }
@@ -307,17 +346,7 @@ class SemiNaiveEngine {
   Status DrainTaskResults(std::vector<TaskResult>* results) {
     for (TaskResult& r : *results) {
       FACTLOG_RETURN_IF_ERROR(r.status);
-      JoinStats& js = rule_stats_[r.rule];
-      js.rows_matched += r.stats.rows_matched;
-      js.instantiations += r.stats.instantiations;
-      if (js.lit_probes.size() < r.stats.lit_probes.size()) {
-        js.lit_probes.resize(r.stats.lit_probes.size(), 0);
-        js.lit_matched.resize(r.stats.lit_probes.size(), 0);
-      }
-      for (size_t k = 0; k < r.stats.lit_probes.size(); ++k) {
-        js.lit_probes[k] += r.stats.lit_probes[k];
-        js.lit_matched[k] += r.stats.lit_matched[k];
-      }
+      rule_stats_[r.rule].Add(r.stats);
     }
     if (budget_tripped_.load(std::memory_order_acquire)) {
       return BudgetExceeded();
@@ -383,6 +412,7 @@ class SemiNaiveEngine {
     std::vector<TaskResult> results(tasks.size());
     iteration_base_ = TotalIdbFacts();
     new_rows_.store(0, std::memory_order_relaxed);
+    single_task_ = tasks.size() == 1;
     pool_->ParallelFor(tasks.size(), [&](size_t t) {
       RunSeedTask(tasks[t], &results[t]);
     });
@@ -442,21 +472,24 @@ class SemiNaiveEngine {
 
   // The worker side of a pooled task: enumerates rule `rule` over `views`
   // into a thread-local buffer sharded like `target` (skipping rows already
-  // in the head's full/delta extent when `check_known`), then merges the
-  // buffer into `target` shard-to-shard under the head's shard locks.
+  // known for the head when `check_known`), then merges the buffer into
+  // `target` shard-to-shard under the head's shard locks. A task that runs
+  // alone (ParallelFor runs it on the calling thread) has `target` to itself
+  // and inserts into it directly.
   void EnumerateBuffered(size_t rule, const std::vector<RelationView>& views,
                          PredState* head, Relation* target, bool check_known,
                          TaskResult* result) {
-    Relation buffer(target->arity(), target->storage_options());
+    std::optional<Relation> local;
+    if (!single_task_) {
+      local.emplace(target->arity(), target->storage_options());
+    }
+    Relation& buffer = local.has_value() ? *local : *target;
     result->status = EnumerateRule(
         rules_[rule], &db_->store(), views, /*track_premises=*/false,
         &result->stats,
         [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
           if (cancelled_.load(std::memory_order_relaxed)) return false;
-          if (check_known && (head->full->Contains(row.data()) ||
-                              head->delta->Contains(row.data()))) {
-            return true;
-          }
+          if (check_known && Known(*head, row.data())) return true;
           if (buffer.Insert(row) && BudgetTripped()) return false;
           return true;
         });
@@ -464,7 +497,7 @@ class SemiNaiveEngine {
       cancelled_.store(true, std::memory_order_release);
       return;
     }
-    if (buffer.empty()) return;
+    if (!local.has_value() || buffer.empty()) return;
     MergeBufferLocked(target, buffer, head->shard_locks.get());
   }
 
@@ -573,7 +606,9 @@ class SemiNaiveEngine {
         for (const auto& [name, st] : preds_) {
           popts.delta_preds.insert(name);
           popts.delta_hints[name] = static_cast<double>(st.delta->size());
-          popts.extent_hints[name] = st.full->size() + st.delta->size();
+          popts.extent_hints[name] =
+              st.full->size() + st.delta->size() +
+              (st.stored != nullptr ? st.stored->size() : 0);
         }
         popts_ready = true;
       }
@@ -605,9 +640,9 @@ class SemiNaiveEngine {
     }
     if (!replanned) return;
     // Shard routing follows the new plans.
-    for (const std::string& p : idb_preds_) {
-      std::vector<int> want = PartitionCols(p);
-      if (!want.empty()) Repartition(&preds_.at(p), want);
+    for (auto& [name, st] : preds_) {
+      std::vector<int> want = PartitionCols(name);
+      if (!want.empty()) Repartition(&st, want);
     }
   }
 
@@ -659,6 +694,7 @@ class SemiNaiveEngine {
         }
         const Relation* delta = preds_.at(lit_j.predicate).delta.get();
         if (delta->empty()) continue;
+        ++result_.mutable_stats()->delta_passes;
         views_.clear();
         for (size_t k = 0; k < body.size(); ++k) {
           views_.push_back(ViewFor(i, j, k, delta));
@@ -707,7 +743,7 @@ class SemiNaiveEngine {
           RelationView dview = ViewFor(i, j, pass.driver_pos, nullptr);
           const bool index_driver =
               !shared_edb || IsIdb(rule.body()[pass.driver_pos].predicate);
-          Relation* members[2] = {dview.first, dview.second};
+          Relation* members[3] = {dview.first, dview.second, dview.third};
           size_t total = 0;
           for (Relation* m : members) {
             if (m != nullptr) total += m->size();
@@ -760,11 +796,13 @@ class SemiNaiveEngine {
         if (cols.empty()) continue;
         if (shared_edb && !IsIdb(rule.body()[k].predicate)) continue;
         RelationView view = ViewFor(pass.rule, pass.occ, k, nullptr);
-        if (view.first != nullptr) view.first->EnsureIndex(cols);
-        if (view.second != nullptr) view.second->EnsureIndex(cols);
+        for (Relation* r : {view.first, view.second, view.third}) {
+          if (r != nullptr) r->EnsureIndex(cols);
+        }
       }
     }
 
+    result_.mutable_stats()->delta_passes += passes.size();
     std::vector<TaskRef> tasks;
     for (size_t p = 0; p < passes.size(); ++p) {
       size_t parts = passes[p].by_driver ? passes[p].driver_parts.size()
@@ -778,6 +816,7 @@ class SemiNaiveEngine {
     std::vector<TaskResult> results(tasks.size());
     iteration_base_ = TotalIdbFacts();
     new_rows_.store(0, std::memory_order_relaxed);
+    single_task_ = tasks.size() == 1;
     pool_->ParallelFor(tasks.size(), [&](size_t t) {
       RunTask(passes, tasks[t], &results[t]);
     });
@@ -793,6 +832,7 @@ class SemiNaiveEngine {
     }
     stats->probe_observations = std::move(probe_obs_);
     for (auto& [name, st] : preds_) {
+      if (st.input) continue;
       if (st.delta_rounds > 0) {
         stats->observed_delta_mean[name] =
             static_cast<double>(st.delta_sum) /
@@ -815,8 +855,9 @@ class SemiNaiveEngine {
   // No pool (or a width-0 one): every pass runs on the calling thread and
   // inserts straight into next.
   const bool inline_;
+  const std::map<std::string, SeedExtent>* seeds_;
+  const DerivationCallback* on_derivation_;
 
-  std::set<std::string> idb_preds_;
   std::map<std::string, PredState> preds_;
   plan::ProgramPlan plan_;
   std::vector<CompiledRule> rules_;
@@ -840,6 +881,7 @@ class SemiNaiveEngine {
   std::atomic<uint64_t> new_rows_{0};
   uint64_t iteration_base_ = 0;
   uint64_t budget_trip_ = 0;
+  bool single_task_ = false;  // this batch is one task, run by the caller
 };
 
 }  // namespace
@@ -850,7 +892,17 @@ Result<EvalResult> EvaluateParallel(const ast::Program& program, Database* db,
   if (opts.eval.strategy == eval::Strategy::kNaive) {
     return eval::Evaluate(program, db, opts.eval);
   }
-  SemiNaiveEngine engine(program, db, pool, opts);
+  SemiNaiveEngine engine(program, db, pool, opts, nullptr, nullptr);
+  return engine.Run();
+}
+
+Result<EvalResult> EvaluateSeeded(
+    const ast::Program& program, Database* db, ThreadPool* pool,
+    const ParallelEvalOptions& opts,
+    const std::map<std::string, SeedExtent>& seeds,
+    const DerivationCallback& on_derivation) {
+  SemiNaiveEngine engine(program, db, pool, opts, &seeds,
+                         on_derivation ? &on_derivation : nullptr);
   return engine.Run();
 }
 

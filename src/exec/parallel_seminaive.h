@@ -42,6 +42,12 @@
 // fact budget checked per insert, and first-derivation provenance recorded
 // when asked. eval::Evaluate's semi-naive strategy is this inline run.
 //
+// EvaluateSeeded enters the same fixpoint mid-way (incremental maintenance,
+// src/inc): each seeded predicate's stored extent joins its views as the
+// third union member and both sinks' known-row checks, so round 1 is the
+// occurrence decomposition of the seed deltas. Its derivation callback, like
+// provenance, needs an inline run.
+//
 // Fact sets, iteration counts and head instantiation counts are identical
 // with and without a pool at any thread and shard count and at any join
 // order (set semantics make the fixpoint confluent; a complete body match
@@ -53,9 +59,15 @@
 #ifndef FACTLOG_EXEC_PARALLEL_SEMINAIVE_H_
 #define FACTLOG_EXEC_PARALLEL_SEMINAIVE_H_
 
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "ast/program.h"
 #include "common/status.h"
 #include "eval/database.h"
+#include "eval/rule_eval.h"
 #include "eval/seminaive.h"
 #include "exec/thread_pool.h"
 
@@ -81,6 +93,34 @@ struct ParallelEvalOptions {
 Result<eval::EvalResult> EvaluateParallel(
     const ast::Program& program, eval::Database* db, ThreadPool* pool,
     const ParallelEvalOptions& opts = ParallelEvalOptions());
+
+/// Where one predicate of a seeded evaluation starts: the rows it already
+/// holds (read, and inline maybe indexed, never written; null = none) and
+/// its round-1 delta (copied in; null = empty; disjoint from `stored`).
+struct SeedExtent {
+  eval::Relation* stored = nullptr;
+  const eval::Relation* delta = nullptr;
+};
+
+/// Receives every rule instantiation of a seeded run, before the engine
+/// checks whether its head is new: the rule's index in the program, the head
+/// row, and the body facts in source order.
+using DerivationCallback =
+    std::function<void(size_t rule, const std::vector<eval::ValueId>& head,
+                       const std::vector<eval::FactKey>& premises)>;
+
+/// Continues the semi-naive fixpoint of `program` from `seeds`: the EDB-only
+/// rules do not run, other head predicates start empty, and predicates
+/// neither seeded nor heads are read from `db`. The result holds, per head
+/// predicate, the rows derived beyond its stored extent; seeded predicates
+/// no rule defines are input, neither counted against `max_facts` nor
+/// returned. `on_derivation` needs an inline run (null or width-0 `pool`),
+/// else the call fails with kInvalidArgument.
+Result<eval::EvalResult> EvaluateSeeded(
+    const ast::Program& program, eval::Database* db, ThreadPool* pool,
+    const ParallelEvalOptions& opts,
+    const std::map<std::string, SeedExtent>& seeds,
+    const DerivationCallback& on_derivation = nullptr);
 
 /// Convenience: EvaluateParallel + ExtractAnswers. When `stats_out` is
 /// non-null the evaluation statistics are copied there.

@@ -19,6 +19,7 @@ using eval::LitKind;
 using eval::Relation;
 using eval::RelationView;
 using eval::DerivationEdgeStore;
+using eval::FactKey;
 using eval::ValueId;
 
 Status PoisonedError() {
@@ -129,12 +130,6 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
     FACTLOG_ASSIGN_OR_RETURN(
         CompiledRule cr,
         CompiledRule::Compile(r, &db_->store(), &plan_.rules[i]));
-    // The compiled body is in plan order; the plan's declared index
-    // requirements are the probe keys the delta passes pre-build.
-    plan_cols_.emplace_back();
-    for (const plan::LiteralPlan& lp : plan_.rules[i].order) {
-      plan_cols_.back().push_back(lp.index_cols);
-    }
     rules_.push_back(std::move(cr));
     pred_info_[r.head().predicate()].rules.push_back(i);
   }
@@ -145,11 +140,21 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
   const analysis::DependencyGraph graph =
       analysis::DependencyGraph::Build(program_);
   analysis::SccCondensation condensation = graph.Condense();
-  for (std::vector<std::string>& scc : condensation.sccs) {
-    if (!IsIdb(scc.front())) continue;
-    const bool recursive =
-        scc.size() > 1 || graph.edges().at(scc.front()).count(scc.front()) > 0;
-    for (const std::string& p : scc) pred_info_[p].recursive = recursive;
+  for (std::vector<std::string>& preds : condensation.sccs) {
+    if (!IsIdb(preds.front())) continue;
+    Scc scc;
+    scc.recursive = preds.size() > 1 ||
+                    graph.edges().at(preds.front()).count(preds.front()) > 0;
+    for (const std::string& p : preds) {
+      pred_info_[p].recursive = scc.recursive;
+      if (!scc.recursive) continue;
+      for (size_t ri : pred_info_[p].rules) {
+        scc.program.AddRule(program_.rules()[ri]);
+        scc.plan.rules.push_back(plan_.rules[ri]);
+        scc.rules.push_back(ri);
+      }
+    }
+    scc.preds = std::move(preds);
     sccs_.push_back(std::move(scc));
   }
 
@@ -280,7 +285,7 @@ Status MaterializedView::RebuildSupportCounts() {
       JoinStats js;
       FACTLOG_RETURN_IF_ERROR(EnumerateRule(
           rule, &db_->store(), FullViews(rule), /*track_premises=*/false, &js,
-          [&](const std::vector<ValueId>& row, const std::vector<eval::FactKey>*) {
+          [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
             rel->AddSupport(row.data(), 1);
             return true;
           }));
@@ -309,8 +314,8 @@ Status MaterializedView::RebuildDerivationEdges() {
       FACTLOG_RETURN_IF_ERROR(EnumerateRule(
           rule, &db_->store(), FullViews(rule), /*track_premises=*/true, &js,
           [&](const std::vector<ValueId>& row,
-              const std::vector<eval::FactKey>* premises) {
-            RecordEdge(p, row, ri, premises);
+              const std::vector<FactKey>* premises) {
+            RecordEdge(p, row, ri, *premises);
             return true;
           }));
       if (edges_overflowed_) break;
@@ -328,13 +333,13 @@ Status MaterializedView::RebuildDerivationEdges() {
 void MaterializedView::RecordEdge(const std::string& pred,
                                   const std::vector<ValueId>& row,
                                   size_t rule_index,
-                                  const std::vector<eval::FactKey>* premises) {
-  if (edges_ == nullptr || edges_overflowed_ || premises == nullptr) return;
+                                  const std::vector<FactKey>& premises) {
+  if (edges_ == nullptr || edges_overflowed_) return;
   DerivationEdgeStore::FactId head =
       edges_->InternFact(pred, row.data(), row.size());
   std::vector<DerivationEdgeStore::FactId> prems;
-  prems.reserve(premises->size());
-  for (const eval::FactKey& pk : *premises) {
+  prems.reserve(premises.size());
+  for (const FactKey& pk : premises) {
     prems.push_back(edges_->InternFact(pk.predicate, pk.row.data(),
                                        pk.row.size()));
   }
@@ -405,7 +410,7 @@ Result<std::string> MaterializedView::Explain(const ast::Atom& fact) {
     return render("   [not in the current state]");
   }
   if (edges_ != nullptr) {
-    eval::FactKey key{pred, row};
+    FactKey key{pred, row};
     if (edges_->FindFact(pred, row.data(), row.size()) !=
         DerivationEdgeStore::kNoFact) {
       return DerivationTreeToString(BuildDerivationTree(*edges_, key),
@@ -460,9 +465,9 @@ Relation* MaterializedView::CurrentRel(const std::string& pred) {
   return db_->Find(pred);
 }
 
-bool MaterializedView::SccAffected(const std::vector<std::string>& scc,
+bool MaterializedView::SccAffected(const Scc& scc,
                                    const DeltaMap& delta) const {
-  for (const std::string& p : scc) {
+  for (const std::string& p : scc.preds) {
     for (size_t ri : pred_info_.at(p).rules) {
       for (const CompiledAtom& lit : rules_[ri].body()) {
         if (lit.kind != LitKind::kRelation) continue;
@@ -501,30 +506,68 @@ std::vector<RelationView> MaterializedView::OccurrenceViews(
   return views;
 }
 
-uint64_t MaterializedView::InFlight(
-    const std::vector<std::unique_ptr<Relation>>& owned) const {
-  uint64_t n = 0;
-  for (const auto& d : owned) n += d->size();
-  return n;
-}
-
-void MaterializedView::FoldJoinStats(size_t rule_index,
-                                     const JoinStats& js) {
-  JoinStats& target = rule_join_stats_[rule_index];
-  target.rows_matched += js.rows_matched;
-  target.instantiations += js.instantiations;
-  if (target.lit_probes.size() < js.lit_probes.size()) {
-    target.lit_probes.resize(js.lit_probes.size(), 0);
-    target.lit_matched.resize(js.lit_probes.size(), 0);
+Result<eval::EvalResult> MaterializedView::EvaluateScc(
+    const Scc& scc, const std::map<std::string, exec::SeedExtent>* seeds,
+    const std::vector<std::unique_ptr<Relation>>& owned) {
+  // The budget covers the maintained IDB and the deltas in flight. A
+  // from-scratch run replaces the SCC's rows, so those are not counted.
+  uint64_t in_use = total_facts();
+  for (const auto& d : owned) in_use += d->size();
+  if (seeds == nullptr) {
+    for (const std::string& p : scc.preds) in_use -= result_.Find(p)->size();
   }
-  for (size_t k = 0; k < js.lit_probes.size(); ++k) {
-    target.lit_probes[k] += js.lit_probes[k];
-    target.lit_matched[k] += js.lit_matched[k];
+  exec::ParallelEvalOptions popts;
+  popts.eval = opts_.eval;
+  popts.eval.strategy = eval::Strategy::kSemiNaive;
+  popts.eval.shared_edb = false;
+  popts.eval.program_plan = &scc.plan;
+  popts.eval.replan_threshold = 0;  // maintenance keeps the view's plans
+  popts.eval.max_facts =
+      in_use >= opts_.eval.max_facts ? 0 : opts_.eval.max_facts - in_use;
+  popts.min_rows_to_partition = opts_.min_rows_to_partition;
+  // Every relation the rules read outside the SCC (EDB and lower strata),
+  // aliased without copying: the view and its database outlive the run.
+  eval::Database inputs(db_->shared_store(), db_->storage_options());
+  for (const ast::Rule& rule : scc.program.rules()) {
+    for (const ast::Atom& lit : rule.body()) {
+      const std::string& p = lit.predicate();
+      Relation* rel = CurrentRel(p);
+      if (rel == nullptr || std::find(scc.preds.begin(), scc.preds.end(), p) !=
+                                scc.preds.end()) {
+        continue;
+      }
+      inputs.PutRelation(
+          p, std::shared_ptr<Relation>(std::shared_ptr<Relation>(), rel));
+    }
   }
+  // Every instantiation of a seeded run is a derivation of its head (novel
+  // rows and alternate derivations of known rows alike): while the store is
+  // live, record each one — on the calling thread, so the run is inline.
+  exec::DerivationCallback on_derivation;
+  if (seeds != nullptr && edges_ != nullptr) {
+    on_derivation = [&](size_t i, const std::vector<ValueId>& row,
+                        const std::vector<FactKey>& premises) {
+      RecordEdge(scc.program.rules()[i].head().predicate(), row, scc.rules[i],
+                 premises);
+    };
+  }
+  exec::ThreadPool* pool = on_derivation ? nullptr : opts_.pool;
+  Result<eval::EvalResult> result =
+      seeds == nullptr
+          ? exec::EvaluateParallel(scc.program, &inputs, pool, popts)
+          : exec::EvaluateSeeded(scc.program, &inputs, pool, popts, *seeds,
+                                 on_derivation);
+  if (result.ok()) {
+    stats_.delta_passes += result->stats().delta_passes;
+    const auto& obs = result->stats().probe_observations;
+    scc_observations_.insert(scc_observations_.end(), obs.begin(), obs.end());
+  }
+  return result;
 }
 
 std::vector<plan::ProbeObservation> MaterializedView::DrainObservations() {
-  std::vector<plan::ProbeObservation> out;
+  std::vector<plan::ProbeObservation> out = std::move(scc_observations_);
+  scc_observations_.clear();
   for (size_t i = 0; i < rules_.size(); ++i) {
     eval::DrainProbeObservations(rules_[i], plan_.rules[i],
                                  &rule_join_stats_[i], &out);
@@ -534,58 +577,43 @@ std::vector<plan::ProbeObservation> MaterializedView::DrainObservations() {
 
 // ------------------------------------------------------------- delta passes --
 
-bool MaterializedView::PreparePass(size_t rule_index,
-                                   std::vector<RelationView>* views,
-                                   size_t occ, const Relation* delta) {
-  bool parallel = opts_.pool != nullptr && delta->shard_count() > 1 &&
-                  delta->size() >= opts_.min_rows_to_partition;
-  if (!parallel) return false;
-  // Pre-build every index a worker could probe (the plan's declared index
-  // requirements), then freeze the views: inside the parallel region only
-  // the const read path runs.
-  const std::vector<std::vector<int>>& cols = plan_cols_[rule_index];
-  for (size_t k = 0; k < views->size(); ++k) {
-    if (k == occ) continue;
-    RelationView& view = (*views)[k];
-    if (!cols[k].empty()) {
-      for (Relation* r : {view.first, view.second, view.third}) {
-        if (r != nullptr) r->EnsureIndex(cols[k]);
-      }
-    }
-    view.shared = true;
-  }
-  if (!cols[occ].empty()) {
-    const_cast<Relation*>(delta)->EnsureShardIndexes(cols[occ]);
-  }
-  return true;
-}
-
 Status MaterializedView::RunPassCollect(size_t rule_index,
                                         std::vector<RelationView> views,
                                         size_t occ, const Relation* delta,
-                                        bool premises, const RowSink& apply) {
+                                        const RowSink& apply) {
   if (delta == nullptr || delta->empty()) return Status::OK();
   ++stats_.delta_passes;
   const CompiledRule& rule = rules_[rule_index];
-  if (!PreparePass(rule_index, &views, occ, delta)) {
+  JoinStats& js = rule_join_stats_[rule_index];
+  if (opts_.pool == nullptr || delta->shard_count() == 1 ||
+      delta->size() < opts_.min_rows_to_partition) {
     views[occ] = RelationView{const_cast<Relation*>(delta), nullptr};
-    JoinStats js;
-    Status st = EnumerateRule(
-        rule, &db_->store(), views, premises, &js,
-        [&](const std::vector<ValueId>& row,
-            const std::vector<eval::FactKey>* prem) {
-          apply(row, prem);
+    return EnumerateRule(
+        rule, &db_->store(), views, /*track_premises=*/false, &js,
+        [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
+          apply(row);
           return true;
         });
-    FoldJoinStats(rule_index, js);
-    return st;
   }
-  // One task per delta shard; workers only collect (multiplicity preserved,
-  // premises carried by value when the pass tracks them), the calling thread
-  // applies, so sinks stay free of synchronization.
+  // Pre-build every index a worker could probe (the plan's declared index
+  // requirements; the compiled body is in plan order), then freeze the
+  // views: inside the parallel region only the const read path runs.
+  const std::vector<plan::LiteralPlan>& order = plan_.rules[rule_index].order;
+  for (size_t k = 0; k < views.size(); ++k) {
+    const std::vector<int>& cols = order[k].index_cols;
+    if (k == occ) {
+      if (!cols.empty()) const_cast<Relation*>(delta)->EnsureShardIndexes(cols);
+      continue;
+    }
+    for (Relation* r : {views[k].first, views[k].second, views[k].third}) {
+      if (r != nullptr && !cols.empty()) r->EnsureIndex(cols);
+    }
+    views[k].shared = true;
+  }
+  // One task per delta shard; workers only collect (multiplicity preserved),
+  // the calling thread applies, so sinks stay free of synchronization.
   const size_t shards = delta->shard_count();
   std::vector<std::vector<std::vector<ValueId>>> collected(shards);
-  std::vector<std::vector<std::vector<eval::FactKey>>> collected_prem(shards);
   std::vector<Status> statuses(shards, Status::OK());
   std::vector<JoinStats> shard_js(shards);
   opts_.pool->ParallelFor(shards, [&](size_t s) {
@@ -595,21 +623,16 @@ Status MaterializedView::RunPassCollect(size_t rule_index,
     wviews[occ] = RelationView{const_cast<Relation*>(&extent), nullptr,
                                /*shared=*/true};
     statuses[s] = EnumerateRule(
-        rule, &db_->store(), wviews, premises, &shard_js[s],
-        [&](const std::vector<ValueId>& row,
-            const std::vector<eval::FactKey>* prem) {
+        rule, &db_->store(), wviews, /*track_premises=*/false, &shard_js[s],
+        [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
           collected[s].push_back(row);
-          if (prem != nullptr) collected_prem[s].push_back(*prem);
           return true;
         });
   });
-  for (const JoinStats& js : shard_js) FoldJoinStats(rule_index, js);
+  for (const JoinStats& sj : shard_js) js.Add(sj);
   for (const Status& st : statuses) FACTLOG_RETURN_IF_ERROR(st);
-  for (size_t s = 0; s < shards; ++s) {
-    for (size_t i = 0; i < collected[s].size(); ++i) {
-      apply(collected[s][i],
-            premises ? &collected_prem[s][i] : nullptr);
-    }
+  for (const auto& rows : collected) {
+    for (const std::vector<ValueId>& row : rows) apply(row);
   }
   return Status::OK();
 }
@@ -635,11 +658,11 @@ Status MaterializedView::PropagateInsert(const std::string& pred,
   DeltaMap delta;
   delta[pred] = &edb_delta;
   std::vector<std::unique_ptr<Relation>> owned;
-  for (const std::vector<std::string>& scc : sccs_) {
+  for (const Scc& scc : sccs_) {
     if (!SccAffected(scc, delta)) continue;
-    Status st = pred_info_.at(scc.front()).recursive
-                    ? InsertRecursive(scc, &delta, &owned)
-                    : InsertCounting(scc.front(), &delta, &owned);
+    Status st = scc.recursive ? InsertRecursive(scc, &delta, &owned)
+                              : InsertCounting(scc.preds.front(), &delta,
+                                               &owned);
     FACTLOG_RETURN_IF_ERROR(st);
   }
   // Apply: every maintained relation stayed in its old state (so the union
@@ -679,9 +702,7 @@ Status MaterializedView::InsertCounting(
       // instantiation is one new derivation.
       FACTLOG_RETURN_IF_ERROR(RunPassCollect(
           ri, OccurrenceViews(rule, j, *delta, /*delta_before=*/true), j,
-          dj->second, /*premises=*/false,
-          [&](const std::vector<ValueId>& row,
-              const std::vector<eval::FactKey>*) {
+          dj->second, [&](const std::vector<ValueId>& row) {
             ++stats_.support_updates;
             if (rel->Contains(row.data())) {
               rel->AddSupport(row.data(), 1);  // count-only: row set unchanged
@@ -699,149 +720,25 @@ Status MaterializedView::InsertCounting(
 }
 
 Status MaterializedView::InsertRecursive(
-    const std::vector<std::string>& scc, DeltaMap* delta,
+    const Scc& scc, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
-  std::set<std::string> in_scc(scc.begin(), scc.end());
-  // acc = facts new this propagation (the eventual outward delta), cur = the
-  // current fixpoint delta. Both sharded like the maintained relation, so
-  // passes driven by cur fan out per shard and Absorb copies shard-to-shard.
-  SccRelations acc, cur;
-  for (const std::string& p : scc) {
-    Relation* rel = result_.Find(p);
-    acc[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-    cur[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
+  // The members start at their stored (old) extent with an empty delta;
+  // every lower predicate with a pending delta starts at its current (old)
+  // extent with that delta. Round 1 then applies the lower deltas one
+  // occurrence at a time against the old SCC, and the later rounds cover
+  // every instantiation involving a new SCC fact.
+  std::map<std::string, exec::SeedExtent> seeds;
+  for (const std::string& p : scc.preds) seeds[p].stored = result_.Find(p);
+  for (const auto& [p, d] : *delta) {
+    if (!d->empty()) seeds.emplace(p, exec::SeedExtent{CurrentRel(p), d});
   }
-
-  // Seed: apply the lower-stratum deltas one occurrence at a time while the
-  // SCC's own extents sit at their old state; the fixpoint then covers every
-  // instantiation involving a new SCC fact.
-  for (const std::string& p : scc) {
-    for (size_t ri : pred_info_.at(p).rules) {
-      const CompiledRule& rule = rules_[ri];
-      for (size_t j = 0; j < rule.body().size(); ++j) {
-        const CompiledAtom& lit_j = rule.body()[j];
-        if (lit_j.kind != LitKind::kRelation) continue;
-        if (in_scc.count(lit_j.predicate) > 0) continue;
-        auto dj = delta->find(lit_j.predicate);
-        if (dj == delta->end() || dj->second->empty()) continue;
-        // No SCC predicate is in the delta map yet, so SCC literals read
-        // their old state. Every instantiation is a new derivation of its
-        // head (novel rows and alternate derivations of known rows alike):
-        // record it when the store is live, keep the novel rows.
-        Relation* base = result_.Find(p);
-        Relation* target = cur[p].get();
-        FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-            ri, OccurrenceViews(rule, j, *delta, /*delta_before=*/true), j,
-            dj->second, /*premises=*/edges_ != nullptr,
-            [&](const std::vector<ValueId>& row,
-                const std::vector<eval::FactKey>* prem) {
-              RecordEdge(p, row, ri, prem);
-              if (!base->Contains(row.data())) target->Insert(row);
-            }));
-      }
-    }
-  }
-
-  // Non-SCC literals sit at their new state: stored ∪ Δ.
-  FACTLOG_RETURN_IF_ERROR(SemiNaiveScc(scc, *delta, &acc, &cur, *owned));
-  for (const std::string& p : scc) {
-    if (acc[p]->empty()) continue;
-    (*delta)[p] = acc[p].get();
-    owned->push_back(std::move(acc[p]));
-  }
-  return Status::OK();
-}
-
-Status MaterializedView::SemiNaiveScc(
-    const std::vector<std::string>& scc, const DeltaMap& outer,
-    SccRelations* acc, SccRelations* cur,
-    const std::vector<std::unique_ptr<Relation>>& owned) {
-  std::set<std::string> in_scc(scc.begin(), scc.end());
-  SccRelations nxt;
-  for (const std::string& p : scc) {
-    nxt[p] = std::make_unique<Relation>((*acc)[p]->arity(),
-                                        (*acc)[p]->storage_options());
-  }
-  // SCC literals before the occurrence see this round's view (stored ∪ acc ∪
-  // cur — the three-way union), after it last round's.
-  uint64_t iterations = 0;
-  while (true) {
-    bool any = false;
-    for (const std::string& p : scc) {
-      if (!(*cur)[p]->empty()) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) break;
-    if (++iterations > opts_.eval.max_iterations) {
-      return Status::ResourceExhausted(
-          "iteration budget exceeded during incremental maintenance");
-    }
-    for (const std::string& p : scc) {
-      for (size_t ri : pred_info_.at(p).rules) {
-        const CompiledRule& rule = rules_[ri];
-        for (size_t j = 0; j < rule.body().size(); ++j) {
-          const CompiledAtom& lit_j = rule.body()[j];
-          if (lit_j.kind != LitKind::kRelation) continue;
-          if (in_scc.count(lit_j.predicate) == 0) continue;
-          const Relation* driving = (*cur)[lit_j.predicate].get();
-          if (driving->empty()) continue;
-          std::vector<RelationView> views;
-          views.reserve(rule.body().size());
-          for (size_t k = 0; k < rule.body().size(); ++k) {
-            const CompiledAtom& lit = rule.body()[k];
-            if (lit.kind != LitKind::kRelation || k == j) {
-              views.push_back(RelationView{});
-              continue;
-            }
-            if (in_scc.count(lit.predicate) > 0) {
-              Relation* base = result_.Find(lit.predicate);
-              Relation* a = (*acc)[lit.predicate].get();
-              views.push_back(
-                  k < j ? RelationView{base, a, false,
-                                       (*cur)[lit.predicate].get()}
-                        : RelationView{base, a});
-              continue;
-            }
-            Relation* c = CurrentRel(lit.predicate);
-            auto dk = outer.find(lit.predicate);
-            Relation* d = dk != outer.end()
-                              ? const_cast<Relation*>(dk->second)
-                              : nullptr;
-            views.push_back(RelationView{c, d});
-          }
-          Relation* base = result_.Find(p);
-          Relation* a = (*acc)[p].get();
-          Relation* c = (*cur)[p].get();
-          Relation* target = nxt[p].get();
-          FACTLOG_RETURN_IF_ERROR(RunPassCollect(
-              ri, std::move(views), j, driving,
-              /*premises=*/edges_ != nullptr,
-              [&](const std::vector<ValueId>& row,
-                  const std::vector<eval::FactKey>* prem) {
-                RecordEdge(p, row, ri, prem);
-                if (!base->Contains(row.data()) && !a->Contains(row.data()) &&
-                    !c->Contains(row.data())) {
-                  target->Insert(row);
-                }
-              }));
-        }
-      }
-    }
-    // acc += cur; cur = nxt; nxt = the old cur, cleared (Clear keeps the
-    // dedup capacity for the next round).
-    uint64_t extra = 0;
-    for (const std::string& p : scc) {
-      (*acc)[p]->Absorb(*(*cur)[p]);
-      std::swap((*cur)[p], nxt[p]);
-      nxt[p]->Clear();
-      extra += (*acc)[p]->size() + (*cur)[p]->size();
-    }
-    if (total_facts() + InFlight(owned) + extra > opts_.eval.max_facts) {
-      return Status::ResourceExhausted(
-          "fact budget exceeded during incremental maintenance");
-    }
+  FACTLOG_ASSIGN_OR_RETURN(eval::EvalResult result,
+                           EvaluateScc(scc, &seeds, *owned));
+  for (const std::string& p : scc.preds) {
+    std::unique_ptr<Relation>& gained = (*result.mutable_idb())[p];
+    if (gained == nullptr || gained->empty()) continue;
+    (*delta)[p] = gained.get();
+    owned->push_back(std::move(gained));
   }
   return Status::OK();
 }
@@ -869,11 +766,11 @@ Status MaterializedView::PropagateDelete(const std::string& pred,
   DeltaMap delta;
   delta[pred] = &edb_delta;
   std::vector<std::unique_ptr<Relation>> owned;
-  for (const std::vector<std::string>& scc : sccs_) {
+  for (const Scc& scc : sccs_) {
     if (!SccAffected(scc, delta)) continue;
-    Status st = pred_info_.at(scc.front()).recursive
-                    ? DeleteRecursive(scc, &delta, &owned)
-                    : DeleteCounting(scc.front(), &delta, &owned);
+    Status st = scc.recursive ? DeleteRecursive(scc, &delta, &owned)
+                              : DeleteCounting(scc.preds.front(), &delta,
+                                               &owned);
     FACTLOG_RETURN_IF_ERROR(st);
   }
   stats_.deletes_applied += edb_delta.size();
@@ -884,9 +781,10 @@ Status MaterializedView::DeleteCounting(
     const std::string& pred, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
   Relation* rel = result_.Find(pred);
-  // Lost derivations with multiplicity: before j new ({stored}), j at the
-  // deleted rows, after j old ({stored, deleted}).
-  std::map<std::vector<ValueId>, int64_t> lost;
+  // Lost derivations with multiplicity, one support per instantiation:
+  // before j new ({stored}), j at the deleted rows, after j old ({stored,
+  // deleted}).
+  Relation lost(rel->arity(), rel->storage_options());
   for (size_t ri : pred_info_.at(pred).rules) {
     const CompiledRule& rule = rules_[ri];
     for (size_t j = 0; j < rule.body().size(); ++j) {
@@ -896,16 +794,18 @@ Status MaterializedView::DeleteCounting(
       if (dj == delta->end() || dj->second->empty()) continue;
       FACTLOG_RETURN_IF_ERROR(RunPassCollect(
           ri, OccurrenceViews(rule, j, *delta, /*delta_before=*/false), j,
-          dj->second, /*premises=*/false,
-          [&](const std::vector<ValueId>& row,
-              const std::vector<eval::FactKey>*) { ++lost[row]; }));
+          dj->second, [&](const std::vector<ValueId>& row) {
+            lost.AddSupport(row.data(), 1);
+          }));
     }
   }
   if (lost.empty()) return Status::OK();
   auto dp = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-  for (const auto& [row, count] : lost) {
+  for (size_t r = 0; r < lost.size(); ++r) {
+    const ValueId* row = lost.row(r);
+    const int64_t count = lost.SupportOf(row);
     stats_.support_updates += static_cast<uint64_t>(count);
-    if (rel->AddSupport(row.data(), -count) == 0) {
+    if (rel->AddSupport(row, -count) == 0) {
       dp->Insert(row);
       ++stats_.idb_deleted;
     }
@@ -919,7 +819,7 @@ Status MaterializedView::DeleteCounting(
 }
 
 Status MaterializedView::DeleteRecursive(
-    const std::vector<std::string>& scc, DeltaMap* delta,
+    const Scc& scc, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
   // Slice deletion along recorded derivation edges whenever the store is
   // live. Without it (tracking disabled, or the store was dropped over
@@ -930,48 +830,22 @@ Status MaterializedView::DeleteRecursive(
   if (edges_ != nullptr && !edges_overflowed_) {
     return DeleteRecursiveSliced(scc, delta, owned);
   }
-  // 1. Set the old extents aside and clear each relation in place (a fresh
-  // Relation object could reuse the version FrozenAnswer cached against).
-  SccRelations old, acc, cur;
-  for (const std::string& p : scc) {
+  FACTLOG_ASSIGN_OR_RETURN(eval::EvalResult result,
+                           EvaluateScc(scc, nullptr, *owned));
+  // Deleting never adds facts, so new ⊆ old: erase old − new in place (a
+  // fresh Relation object could reuse the version FrozenAnswer cached
+  // against) and emit it as the SCC's outward delta.
+  for (const std::string& p : scc.preds) {
     Relation* rel = result_.Find(p);
-    old[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-    old[p]->Absorb(*rel);
-    rel->Clear();
-    acc[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-    cur[p] = std::make_unique<Relation>(rel->arity(), rel->storage_options());
-  }
-  // 2. Seed: every SCC rule once over the current extents. The SCC's own
-  // literals are empty, so only the exit rules produce rows.
-  for (const std::string& p : scc) {
-    Relation* target = cur[p].get();
-    for (size_t ri : pred_info_.at(p).rules) {
-      const CompiledRule& rule = rules_[ri];
-      JoinStats js;
-      FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rule, &db_->store(), FullViews(rule), /*track_premises=*/false, &js,
-          [&](const std::vector<ValueId>& row,
-              const std::vector<eval::FactKey>*) {
-            target->Insert(row);
-            return true;
-          }));
-      FoldJoinStats(ri, js);
-    }
-  }
-  // 3. The shared fixpoint; no outer delta, the lower strata are current.
-  FACTLOG_RETURN_IF_ERROR(SemiNaiveScc(scc, DeltaMap{}, &acc, &cur, *owned));
-  // 4. Absorb the new extents; old − new is the SCC's outward delta.
-  for (const std::string& p : scc) {
-    Relation* rel = result_.Find(p);
-    rel->Absorb(*acc[p]);
-    rel->SyncShards();
-    const Relation& was = *old[p];
+    const Relation* now = result.Find(p);
     auto gone = std::make_unique<Relation>(rel->arity(),
                                            rel->storage_options());
-    for (size_t r = 0; r < was.size(); ++r) {
-      if (!rel->Contains(was.row(r))) gone->Insert(was.row(r));
+    for (size_t r = 0; r < rel->size(); ++r) {
+      if (!now->Contains(rel->row(r))) gone->Insert(rel->row(r));
     }
     if (gone->empty()) continue;
+    for (size_t r = 0; r < gone->size(); ++r) rel->Erase(gone->row(r));
+    rel->SyncShards();
     stats_.idb_deleted += gone->size();
     (*delta)[p] = gone.get();
     owned->push_back(std::move(gone));
@@ -980,7 +854,7 @@ Status MaterializedView::DeleteRecursive(
 }
 
 Status MaterializedView::DeleteRecursiveSliced(
-    const std::vector<std::string>& scc, DeltaMap* delta,
+    const Scc& scc, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
   using FactId = DerivationEdgeStore::FactId;
   using EdgeId = DerivationEdgeStore::EdgeId;
@@ -990,7 +864,7 @@ Status MaterializedView::DeleteRecursiveSliced(
   // edge retirement must stay inside the SCC being processed (edges into
   // later SCCs are their passes' seeds).
   std::vector<bool> scc_pred;
-  for (const std::string& p : scc) {
+  for (const std::string& p : scc.preds) {
     int pid = es.PredId(p);
     if (pid < 0) continue;  // never appeared in any derivation
     if (scc_pred.size() <= static_cast<size_t>(pid)) {

@@ -20,10 +20,14 @@
 //     instantiation. A fact dies exactly when its count reaches zero, so
 //     deletions never require re-evaluation.
 //
-//   * Recursive SCCs maintain a *derivation edge store* (the complete
-//     derivation hypergraph of the SCC's facts, eval::DerivationEdgeStore):
-//     insertions run a seeded semi-naive fixpoint restricted to the SCC and
-//     record one edge per new instantiation. Every fact carries a
+//   * Recursive SCCs run on exec's semi-naive engine, over a program of the
+//     SCC's own rules. An insertion continues the SCC's fixpoint
+//     (exec::EvaluateSeeded): members start at their maintained extent with
+//     an empty delta, each lower predicate with a pending delta at its
+//     current extent with that delta. The view keeps a *derivation edge
+//     store* (the complete derivation hypergraph of the SCC's facts,
+//     eval::DerivationEdgeStore), fed one edge per instantiation by the
+//     engine's derivation callback. Every fact carries a
 //     well-founded *rank* (minimal derivation height), and a derivation is
 //     *supporting* when all its premises rank strictly below its head —
 //     cyclic support never counts. Deletion is a support cascade: killing an
@@ -36,18 +40,19 @@
 //     surviving paths are kept in place without row churn, while
 //     mutually-supporting ungrounded cycles stay dead. The store is rebuilt
 //     (and ranks recomputed exactly) from a full rule sweep at
-//     Build/Restore and kept exact by every insertion pass; if it ever
-//     exceeds its edge budget it is dropped for good, and a deletion
-//     re-derives each affected SCC from scratch over the (already updated)
-//     lower strata with the same semi-naive loop insertions run — one
-//     bounded SCC evaluation per affected SCC.
+//     Build/Restore and kept exact by every insertion; if it ever exceeds
+//     its edge budget it is dropped for good, and a deletion re-derives each
+//     affected SCC from scratch over the (already updated) lower strata with
+//     the engine's ordinary entry (exec::EvaluateParallel), then erases the
+//     facts that did not come back — one bounded SCC evaluation per affected
+//     SCC.
 //
-// Deltas propagate over the shard seam: when a pass's driving extent is
-// sharded and large enough, the enumeration fans out across the engine's
-// exec::ThreadPool — one task per delta shard, probing pre-built frozen
-// indices. Workers only collect head rows (and premises when edges are
-// recorded); the calling thread applies them, so every pass, with or without
-// a pool, ends in the same single-threaded sink.
+// Deltas propagate over the shard seam. A counting pass whose driving extent
+// is sharded and large enough fans out one task per delta shard across the
+// exec::ThreadPool; workers only collect head rows and the calling thread
+// applies them. A recursive SCC runs on the pool like any pooled fixpoint,
+// except insertions while the edge store is live: the derivation callback
+// needs every instantiation on the calling thread, so they run inline.
 //
 // A view is single-writer: Apply* and Answer must be externally serialized
 // (api::Engine routes them through its mutation guard). A failed propagation
@@ -71,6 +76,7 @@
 #include "eval/provenance.h"
 #include "eval/rule_eval.h"
 #include "eval/seminaive.h"
+#include "exec/parallel_seminaive.h"
 #include "exec/thread_pool.h"
 #include "plan/join_plan.h"
 
@@ -242,13 +248,21 @@ class MaterializedView {
     std::vector<size_t> rules;
   };
 
+  /// One stratum: a component of the IDB dependency graph. A recursive one
+  /// also carries its rules, member by member, as a program of their own
+  /// for exec's engine, with their plans.
+  struct Scc {
+    std::vector<std::string> preds;
+    bool recursive = false;
+    ast::Program program;
+    plan::ProgramPlan plan;
+    /// The view's rule index of each rule of `program`.
+    std::vector<size_t> rules;
+  };
+
   using DeltaMap = std::map<std::string, const eval::Relation*>;
-  /// One owned relation per predicate of an SCC.
-  using SccRelations = std::map<std::string, std::unique_ptr<eval::Relation>>;
-  /// Pass sinks see each head row plus, when the pass tracks premises for
-  /// edge recording, the instantiation's body facts in source order.
-  using RowSink = std::function<void(const std::vector<eval::ValueId>&,
-                                     const std::vector<eval::FactKey>*)>;
+  /// Counting-pass sinks see each head row, once per instantiation.
+  using RowSink = std::function<void(const std::vector<eval::ValueId>&)>;
 
   MaterializedView(const ast::Program& program, eval::Database* db,
                    const IncrementalOptions& opts)
@@ -275,7 +289,7 @@ class MaterializedView {
   /// No-op when the store is gone; flips the overflow flag on budget breach.
   void RecordEdge(const std::string& pred, const std::vector<eval::ValueId>& row,
                   size_t rule_index,
-                  const std::vector<eval::FactKey>* premises);
+                  const std::vector<eval::FactKey>& premises);
   /// Drops an overflowed store (permanently — it may be missing edges) and
   /// refreshes the edge gauges in stats_.
   void SettleEdgeStore();
@@ -286,8 +300,7 @@ class MaterializedView {
   bool IsIdb(const std::string& pred) const {
     return idb_preds_.count(pred) > 0;
   }
-  bool SccAffected(const std::vector<std::string>& scc,
-                   const DeltaMap& delta) const;
+  bool SccAffected(const Scc& scc, const DeltaMap& delta) const;
   /// Every relation literal of `rule` over its current full extent.
   std::vector<eval::RelationView> FullViews(const eval::CompiledRule& rule);
   /// The occurrence decomposition of `rule` around relation literal `j`,
@@ -297,8 +310,13 @@ class MaterializedView {
   std::vector<eval::RelationView> OccurrenceViews(
       const eval::CompiledRule& rule, size_t j, const DeltaMap& delta,
       bool delta_before);
-  uint64_t InFlight(const std::vector<std::unique_ptr<eval::Relation>>& owned)
-      const;
+  /// Evaluates `scc` on exec's engine with the view's plans and budgets:
+  /// continued from `seeds` (exec::EvaluateSeeded), or from scratch when
+  /// null. Relations outside the SCC are read in place; `owned` are the
+  /// deltas in flight.
+  Result<eval::EvalResult> EvaluateScc(
+      const Scc& scc, const std::map<std::string, exec::SeedExtent>* seeds,
+      const std::vector<std::unique_ptr<eval::Relation>>& owned);
 
   Status PropagateInsert(const std::string& pred,
                          const eval::Relation& delta);
@@ -308,47 +326,28 @@ class MaterializedView {
                         std::vector<std::unique_ptr<eval::Relation>>* owned);
   Status DeleteCounting(const std::string& pred, DeltaMap* delta,
                         std::vector<std::unique_ptr<eval::Relation>>* owned);
-  Status InsertRecursive(const std::vector<std::string>& scc, DeltaMap* delta,
+  Status InsertRecursive(const Scc& scc, DeltaMap* delta,
                          std::vector<std::unique_ptr<eval::Relation>>* owned);
   /// Slice deletion while the edge store is live; otherwise re-derives the
-  /// SCC through SemiNaiveScc and emits old − new as its outward delta.
-  Status DeleteRecursive(const std::vector<std::string>& scc, DeltaMap* delta,
+  /// SCC from scratch over the lower strata (exec::EvaluateParallel), erases
+  /// what did not come back and emits it as the outward delta.
+  Status DeleteRecursive(const Scc& scc, DeltaMap* delta,
                          std::vector<std::unique_ptr<eval::Relation>>* owned);
-  /// The semi-naive fixpoint within one SCC, shared by insertion and the
-  /// deletion fallback: drives every SCC body occurrence by `cur` (the
-  /// seeded delta) until no new facts appear, accumulating them in `acc`.
-  /// SCC literals read stored ∪ acc (∪ cur before the occurrence); non-SCC
-  /// literals read their current extent ∪ `outer` — the insertion delta, or
-  /// empty when the lower strata already hold the new state.
-  Status SemiNaiveScc(
-      const std::vector<std::string>& scc, const DeltaMap& outer,
-      SccRelations* acc, SccRelations* cur,
-      const std::vector<std::unique_ptr<eval::Relation>>& owned);
   /// Slice deletion along derivation edges (requires a live edge store):
   /// forward cone from the deleted facts, least-fixpoint safety pruning,
   /// erase of the unsupported remainder, edge retirement.
   Status DeleteRecursiveSliced(
-      const std::vector<std::string>& scc, DeltaMap* delta,
+      const Scc& scc, DeltaMap* delta,
       std::vector<std::unique_ptr<eval::Relation>>* owned);
 
-  /// Runs one delta pass of `rules_[rule_index]` with body occurrence `occ`
-  /// ranging over `delta` — per shard across the pool when the extent is
-  /// sharded and large, inline otherwise. Every emitted head row reaches
-  /// `apply` on the calling thread (multiplicity preserved), so sinks may
-  /// mutate unsynchronized state. With `premises` set, workers also carry
-  /// each instantiation's body facts to the sink (edge recording).
+  /// Runs one counting delta pass of `rules_[rule_index]` with body
+  /// occurrence `occ` ranging over `delta` — per shard across the pool when
+  /// the extent is sharded and large, inline otherwise. Every emitted head
+  /// row reaches `apply` on the calling thread (multiplicity preserved), so
+  /// sinks may mutate unsynchronized state.
   Status RunPassCollect(size_t rule_index,
                         std::vector<eval::RelationView> views, size_t occ,
-                        const eval::Relation* delta, bool premises,
-                        const RowSink& apply);
-
-  /// Pre-builds every index the pass probes and marks views shared; returns
-  /// true when the pass should fan out across the pool.
-  bool PreparePass(size_t rule_index, std::vector<eval::RelationView>* views,
-                   size_t occ, const eval::Relation* delta);
-
-  /// Accumulates one pass's join counters into rule_join_stats_.
-  void FoldJoinStats(size_t rule_index, const eval::JoinStats& js);
+                        const eval::Relation* delta, const RowSink& apply);
 
   ast::Program program_;
   eval::Database* db_;
@@ -359,15 +358,13 @@ class MaterializedView {
   /// compiled rules_ bodies are laid out in its order.
   plan::ProgramPlan plan_;
   std::vector<eval::CompiledRule> rules_;
-  /// Per-rule, per-compiled-literal probe columns, read off the plan's
-  /// declared index requirements.
-  std::vector<std::vector<std::vector<int>>> plan_cols_;
-  /// Per-rule join counters accumulated across delta passes (the per-literal
-  /// vectors feed DrainObservations).
+  /// Per-rule join counters accumulated across counting passes, and the
+  /// probe observations of SCC evaluations; DrainObservations drains both.
   std::vector<eval::JoinStats> rule_join_stats_;
+  std::vector<plan::ProbeObservation> scc_observations_;
   std::map<std::string, PredInfo> pred_info_;
   /// SCCs of the IDB dependency graph, dependencies first.
-  std::vector<std::vector<std::string>> sccs_;
+  std::vector<Scc> sccs_;
 
   eval::EvalResult result_;
   /// Derivation hypergraph of the recursive SCCs; null when the program has

@@ -19,6 +19,7 @@
 #include "api/engine.h"
 #include "ast/parser.h"
 #include "eval/seminaive.h"
+#include "exec/thread_pool.h"
 #include "tests/sweep_corpus.h"
 #include "tests/test_util.h"
 
@@ -41,13 +42,22 @@ ast::Atom Edge(int64_t a, int64_t b) {
   return ast::Atom("e", {ast::Term::Int(a), ast::Term::Int(b)});
 }
 
+// The oracle: naive T_P evaluation. Views maintain their recursive SCCs on
+// the semi-naive engine eval::Evaluate runs by default, so that engine
+// cannot be their reference.
+eval::EvalOptions NaiveOptions() {
+  eval::EvalOptions opts;
+  opts.strategy = eval::Strategy::kNaive;
+  return opts;
+}
+
 // Asserts the view's maintained fact sets are identical, predicate by
-// predicate, to a from-scratch evaluation of the plan's program against the
-// engine's current EDB.
+// predicate, to a naive from-scratch evaluation of the plan's program against
+// the engine's current EDB.
 void ExpectMatchesOracle(api::Engine* engine, const ast::Program& plan_program,
                          const MaterializedView* view,
                          const std::string& context) {
-  auto oracle = eval::Evaluate(plan_program, &engine->db());
+  auto oracle = eval::Evaluate(plan_program, &engine->db(), NaiveOptions());
   ASSERT_TRUE(oracle.ok()) << context << ": " << oracle.status().ToString();
   ASSERT_NE(view, nullptr) << context;
   EXPECT_FALSE(view->poisoned()) << context;
@@ -77,7 +87,7 @@ std::map<std::string, uint64_t> OrderFreeCounters(const ViewStats& s) {
 // For every corpus program × workload and every shard × thread combination,
 // a seeded random sequence of edge insertions and deletions is applied
 // through the engine; after every update the maintained fact sets must match
-// from-scratch re-evaluation exactly. Each combination runs twice: with the
+// naive re-evaluation exactly. Each combination runs twice: with the
 // default edge budget (deletions cascade along derivation edges) and with a
 // budget of 1, which drops the store at Materialize so every recursive
 // deletion re-derives its SCC. All nine combinations replay one update
@@ -149,14 +159,14 @@ TEST_P(IncSweepTest, InterleavedUpdatesMatchOracle) {
           ExpectMatchesOracle(&engine, (*plan)->program, view, context);
         }
 
-        // Answers served from the view equal a from-scratch query.
+        // Answers served from the view equal a naive from-scratch query.
         api::QueryStats qstats;
         auto from_view = engine.Query(program, query, core::Strategy::kAuto,
                                       &qstats);
         ASSERT_TRUE(from_view.ok());
         EXPECT_TRUE(qstats.view_hit);
         auto fresh = eval::EvaluateQuery((*plan)->program, (*plan)->query,
-                                         &engine.db());
+                                         &engine.db(), NaiveOptions());
         ASSERT_TRUE(fresh.ok());
         EXPECT_EQ(from_view->rows, fresh->rows)
             << prog.name << "/" << workload.name << " budget=" << budget
@@ -194,6 +204,34 @@ struct Harness {
     auto built = MaterializedView::Build(P(program_text), &db, opts);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     view = std::move(built).value();
+  }
+
+  // Propagates the insertion of `facts` (one batch into their common
+  // predicate) and, when that succeeds, adds them to the EDB.
+  Status TryInsert(const std::vector<ast::Atom>& facts) {
+    const ast::Atom& first = facts.front();
+    eval::Relation& rel = db.GetOrCreate(first.predicate(), first.arity());
+    eval::Relation delta(first.arity(), rel.storage_options());
+    for (const ast::Atom& fact : facts) {
+      auto row = db.InternRow(fact);
+      if (!row.ok()) return row.status();
+      if (!rel.Contains(row->data())) delta.Insert(*row);
+    }
+    FACTLOG_RETURN_IF_ERROR(view->ApplyInsert(first.predicate(), delta));
+    rel.Absorb(delta);
+    return Status::OK();
+  }
+
+  // Erases `fact` from the EDB and propagates the deletion.
+  Status TryRemove(const ast::Atom& fact) {
+    auto row = db.InternRow(fact);
+    if (!row.ok()) return row.status();
+    eval::Relation* rel = db.Find(fact.predicate());
+    if (rel == nullptr || !rel->Erase(row->data())) return Status::OK();
+    rel->SyncShards();
+    eval::Relation delta(fact.arity(), rel->storage_options());
+    delta.Insert(*row);
+    return view->ApplyDelete(fact.predicate(), delta);
   }
 
   void Insert(const ast::Atom& fact) {
@@ -478,6 +516,110 @@ TEST(IncSliceTest, FallbackReevaluatesInPlace) {
   EXPECT_EQ(t->size(), 2u);  // t(1, 2) and t(3, 4)
   EXPECT_EQ(h.view->stats().last_update.idb_deleted, 4u);
 }
+
+// ---- Budgets ----------------------------------------------------------------
+//
+// A view that outgrows eval.max_facts, or whose SCC fixpoint needs more than
+// eval.max_iterations rounds, fails with kResourceExhausted. The failure
+// poisons it: its state may be half-updated, so the next update and the
+// next read fail with kFailedPrecondition. Each budget is exceeded during an
+// insertion with the edge store live and during a deletion without it,
+// inline and on a 2-thread pool over 2-shard relations.
+
+constexpr char kLeftTc[] =
+    "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(1, Y).";
+
+std::vector<ast::Atom> ChainEdges(int64_t from, int64_t to) {
+  std::vector<ast::Atom> edges;
+  for (int64_t i = from; i < to; ++i) edges.push_back(Edge(i, i + 1));
+  return edges;
+}
+
+class IncBudgetTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  IncBudgetTest()
+      : pool_(GetParam()),
+        h_(eval::StorageOptions{GetParam() > 0 ? size_t{2} : size_t{1}, {}}) {}
+
+  IncrementalOptions Options(uint64_t max_facts, uint64_t max_iterations,
+                             uint64_t max_edges) {
+    IncrementalOptions opts;
+    opts.eval.max_facts = max_facts;
+    opts.eval.max_iterations = max_iterations;
+    opts.max_derivation_edges = max_edges;
+    if (GetParam() > 0) {
+      opts.pool = &pool_;
+      opts.min_rows_to_partition = 1;
+    }
+    return opts;
+  }
+
+  void ExpectExhaustedThenPoisoned(const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_TRUE(h_.view->poisoned());
+    EXPECT_EQ(h_.TryInsert({Edge(500, 501)}).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(h_.view->Answer(A("t(1, Y)")).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+
+  exec::ThreadPool pool_;
+  Harness h_;
+};
+
+TEST_P(IncBudgetTest, InsertPastFactBudget) {
+  h_.db.AddPair("e", 100, 101);
+  h_.Build(kLeftTc, Options(/*max_facts=*/10, 1000, uint64_t{1} << 20));
+  ASSERT_TRUE(h_.view->edge_guided());
+  ASSERT_TRUE(h_.TryInsert({Edge(1, 2), Edge(2, 3)}).ok());  // 4 facts
+  // A chain of 6 edges closes to 21 facts.
+  ExpectExhaustedThenPoisoned(h_.TryInsert(ChainEdges(3, 7)));
+}
+
+TEST_P(IncBudgetTest, InsertPastIterationBudget) {
+  h_.db.AddPair("e", 100, 101);
+  h_.Build(kLeftTc, Options(1000, /*max_iterations=*/4, uint64_t{1} << 20));
+  ASSERT_TRUE(h_.view->edge_guided());
+  ASSERT_TRUE(h_.TryInsert({Edge(1, 2)}).ok());
+  // Closing a 10-edge chain takes a round per path length.
+  ExpectExhaustedThenPoisoned(h_.TryInsert(ChainEdges(2, 11)));
+}
+
+TEST_P(IncBudgetTest, FallbackDeletePastFactBudget) {
+  // A view restored under a tighter budget than the one its state was
+  // built under: re-deriving t after a deletion exceeds it.
+  h_.db.AddPair("e", 100, 101);
+  h_.Build(kLeftTc, Options(1000, 1000, 0));
+  ASSERT_TRUE(h_.TryInsert(ChainEdges(1, 7)).ok());  // 21 + 1 facts
+  auto restored = MaterializedView::Restore(
+      P(kLeftTc), &h_.db, Options(/*max_facts=*/12, 1000, 0),
+      h_.view->DumpState());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  h_.view = std::move(restored).value();
+  ASSERT_FALSE(h_.view->edge_guided());
+  // The re-derived chain 1..6 alone holds 15 facts.
+  ExpectExhaustedThenPoisoned(h_.TryRemove(Edge(6, 7)));
+}
+
+TEST_P(IncBudgetTest, FallbackDeletePastIterationBudget) {
+  for (int64_t i = 1; i < 3; ++i) h_.db.AddPair("e", i, i + 1);
+  h_.Build(kLeftTc, Options(1000, /*max_iterations=*/5, 0));
+  ASSERT_FALSE(h_.view->edge_guided());
+  // Appending one edge at a time stays within a few rounds per insertion.
+  for (int64_t i = 3; i < 10; ++i) {
+    ASSERT_TRUE(h_.TryInsert({Edge(i, i + 1)}).ok()) << i;
+  }
+  // Re-deriving the 8-edge chain 1..9 from scratch takes a round per path
+  // length.
+  ExpectExhaustedThenPoisoned(h_.TryRemove(Edge(9, 10)));
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndPooled, IncBudgetTest,
+                         ::testing::Values(size_t{0}, size_t{2}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 0 ? std::string("Inline")
+                                                  : std::string("Pool2");
+                         });
 
 // ---- Per-update stats snapshot ----------------------------------------------
 

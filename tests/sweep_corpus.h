@@ -34,6 +34,12 @@ inline constexpr SweepProgram kSweepPrograms[] = {
     {"two_hop_exit",
      "t(X, Y) :- e(X, W), e(W, Y). t(X, Y) :- e(X, W), t(W, Y).",
      "t(1, Y)"},
+    // Mutual recursion: p and q form one two-member SCC (odd and even
+    // path lengths).
+    {"mutual_pq",
+     "p(X, Y) :- e(X, Y). p(X, Y) :- q(X, W), e(W, Y). "
+     "q(X, Y) :- p(X, W), e(W, Y).",
+     "p(1, Y)"},
 };
 inline constexpr int kNumSweepPrograms =
     static_cast<int>(sizeof(kSweepPrograms) / sizeof(kSweepPrograms[0]));
