@@ -17,6 +17,7 @@
 #include "eval/provenance.h"
 #include "eval/seminaive.h"
 #include "eval/topdown.h"
+#include "exec/parallel_seminaive.h"
 #include "workload/list_gen.h"
 
 int main(int argc, char** argv) {
@@ -99,17 +100,24 @@ int main(int argc, char** argv) {
     workload::MakeMembershipPredicate(5, 1, 0, "p", &db);
     ast::Program small = workload::MakePmemProgram(5);
     auto small_pipe = core::OptimizeQuery(small, *small.query());
-    eval::EvalOptions opts;
-    opts.track_provenance = true;
-    auto result = eval::Evaluate(*small_pipe->optimized, &db, opts);
+    const ast::Program& optimized = *small_pipe->optimized;
+    // The inline run reports every rule instantiation; the edge store keeps
+    // them, and the tree expands each fact through its first derivation.
+    eval::DerivationEdgeStore derivations(~uint64_t{0});
+    auto result = exec::EvaluateParallel(
+        optimized, &db, /*pool=*/nullptr, {},
+        [&](size_t rule, const std::vector<eval::ValueId>& head,
+            const std::vector<eval::FactKey>& premises) {
+          derivations.AddDerivation(optimized.rules()[rule].head().predicate(),
+                                    head, static_cast<int>(rule), premises);
+        });
     if (result.ok()) {
       auto fpmem = result->Find("fpmem");
       if (fpmem != nullptr && !fpmem->empty()) {
         eval::FactKey fact{"fpmem", {fpmem->row(fpmem->size() - 1)[0]}};
         std::cout << "\nderivation tree (n = 5, one answer):\n"
                   << DerivationTreeToString(
-                         BuildDerivationTree(result->provenance(), fact),
-                         db.store());
+                         BuildDerivationTree(derivations, fact), db.store());
       }
     }
   }

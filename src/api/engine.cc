@@ -88,33 +88,11 @@ Status Engine::AddFactImpl(const ast::Atom& fact) {
     FACTLOG_RETURN_IF_ERROR(storage_->LogFact(/*insert=*/true, fact));
   }
   // Views propagate against the pre-insertion EDB (new state = stored ∪
-  // delta), so the database row is inserted only after they are done. A
-  // failing view poisons itself; the others still propagate and the row is
-  // still inserted, so every non-poisoned view stays consistent with the
-  // database. The first error is reported.
-  Status result = Status::OK();
-  bool have_views = false;
-  std::vector<plan::ProbeObservation> view_obs;
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    if (!views_.empty()) {
-      have_views = true;
-      eval::Relation delta(fact.arity(), rel.storage_options());
-      delta.Insert(row);
-      for (auto& [key, view] : views_) {
-        Status st = view->ApplyInsert(fact.predicate(), delta);
-        if (!st.ok() && result.ok()) result = st;
-        std::vector<plan::ProbeObservation> obs = view->DrainObservations();
-        view_obs.insert(view_obs.end(), obs.begin(), obs.end());
-      }
-    }
-  }
+  // delta), so the database row is inserted only after they are done. The
+  // row is inserted even when a view failed, so every non-poisoned view
+  // stays consistent with the database.
+  Status result = PropagateToViews(fact.predicate(), rel, row, /*insert=*/true);
   rel.Insert(row);
-  stats_catalog_.ObserveBatch(view_obs);
-  if (have_views) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.view_updates;
-  }
   return result;
 }
 
@@ -146,31 +124,32 @@ Status Engine::RemoveFactImpl(const ast::Atom& fact) {
   }
   FACTLOG_ASSIGN_OR_RETURN(bool removed, db_.RemoveFact(fact));
   if (!removed) return Status::OK();  // absent: no-op
-  const eval::Relation* rel = db_.Find(fact.predicate());
+  return PropagateToViews(fact.predicate(), *db_.Find(fact.predicate()), row,
+                          /*insert=*/false);
+}
+
+Status Engine::PropagateToViews(const std::string& pred,
+                                const eval::Relation& rel,
+                                const std::vector<eval::ValueId>& row,
+                                bool insert) {
   Status result = Status::OK();
-  bool have_views = false;
   std::vector<plan::ProbeObservation> view_obs;
   {
     std::lock_guard<std::mutex> lock(view_mu_);
-    if (!views_.empty()) {
-      have_views = true;
-      eval::Relation delta(fact.arity(), rel->storage_options());
-      delta.Insert(row);
-      // As in AddFact: every view propagates (failures poison themselves),
-      // and the first error is reported.
-      for (auto& [key, view] : views_) {
-        Status st = view->ApplyDelete(fact.predicate(), delta);
-        if (!st.ok() && result.ok()) result = st;
-        std::vector<plan::ProbeObservation> obs = view->DrainObservations();
-        view_obs.insert(view_obs.end(), obs.begin(), obs.end());
-      }
+    if (views_.empty()) return result;
+    eval::Relation delta(rel.arity(), rel.storage_options());
+    delta.Insert(row);
+    for (auto& [key, view] : views_) {
+      Status st = insert ? view->ApplyInsert(pred, delta)
+                         : view->ApplyDelete(pred, delta);
+      if (!st.ok() && result.ok()) result = st;
+      std::vector<plan::ProbeObservation> obs = view->DrainObservations();
+      view_obs.insert(view_obs.end(), obs.begin(), obs.end());
     }
   }
   stats_catalog_.ObserveBatch(view_obs);
-  if (have_views) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.view_updates;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.view_updates;
   return result;
 }
 
@@ -397,18 +376,8 @@ void Engine::RecostCacheEntry(CacheEntry* entry,
 
   auto recosted = std::make_shared<CompiledQuery>(*entry->plan);
   recosted->plans = plan::PlanProgram(recosted->program, popts);
-  // Refresh planner_hints exactly as FinishCompile records them (extents in
-  // effect, restricted to predicates the program mentions) — the drift guard
-  // re-arms against the sizes this re-cost saw.
-  recosted->planner_hints.clear();
-  for (const ast::Rule& rule : recosted->program.rules()) {
-    for (const ast::Atom& body : rule.body()) {
-      auto hit = popts.extent_hints.find(body.predicate());
-      if (hit != popts.extent_hints.end()) {
-        recosted->planner_hints[hit->first] = hit->second;
-      }
-    }
-  }
+  // The drift guard re-arms against the sizes this re-cost saw.
+  core::RecordPlannerHints(popts, recosted.get());
   // The L104 cartesian-join verdict is a property of the plan that executes:
   // recompute it against the re-costed orders.
   std::vector<Diagnostic> diags;
@@ -464,21 +433,24 @@ Result<eval::AnswerSet> Engine::Execute(const CompiledQuery& plan,
   switch (options_.execution) {
     case ExecutionMode::kBottomUp: {
       // Evaluate under the compile-time join plan (`plan` outlives the
-      // call) on the one semi-naive engine: on the pool when the engine has
-      // one, inline when provenance is on (a pool does not record it).
-      // Evaluation counters are always collected — the measured
+      // call) on the one semi-naive engine, on the pool when the engine has
+      // one. Evaluation counters are always collected — the measured
       // cardinalities feed the statistics catalog even when the caller
       // didn't ask for stats.
-      eval::EvalStats local_eval;
-      eval::EvalStats* es = stats != nullptr ? &stats->eval : &local_eval;
       exec::ParallelEvalOptions popts;
       popts.eval = options_.eval;
       popts.eval.program_plan = &plan.plans;
       popts.num_shards = options_.num_shards;
-      answers = exec::EvaluateQueryParallel(
-          plan.program, plan.query, &db_,
-          options_.eval.track_provenance ? nullptr : EnsurePool(), popts, es);
-      if (answers.ok()) RecordEvalObservations(*es);
+      Result<eval::EvalResult> result =
+          exec::EvaluateParallel(plan.program, &db_, EnsurePool(), popts);
+      if (!result.ok()) {
+        answers = result.status();
+        break;
+      }
+      answers = eval::ExtractAnswers(plan.query, &*result, &db_,
+                                     popts.eval.shared_edb);
+      if (stats != nullptr) stats->eval = result->stats();
+      if (answers.ok()) RecordEvalObservations(result->stats());
       break;
     }
     case ExecutionMode::kTopDown:
@@ -559,7 +531,6 @@ Result<eval::AnswerSet> Engine::Query(const std::string& program_text,
 inc::IncrementalOptions Engine::MakeIncOptions() {
   inc::IncrementalOptions iopts;
   iopts.eval = options_.eval;
-  iopts.eval.track_provenance = false;  // views do not maintain provenance
   iopts.pool = EnsurePool();
   iopts.min_rows_to_partition = options_.inc_min_rows_to_partition;
   iopts.max_derivation_edges = options_.inc_max_derivation_edges;
@@ -1005,8 +976,7 @@ Result<eval::AnswerSet> Engine::EvaluateShared(const CompiledQuery& plan,
   const auto start = std::chrono::steady_clock::now();
   eval::EvalOptions eopts = options_.eval;
   eopts.program_plan = &plan.plans;
-  eopts.shared_edb = true;         // base relations are shared read-only
-  eopts.track_provenance = false;  // provenance needs private relations
+  eopts.shared_edb = true;  // base relations are shared read-only
   Result<eval::AnswerSet> answers =
       eval::EvaluateQuery(plan.program, plan.query, db, eopts, &stats->eval);
   if (answers.ok()) RecordEvalObservations(stats->eval);
@@ -1124,21 +1094,10 @@ Status Engine::RestoreFromCheckpoint() {
           ast::Program qprog, ast::ParseProgram("?- " + vd.query_text + "."));
       if (qprog.query().has_value()) vprog.set_query(*qprog.query());
     }
-    std::vector<inc::ViewPredState> preds;
-    preds.reserve(vd.preds.size());
-    for (const storage::ViewPredDump& pd : vd.preds) {
-      inc::ViewPredState ps;
-      ps.pred = pd.pred;
-      ps.arity = pd.arity;
-      ps.counts_enabled = pd.counts_enabled != 0;
-      ps.num_rows = pd.num_rows;
-      ps.rows.assign(pd.rows.begin(), pd.rows.end());
-      ps.row_counts = pd.row_counts;
-      preds.push_back(std::move(ps));
-    }
     FACTLOG_ASSIGN_OR_RETURN(
         std::unique_ptr<inc::MaterializedView> view,
-        inc::MaterializedView::Restore(vprog, &db_, MakeIncOptions(), preds));
+        inc::MaterializedView::Restore(vprog, &db_, MakeIncOptions(),
+                                       vd.preds));
     {
       std::lock_guard<std::mutex> lock(view_mu_);
       views_.emplace(vd.key, std::move(view));
@@ -1316,16 +1275,7 @@ Status Engine::Checkpoint() {
         vd.query_text = view->program().query()->ToString();
       }
       vd.strategy = key.substr(0, key.find('|'));
-      for (inc::ViewPredState& ps : view->DumpState()) {
-        storage::ViewPredDump pd;
-        pd.pred = std::move(ps.pred);
-        pd.arity = ps.arity;
-        pd.counts_enabled = ps.counts_enabled ? 1 : 0;
-        pd.num_rows = ps.num_rows;
-        pd.rows.assign(ps.rows.begin(), ps.rows.end());
-        pd.row_counts = std::move(ps.row_counts);
-        vd.preds.push_back(std::move(pd));
-      }
+      vd.preds = view->DumpState();
       meta.views.push_back(std::move(vd));
     }
   }

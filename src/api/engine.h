@@ -313,8 +313,7 @@ class Engine {
 
   /// Executes an already-compiled plan against the engine's database.
   /// Bottom-up plans run the semi-naive engine, on the pool when
-  /// num_threads > 0 (inline when provenance tracking is on, which a pool
-  /// does not record), or the naive loop when that strategy is requested.
+  /// num_threads > 0, or the naive loop when that strategy is requested.
   Result<eval::AnswerSet> Execute(const CompiledQuery& plan,
                                   QueryStats* stats = nullptr);
 
@@ -512,6 +511,14 @@ class Engine {
   /// thread is the only mutator, so the guard is unnecessary there.
   Status AddFactImpl(const ast::Atom& fact);
   Status RemoveFactImpl(const ast::Atom& fact);
+  /// Propagates the insertion (`insert`) or deletion of `row` into base
+  /// relation `pred` through every view, as a one-row delta laid out like
+  /// `rel`. A failing view poisons itself and the others still propagate;
+  /// the first error is returned. Drained view observations feed the
+  /// statistics catalog. The caller orders it against the database write:
+  /// insertions propagate before it, deletions after.
+  Status PropagateToViews(const std::string& pred, const eval::Relation& rel,
+                          const std::vector<eval::ValueId>& row, bool insert);
   /// Writer-side install: builds the adaptive indices readers registered,
   /// snapshots the database and every view's answer relation, and publishes
   /// the epoch. Returns the new epoch.
@@ -526,7 +533,7 @@ class Engine {
                                        std::vector<Status> status);
   /// The one read step against a database whose base relations are shared
   /// read-only (a serving snapshot, or db_ during a batch): evaluates `plan`
-  /// under the engine's EvalOptions with shared_edb on and provenance off,
+  /// under the engine's EvalOptions with shared_edb on,
   /// feeds the statistics catalog, counts the execution, fills
   /// stats->execute_us and stats->eval, and names the answer columns after
   /// `caller_query`. The indices it can probe must be built beforehand

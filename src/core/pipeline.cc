@@ -69,16 +69,7 @@ Result<CompiledQuery> FinishCompile(TransformState&& state, Strategy strategy,
                          ? state.factorability->cls
                          : FactorClass::kNotFactorable;
   if (state.plans.has_value()) out.plans = std::move(*state.plans);
-  // Record the extents the plans were costed against, restricted to the
-  // predicates the final program mentions — the stale-plan guard's baseline.
-  for (const ast::Rule& rule : out.program.rules()) {
-    for (const ast::Atom& body : rule.body()) {
-      auto it = opts.planner.extent_hints.find(body.predicate());
-      if (it != opts.planner.extent_hints.end()) {
-        out.planner_hints[it->first] = it->second;
-      }
-    }
-  }
+  RecordPlannerHints(opts.planner, &out);
   out.source = std::move(state.source);
   out.source_query = std::move(state.source_query);
   out.diagnostics = std::move(state.diagnostics);
@@ -87,6 +78,19 @@ Result<CompiledQuery> FinishCompile(TransformState&& state, Strategy strategy,
 }
 
 }  // namespace
+
+void RecordPlannerHints(const plan::PlanOptions& planner,
+                        CompiledQuery* query) {
+  query->planner_hints.clear();
+  for (const ast::Rule& rule : query->program.rules()) {
+    for (const ast::Atom& body : rule.body()) {
+      auto it = planner.extent_hints.find(body.predicate());
+      if (it != planner.extent_hints.end()) {
+        query->planner_hints[it->first] = it->second;
+      }
+    }
+  }
+}
 
 PassSequence PassesForStrategy(Strategy strategy, const PipelineOptions& opts) {
   PassSequence seq;

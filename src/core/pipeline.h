@@ -80,6 +80,12 @@ Result<CompiledQuery> CompileQuery(const ast::Program& program,
                                    Strategy strategy = Strategy::kAuto,
                                    const PipelineOptions& opts = {});
 
+/// Records in `query->planner_hints` the extents its plans were costed
+/// against: `planner.extent_hints` restricted to the predicates the
+/// program's rule bodies mention (the stale-plan guard's baseline).
+void RecordPlannerHints(const plan::PlanOptions& planner,
+                        CompiledQuery* query);
+
 struct PipelineResult {
   /// The program/query the pipeline actually compiled (after any static
   /// argument reduction).

@@ -7,16 +7,6 @@
 
 namespace factlog::eval {
 
-void ProvenanceStore::Record(const FactKey& fact, int rule_index,
-                             const std::vector<FactKey>& premises) {
-  map_.emplace(fact, Justification{rule_index, premises});
-}
-
-const Justification* ProvenanceStore::Find(const FactKey& fact) const {
-  auto it = map_.find(fact);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
 // ------------------------------------------------------ DerivationEdgeStore --
 
 size_t DerivationEdgeStore::FactHash(uint32_t pred, const ValueId* row,
@@ -124,6 +114,19 @@ bool DerivationEdgeStore::AddEdge(FactId head, int rule_index,
   ++num_edges_;
   ++edges_added_;
   return true;
+}
+
+DerivationEdgeStore::EdgeId DerivationEdgeStore::AddDerivation(
+    std::string_view pred, const std::vector<ValueId>& row, int rule_index,
+    const std::vector<FactKey>& premises) {
+  FactId head = InternFact(pred, row.data(), row.size());
+  premise_ids_.clear();
+  for (const FactKey& pk : premises) {
+    premise_ids_.push_back(
+        InternFact(pk.predicate, pk.row.data(), pk.row.size()));
+  }
+  if (!AddEdge(head, rule_index, premise_ids_)) return kNoEdge;
+  return facts_[head].derivs.back();
 }
 
 void DerivationEdgeStore::FreeFactIfOrphaned(FactId f) {
@@ -236,20 +239,6 @@ size_t DerivationTree::NodeCount() const {
   size_t n = 1;
   for (const DerivationTree& c : children) n += c.NodeCount();
   return n;
-}
-
-DerivationTree BuildDerivationTree(const ProvenanceStore& store,
-                                   const FactKey& fact) {
-  DerivationTree tree;
-  tree.fact = fact;
-  const Justification* just = store.Find(fact);
-  if (just == nullptr) return tree;  // EDB leaf
-  tree.rule_index = just->rule_index;
-  tree.children.reserve(just->premises.size());
-  for (const FactKey& p : just->premises) {
-    tree.children.push_back(BuildDerivationTree(store, p));
-  }
-  return tree;
 }
 
 namespace {

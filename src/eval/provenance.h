@@ -1,20 +1,22 @@
-// Derivation trees (Definition 2.1 of the paper) via provenance recording.
+// Derivation trees (Definition 2.1 of the paper) over a derivation
+// hypergraph.
 //
-// When enabled, the bottom-up engines record, for each IDB fact, the rule and
-// the body facts of the first instantiation that derived it. From this a
-// derivation tree can be reconstructed: EDB facts are leaves (clause (1) of
-// Def. 2.1), rule instantiations are internal nodes (clause (2)).
+// DerivationEdgeStore keeps derivation edges (head :- premises), each
+// recorded once, with per-fact adjacency in both directions. Trees come from
+// exec's derivation callback (exec::DerivationCallback): an inline run
+// reports every rule instantiation, AddDerivation records it, and
+// BuildDerivationTree expands a fact through its first recorded derivation.
+// In a from-scratch inline run that is the instantiation that inserted the
+// fact, whose premises were derived in earlier rounds. EDB facts are leaves
+// (clause (1) of Def. 2.1), rule instantiations internal nodes (clause (2)).
 //
-// DerivationEdgeStore is the incremental-maintenance variant: instead of one
-// justification per fact it keeps the *complete* derivation hypergraph of the
-// recursive predicates of a materialized view — every edge (head :- premises)
-// that currently holds, deduplicated, with per-fact adjacency in both
-// directions. Deletion then propagates along actual derivation edges instead
-// of over-deleting everything reachable, and `why` queries can print a tree
-// for any maintained fact. Memory is bounded: fact rows are interned once and
-// ref-counted by the edges touching them (nodes free as their last edge
-// goes), and a hard edge budget lets the owner drop the store and fall back
-// to derivation-free maintenance.
+// Materialized views keep the *complete* hypergraph of their recursive
+// predicates in one store. Deletion then propagates along actual derivation
+// edges instead of over-deleting everything reachable, and `why` queries can
+// print a tree for any maintained fact. Memory is bounded: fact rows are
+// interned once and ref-counted by the edges touching them (nodes free as
+// their last edge goes), and a hard edge budget lets the owner drop the
+// store and fall back to derivation-free maintenance.
 
 #ifndef FACTLOG_EVAL_PROVENANCE_H_
 #define FACTLOG_EVAL_PROVENANCE_H_
@@ -29,40 +31,19 @@
 
 namespace factlog::eval {
 
-/// Why a fact holds: the index of the deriving rule and its body facts.
-struct Justification {
-  int rule_index = -1;
-  std::vector<FactKey> premises;
-};
-
-/// First-derivation provenance for IDB facts.
-class ProvenanceStore {
- public:
-  /// Records a justification if the fact has none yet.
-  void Record(const FactKey& fact, int rule_index,
-              const std::vector<FactKey>& premises);
-
-  /// Returns the justification, or nullptr for EDB facts / unknown facts.
-  const Justification* Find(const FactKey& fact) const;
-
-  size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<FactKey, Justification, FactKeyHash> map_;
-};
-
-/// The complete derivation hypergraph of one materialized view's recursive
-/// predicates. Facts (both heads and premises, EDB or IDB) are interned to
-/// dense 32-bit ids; each edge records its rule and premise facts and is
-/// linked into the head's derivation list and every premise's uses list (one
-/// entry per premise occurrence, so repeated premises stay symmetric with
-/// the per-occurrence counters deletion keeps). Not thread-safe: single
-/// writer, like the view that owns it.
+/// A derivation hypergraph: of one materialized view's recursive predicates,
+/// or of every instantiation an inline run reported. Facts (both heads and
+/// premises, EDB or IDB) are interned to dense 32-bit ids; each edge records
+/// its rule and premise facts and is linked into the head's derivation list
+/// and every premise's uses list (one entry per premise occurrence, so
+/// repeated premises stay symmetric with the per-occurrence counters
+/// deletion keeps). Not thread-safe: single writer.
 class DerivationEdgeStore {
  public:
   using FactId = uint32_t;
   using EdgeId = uint32_t;
   static constexpr FactId kNoFact = 0xffffffffu;
+  static constexpr EdgeId kNoEdge = 0xffffffffu;
 
   explicit DerivationEdgeStore(uint64_t max_edges) : max_edges_(max_edges) {}
 
@@ -109,6 +90,11 @@ class DerivationEdgeStore {
   /// against the head's existing derivations. Returns true when new.
   bool AddEdge(FactId head, int rule_index,
                const std::vector<FactId>& premises);
+  /// Interns the head (`pred`, `row`) and every premise, then adds the edge
+  /// as AddEdge does. Returns the new edge, or kNoEdge when the head already
+  /// has this derivation or the budget rejected it.
+  EdgeId AddDerivation(std::string_view pred, const std::vector<ValueId>& row,
+                       int rule_index, const std::vector<FactKey>& premises);
   /// Unlinks the edge from its head and premises and frees any fact node
   /// left with neither derivations nor uses. No-op on already-removed ids.
   void RemoveEdge(EdgeId e);
@@ -166,6 +152,7 @@ class DerivationEdgeStore {
   std::vector<FactId> free_facts_;
   std::vector<EdgeNode> edges_;
   std::vector<EdgeId> free_edges_;
+  std::vector<FactId> premise_ids_;  // AddDerivation's reused buffer
   /// hash(pred, row) -> candidate fact ids, the same bucketed layout the
   /// Relation dedup table uses.
   std::unordered_map<size_t, std::vector<FactId>> fact_index_;
@@ -183,11 +170,6 @@ struct DerivationTree {
   size_t Height() const;
   size_t NodeCount() const;
 };
-
-/// Reconstructs the derivation tree rooted at `fact`. Facts without a
-/// recorded justification become leaves.
-DerivationTree BuildDerivationTree(const ProvenanceStore& store,
-                                   const FactKey& fact);
 
 /// Reconstructs a derivation tree from the edge store, expanding each fact
 /// through its first recorded derivation. Facts already on the path from the

@@ -51,7 +51,7 @@ struct CompiledAtom {
 /// A rule compiled against a ValueStore (constants are pre-interned). When a
 /// JoinPlan is supplied the compiled body is permuted into plan order; the
 /// source rule and the source position of every compiled literal are kept so
-/// provenance premises can be reported in source order regardless of the
+/// derivation premises can be reported in source order regardless of the
 /// plan.
 class CompiledRule {
  public:
@@ -110,7 +110,7 @@ struct RelationView {
   }
 };
 
-/// A ground fact reference used for provenance premises.
+/// A ground fact reference: a derivation premise or a derivation tree node.
 struct FactKey {
   std::string predicate;
   std::vector<ValueId> row;
@@ -121,17 +121,6 @@ struct FactKey {
   bool operator<(const FactKey& o) const {
     if (predicate != o.predicate) return predicate < o.predicate;
     return row < o.row;
-  }
-};
-
-struct FactKeyHash {
-  size_t operator()(const FactKey& k) const {
-    size_t h = std::hash<std::string>()(k.predicate);
-    for (ValueId v : k.row) {
-      h ^= std::hash<int32_t>()(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-           (h >> 2);
-    }
-    return h;
   }
 };
 

@@ -75,28 +75,16 @@ class NaiveEngine {
         // Collect first: inserting into a relation being scanned would
         // invalidate the index buckets mid-enumeration.
         std::vector<std::vector<ValueId>> pending;
-        std::vector<std::vector<FactKey>> pending_premises;
         FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-            rule, &db_->store(), views, opts_.track_provenance,
+            rule, &db_->store(), views, /*track_premises=*/false,
             &rule_stats_[i],
-            [&](const std::vector<ValueId>& row,
-                const std::vector<FactKey>* premises) {
+            [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
               pending.push_back(row);
-              if (premises != nullptr) pending_premises.push_back(*premises);
               return true;
             }));
-        const std::string& head_pred = rule.head().predicate;
-        Relation* full = idb_.at(head_pred).get();
-        for (size_t p = 0; p < pending.size(); ++p) {
-          if (full->Insert(pending[p])) {
-            changed = true;
-            if (opts_.track_provenance) {
-              result_.mutable_provenance()->Record(
-                  FactKey{head_pred, pending[p]}, static_cast<int>(i),
-                  pending_premises.empty() ? std::vector<FactKey>{}
-                                           : pending_premises[p]);
-            }
-          }
+        Relation* full = idb_.at(rule.head().predicate).get();
+        for (const std::vector<ValueId>& row : pending) {
+          if (full->Insert(row)) changed = true;
         }
         if (TotalIdbFacts() > opts_.max_facts) {
           return Status::ResourceExhausted("fact budget exceeded");

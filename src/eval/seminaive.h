@@ -19,7 +19,6 @@
 #include "ast/program.h"
 #include "common/status.h"
 #include "eval/database.h"
-#include "eval/provenance.h"
 #include "eval/rule_eval.h"
 #include "plan/join_plan.h"
 #include "plan/stats_catalog.h"
@@ -51,8 +50,6 @@ struct EvalOptions {
   uint64_t max_facts = 10'000'000;
   /// Abort with kResourceExhausted after this many fixpoint iterations.
   uint64_t max_iterations = 1'000'000;
-  /// Record first-derivation provenance (enables derivation trees).
-  bool track_provenance = false;
   /// The database's base relations are shared read-only with concurrent
   /// evaluations (api::Engine::ExecuteBatch, serving reads): never build
   /// indices on them lazily — probe pre-built ones (plan::BaseIndexNeeds
@@ -173,13 +170,10 @@ class EvalResult {
 
   const EvalStats& stats() const { return stats_; }
   EvalStats* mutable_stats() { return &stats_; }
-  const ProvenanceStore& provenance() const { return provenance_; }
-  ProvenanceStore* mutable_provenance() { return &provenance_; }
 
  private:
   std::map<std::string, std::unique_ptr<Relation>> idb_;
   EvalStats stats_;
-  ProvenanceStore provenance_;
 };
 
 /// Evaluates `program` bottom-up against `db`. EDB relations in `db` are

@@ -63,11 +63,6 @@ class SemiNaiveEngine {
         }) {}
 
   Result<EvalResult> Run() {
-    if (opts_.eval.track_provenance && !inline_) {
-      return Status::Invalid(
-          "evaluation on a thread pool does not record provenance; evaluate "
-          "without a pool (eval::Evaluate) for derivation trees");
-    }
     if (on_derivation_ != nullptr && !inline_) {
       return Status::Invalid(
           "a derivation callback needs an inline run; evaluate without a "
@@ -290,20 +285,13 @@ class SemiNaiveEngine {
 
   // The inline head sink: reports the instantiation to the derivation
   // callback, inserts straight into the target relation unless the row is
-  // already known, records first-derivation provenance, and enforces the
-  // exact fact budget.
+  // already known, and enforces the exact fact budget.
   bool InsertInline(const std::vector<ValueId>& row,
                     const std::vector<FactKey>* premises) {
     const InlineTarget& t = target_;
     if (on_derivation_ != nullptr) (*on_derivation_)(t.rule, row, *premises);
     if (t.check_known && Known(*t.head, row.data())) return true;
     if (!t.rel->Insert(row)) return true;
-    if (opts_.eval.track_provenance) {
-      result_.mutable_provenance()->Record(
-          FactKey{rules_[t.rule].head().predicate, row},
-          static_cast<int>(t.rule),
-          premises != nullptr ? *premises : std::vector<FactKey>{});
-    }
     if (++idb_facts_ > opts_.eval.max_facts) {
       sink_status_ = BudgetExceeded();
       return false;
@@ -317,10 +305,9 @@ class SemiNaiveEngine {
                          Relation* target, bool check_known) {
     target_ = InlineTarget{rule, &preds_.at(rules_[rule].head().predicate),
                            target, check_known};
-    FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-        rules_[rule], &db_->store(), views,
-        opts_.eval.track_provenance || on_derivation_ != nullptr,
-        &rule_stats_[rule], inline_sink_));
+    FACTLOG_RETURN_IF_ERROR(EnumerateRule(rules_[rule], &db_->store(), views,
+                                          on_derivation_ != nullptr,
+                                          &rule_stats_[rule], inline_sink_));
     return sink_status_;
   }
 
@@ -888,11 +875,17 @@ class SemiNaiveEngine {
 
 Result<EvalResult> EvaluateParallel(const ast::Program& program, Database* db,
                                     ThreadPool* pool,
-                                    const ParallelEvalOptions& opts) {
+                                    const ParallelEvalOptions& opts,
+                                    const DerivationCallback& on_derivation) {
   if (opts.eval.strategy == eval::Strategy::kNaive) {
+    if (on_derivation) {
+      return Status::Invalid(
+          "a derivation callback needs the semi-naive strategy");
+    }
     return eval::Evaluate(program, db, opts.eval);
   }
-  SemiNaiveEngine engine(program, db, pool, opts, nullptr, nullptr);
+  SemiNaiveEngine engine(program, db, pool, opts, nullptr,
+                         on_derivation ? &on_derivation : nullptr);
   return engine.Run();
 }
 
@@ -904,17 +897,6 @@ Result<EvalResult> EvaluateSeeded(
   SemiNaiveEngine engine(program, db, pool, opts, &seeds,
                          on_derivation ? &on_derivation : nullptr);
   return engine.Run();
-}
-
-Result<eval::AnswerSet> EvaluateQueryParallel(const ast::Program& program,
-                                              const ast::Atom& query,
-                                              Database* db, ThreadPool* pool,
-                                              const ParallelEvalOptions& opts,
-                                              eval::EvalStats* stats_out) {
-  FACTLOG_ASSIGN_OR_RETURN(EvalResult result,
-                           EvaluateParallel(program, db, pool, opts));
-  if (stats_out != nullptr) *stats_out = result.stats();
-  return eval::ExtractAnswers(query, &result, db, opts.eval.shared_edb);
 }
 
 }  // namespace factlog::exec

@@ -39,14 +39,15 @@
 // Without a pool (or on a width-0 one) the same engine runs inline: one
 // pass per (rule, recursive occurrence) on the calling thread, inserting
 // straight into next, with IDB indices built lazily by the join, the exact
-// fact budget checked per insert, and first-derivation provenance recorded
-// when asked. eval::Evaluate's semi-naive strategy is this inline run.
+// fact budget checked per insert, and every rule instantiation reported to
+// the derivation callback when one is given (derivation trees are built
+// from it; eval/provenance.h). eval::Evaluate's semi-naive strategy is this
+// inline run.
 //
 // EvaluateSeeded enters the same fixpoint mid-way (incremental maintenance,
 // src/inc): each seeded predicate's stored extent joins its views as the
 // third union member and both sinks' known-row checks, so round 1 is the
-// occurrence decomposition of the seed deltas. Its derivation callback, like
-// provenance, needs an inline run.
+// occurrence decomposition of the seed deltas.
 //
 // Fact sets, iteration counts and head instantiation counts are identical
 // with and without a pool at any thread and shard count and at any join
@@ -75,9 +76,7 @@ namespace factlog::exec {
 
 struct ParallelEvalOptions {
   /// Budgets and flags shared with eval::Evaluate. `strategy` kNaive runs
-  /// eval::Evaluate's naive loop (the pool is unused). `track_provenance`
-  /// needs an inline run: with a pool of width >= 1 it fails with
-  /// kInvalidArgument.
+  /// eval::Evaluate's naive loop (the pool is unused).
   eval::EvalOptions eval;
   /// Shards per IDB relation. 0 inherits the database's storage options, so
   /// IDB and EDB partitioning stay uniform by default.
@@ -88,11 +87,21 @@ struct ParallelEvalOptions {
   size_t min_rows_to_partition = 64;
 };
 
+/// Receives every rule instantiation of an inline run, before the engine
+/// checks whether its head is new: the rule's index in the program, the head
+/// row, and the body facts in source order.
+using DerivationCallback =
+    std::function<void(size_t rule, const std::vector<eval::ValueId>& head,
+                       const std::vector<eval::FactKey>& premises)>;
+
 /// Evaluates `program` bottom-up against `db` on `pool` (nullptr = inline,
-/// which is what eval::Evaluate runs).
+/// which is what eval::Evaluate runs). `on_derivation` needs an inline
+/// semi-naive run: with a pool of width >= 1 or under kNaive the call fails
+/// with kInvalidArgument.
 Result<eval::EvalResult> EvaluateParallel(
     const ast::Program& program, eval::Database* db, ThreadPool* pool,
-    const ParallelEvalOptions& opts = ParallelEvalOptions());
+    const ParallelEvalOptions& opts = ParallelEvalOptions(),
+    const DerivationCallback& on_derivation = nullptr);
 
 /// Where one predicate of a seeded evaluation starts: the rows it already
 /// holds (read, and inline maybe indexed, never written; null = none) and
@@ -101,13 +110,6 @@ struct SeedExtent {
   eval::Relation* stored = nullptr;
   const eval::Relation* delta = nullptr;
 };
-
-/// Receives every rule instantiation of a seeded run, before the engine
-/// checks whether its head is new: the rule's index in the program, the head
-/// row, and the body facts in source order.
-using DerivationCallback =
-    std::function<void(size_t rule, const std::vector<eval::ValueId>& head,
-                       const std::vector<eval::FactKey>& premises)>;
 
 /// Continues the semi-naive fixpoint of `program` from `seeds`: the EDB-only
 /// rules do not run, other head predicates start empty, and predicates
@@ -121,13 +123,6 @@ Result<eval::EvalResult> EvaluateSeeded(
     const ParallelEvalOptions& opts,
     const std::map<std::string, SeedExtent>& seeds,
     const DerivationCallback& on_derivation = nullptr);
-
-/// Convenience: EvaluateParallel + ExtractAnswers. When `stats_out` is
-/// non-null the evaluation statistics are copied there.
-Result<eval::AnswerSet> EvaluateQueryParallel(
-    const ast::Program& program, const ast::Atom& query, eval::Database* db,
-    ThreadPool* pool, const ParallelEvalOptions& opts = ParallelEvalOptions(),
-    eval::EvalStats* stats_out = nullptr);
 
 }  // namespace factlog::exec
 

@@ -78,30 +78,26 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Build(
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Restore(
     const ast::Program& program, eval::Database* db,
-    const IncrementalOptions& opts, const std::vector<ViewPredState>& preds) {
+    const IncrementalOptions& opts,
+    const std::vector<storage::ViewPredDump>& preds) {
   return Make(program, db, opts, &preds);
 }
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Make(
     const ast::Program& program, eval::Database* db,
     const IncrementalOptions& opts,
-    const std::vector<ViewPredState>* restore) {
-  if (opts.eval.track_provenance) {
-    return Status::Invalid(
-        "materialized views do not maintain provenance; use the sequential "
-        "evaluator for derivation trees");
-  }
+    const std::vector<storage::ViewPredDump>* restore) {
   std::unique_ptr<MaterializedView> view(
       new MaterializedView(program, db, opts));
   FACTLOG_RETURN_IF_ERROR(view->Init(restore));
   return view;
 }
 
-std::vector<ViewPredState> MaterializedView::DumpState() {
-  std::vector<ViewPredState> out;
+std::vector<storage::ViewPredDump> MaterializedView::DumpState() {
+  std::vector<storage::ViewPredDump> out;
   for (auto& [pred, rel] : *result_.mutable_idb()) {
     rel->SyncShards();
-    ViewPredState pd;
+    storage::ViewPredDump pd;
     pd.pred = pred;
     pd.arity = static_cast<uint32_t>(rel->arity());
     pd.counts_enabled = rel->support_counts_enabled();
@@ -117,7 +113,8 @@ std::vector<ViewPredState> MaterializedView::DumpState() {
   return out;
 }
 
-Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
+Status MaterializedView::Init(
+    const std::vector<storage::ViewPredDump>* restore) {
   FACTLOG_RETURN_IF_ERROR(program_.Validate());
   idb_preds_ = program_.IdbPredicates();
   // One join plan for the program's rules, shared with the initial
@@ -161,7 +158,7 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
   if (restore != nullptr) {
     // Checkpointed state replaces the from-scratch evaluation: fill the
     // maintained relations (including exact support counts) from the dump.
-    for (const ViewPredState& pd : *restore) {
+    for (const storage::ViewPredDump& pd : *restore) {
       FACTLOG_RETURN_IF_ERROR(CheckDump(pd));
       auto rel =
           std::make_unique<Relation>(pd.arity, db_->storage_options());
@@ -221,7 +218,7 @@ Status MaterializedView::Init(const std::vector<ViewPredState>* restore) {
   return RebuildSupportCounts();
 }
 
-Status MaterializedView::CheckDump(const ViewPredState& pd) const {
+Status MaterializedView::CheckDump(const storage::ViewPredDump& pd) const {
   const std::string what = "checkpointed view state for '" + pd.pred + "' ";
   auto info = pred_info_.find(pd.pred);
   if (info == pred_info_.end()) {
@@ -238,7 +235,7 @@ Status MaterializedView::CheckDump(const ViewPredState& pd) const {
   }
   // Counting-maintained predicates need their counts; a recursive one must
   // not carry any, or later deletions would drive them below zero.
-  if (pd.counts_enabled == info->second.recursive) {
+  if ((pd.counts_enabled != 0) == info->second.recursive) {
     return Status::Invalid(
         what + (pd.counts_enabled
                     ? "carries support counts for a recursive predicate"
@@ -335,25 +332,19 @@ void MaterializedView::RecordEdge(const std::string& pred,
                                   size_t rule_index,
                                   const std::vector<FactKey>& premises) {
   if (edges_ == nullptr || edges_overflowed_) return;
-  DerivationEdgeStore::FactId head =
-      edges_->InternFact(pred, row.data(), row.size());
-  std::vector<DerivationEdgeStore::FactId> prems;
-  prems.reserve(premises.size());
-  for (const FactKey& pk : premises) {
-    prems.push_back(edges_->InternFact(pk.predicate, pk.row.data(),
-                                       pk.row.size()));
-  }
-  if (edges_->AddEdge(head, static_cast<int>(rule_index), prems) &&
-      edges_->derivations_of(head).size() == 1) {
+  const DerivationEdgeStore::EdgeId e = edges_->AddDerivation(
+      pred, row, static_cast<int>(rule_index), premises);
+  if (e != DerivationEdgeStore::kNoEdge &&
+      edges_->derivations_of(edges_->head_of(e)).size() == 1) {
     // First derivation of a newly derived fact: its rank is one above its
     // premises', keeping every alive fact with at least one derivation whose
     // premises all rank strictly lower (what deletion counts as support).
     // Alternate derivations of known facts leave the rank untouched.
     uint64_t max_rank = 0;
-    for (DerivationEdgeStore::FactId p : prems) {
+    for (DerivationEdgeStore::FactId p : edges_->premises_of(e)) {
       max_rank = std::max<uint64_t>(max_rank, edges_->rank_of(p));
     }
-    edges_->set_rank(head,
+    edges_->set_rank(edges_->head_of(e),
                      static_cast<uint32_t>(std::min<uint64_t>(
                          max_rank + 1, 0xffffffffu)));
   }

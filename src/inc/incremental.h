@@ -79,14 +79,14 @@
 #include "exec/parallel_seminaive.h"
 #include "exec/thread_pool.h"
 #include "plan/join_plan.h"
+#include "storage/meta.h"
 
 namespace factlog::inc {
 
 struct IncrementalOptions {
   /// Budgets shared with the evaluators. `max_facts` bounds the maintained
   /// IDB plus in-flight deltas, `max_iterations` bounds every internal
-  /// SCC fixpoint (insertion and fallback re-derivation). track_provenance
-  /// must be false: maintenance does not update derivation trees.
+  /// SCC fixpoint (insertion and fallback re-derivation).
   eval::EvalOptions eval;
   /// Optional pool for shard-parallel delta passes. nullptr keeps
   /// propagation fully sequential.
@@ -137,20 +137,6 @@ struct ViewStats : ViewUpdateStats {
   bool edge_store_dropped = false;
 };
 
-/// One maintained predicate's relation, dumped by value: the persistence
-/// layer writes these into the checkpoint meta file and feeds them back to
-/// Restore so reopening a database skips the from-scratch evaluation.
-struct ViewPredState {
-  std::string pred;
-  uint32_t arity = 0;
-  bool counts_enabled = false;
-  uint64_t num_rows = 0;
-  /// num_rows * arity ValueIds, valid against the database's value store.
-  std::vector<eval::ValueId> rows;
-  /// Per-row derivation counts; empty unless counts_enabled.
-  std::vector<int64_t> row_counts;
-};
-
 /// The materialized IDB of one compiled program, kept incrementally correct
 /// under EDB deltas. Holds a pointer to the engine's database (the EDB it
 /// joins deltas against); the database must outlive the view.
@@ -170,11 +156,12 @@ class MaterializedView {
   /// inconsistent view.
   static Result<std::unique_ptr<MaterializedView>> Restore(
       const ast::Program& program, eval::Database* db,
-      const IncrementalOptions& opts, const std::vector<ViewPredState>& preds);
+      const IncrementalOptions& opts,
+      const std::vector<storage::ViewPredDump>& preds);
 
   /// Dumps every maintained relation by value (syncing sharded relations
   /// first), in a form Restore accepts.
-  std::vector<ViewPredState> DumpState();
+  std::vector<storage::ViewPredDump> DumpState();
 
   MaterializedView(const MaterializedView&) = delete;
   MaterializedView& operator=(const MaterializedView&) = delete;
@@ -272,21 +259,22 @@ class MaterializedView {
   static Result<std::unique_ptr<MaterializedView>> Make(
       const ast::Program& program, eval::Database* db,
       const IncrementalOptions& opts,
-      const std::vector<ViewPredState>* restore);
+      const std::vector<storage::ViewPredDump>* restore);
   /// Non-null `restore` replaces the from-scratch evaluation with the dumped
   /// relations (and skips the support-count rebuild — the dump carries exact
   /// counts). A dump that does not fit the program fails with
   /// kInvalidArgument before any of its rows are read.
-  Status Init(const std::vector<ViewPredState>* restore);
+  Status Init(const std::vector<storage::ViewPredDump>* restore);
   /// Checks one dumped predicate against the program and the value store.
-  Status CheckDump(const ViewPredState& pd) const;
+  Status CheckDump(const storage::ViewPredDump& pd) const;
   Status RebuildSupportCounts();
   /// (Re)builds the derivation edge store with one full sweep of every
   /// recursive-head rule over the final evaluated state — the same mechanism
   /// for Build and Restore (checkpoints persist rows, not edges).
   Status RebuildDerivationEdges();
-  /// Interns (pred, row) and its premises and adds one derivation edge.
-  /// No-op when the store is gone; flips the overflow flag on budget breach.
+  /// Adds one derivation edge (DerivationEdgeStore::AddDerivation) and ranks
+  /// a newly derived head. No-op when the store is gone; flips the overflow
+  /// flag on budget breach.
   void RecordEdge(const std::string& pred, const std::vector<eval::ValueId>& row,
                   size_t rule_index,
                   const std::vector<eval::FactKey>& premises);

@@ -15,6 +15,7 @@
 
 #include "api/engine.h"
 #include "core/pipeline.h"
+#include "eval/provenance.h"
 #include "eval/seminaive.h"
 #include "exec/parallel_seminaive.h"
 #include "exec/thread_pool.h"
@@ -162,8 +163,9 @@ TEST(ParallelSemiNaiveTest, QueryAnswersMatchSequential) {
   exec::ParallelEvalOptions opts;
   opts.min_rows_to_partition = 1;
   opts.num_shards = 4;  // sharded IDB over a flat EDB
-  auto parallel =
-      exec::EvaluateQueryParallel(program, query, &db, &pool, opts);
+  auto result = exec::EvaluateParallel(program, &db, &pool, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto parallel = eval::ExtractAnswers(query, &*result, &db);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(parallel->rows, sequential->rows);
 }
@@ -268,9 +270,9 @@ TEST(ParallelSemiNaiveTest, FactBudgetAborts) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
-// Without a pool the engine records first-derivation provenance, with the
+// Without a pool the engine reports derivations to the callback, giving the
 // same derivation tree as ProvenanceTest.DerivationTreeForChain; a pool of
-// any width >= 1 rejects it.
+// any width >= 1 rejects the callback.
 TEST(ParallelSemiNaiveTest, ProvenanceRecordedInlineRejectedOnPool) {
   eval::Database db;
   db.AddPair("e", 1, 2);
@@ -278,14 +280,16 @@ TEST(ParallelSemiNaiveTest, ProvenanceRecordedInlineRejectedOnPool) {
   ast::Program program =
       P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
   exec::ParallelEvalOptions opts;
-  opts.eval.track_provenance = true;
-  auto result = exec::EvaluateParallel(program, &db, nullptr, opts);
+  eval::DerivationEdgeStore store(test::kUnboundedEdges);
+  const exec::DerivationCallback record =
+      test::RecordDerivations(program, &store);
+  auto result = exec::EvaluateParallel(program, &db, nullptr, opts, record);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   eval::FactKey t13{"t", {db.store().InternInt(1), db.store().InternInt(3)}};
-  ASSERT_NE(result->provenance().Find(t13), nullptr);
-  eval::DerivationTree tree =
-      eval::BuildDerivationTree(result->provenance(), t13);
+  ASSERT_NE(store.FindFact(t13.predicate, t13.row.data(), t13.row.size()),
+            eval::DerivationEdgeStore::kNoFact);
+  eval::DerivationTree tree = eval::BuildDerivationTree(store, t13);
   // t(1,3) via rule 1 from e(1,2) and t(2,3); t(2,3) via rule 0 from e(2,3).
   EXPECT_EQ(tree.rule_index, 1);
   EXPECT_EQ(tree.Height(), 3u);
@@ -300,7 +304,7 @@ TEST(ParallelSemiNaiveTest, ProvenanceRecordedInlineRejectedOnPool) {
 
   for (size_t threads : {1u, 2u}) {
     exec::ThreadPool pool(threads);
-    auto pooled = exec::EvaluateParallel(program, &db, &pool, opts);
+    auto pooled = exec::EvaluateParallel(program, &db, &pool, opts, record);
     ASSERT_FALSE(pooled.ok()) << threads << " threads";
     EXPECT_EQ(pooled.status().code(), StatusCode::kInvalidArgument)
         << threads << " threads";

@@ -669,7 +669,7 @@ TEST(IncRestoreTest, MalformedDumpIsRejected) {
       "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). "
       "back(X) :- t(X, Y), e(Y, X). ?- t(1, Y).";
   h.Build(text);
-  const std::vector<ViewPredState> good = h.view->DumpState();
+  const std::vector<storage::ViewPredDump> good = h.view->DumpState();
   ASSERT_EQ(good.size(), 2u);
   const size_t back = good[0].pred == "back" ? 0 : 1;
   const size_t t = 1 - back;
@@ -683,7 +683,7 @@ TEST(IncRestoreTest, MalformedDumpIsRejected) {
 
   struct Case {
     const char* name;
-    std::function<void(std::vector<ViewPredState>*)> corrupt;
+    std::function<void(std::vector<storage::ViewPredDump>*)> corrupt;
   };
   const Case cases[] = {
       {"num_rows past the row buffer",
@@ -714,7 +714,7 @@ TEST(IncRestoreTest, MalformedDumpIsRejected) {
       {"predicate listed twice", [t](auto* d) { d->push_back((*d)[t]); }},
   };
   for (const Case& c : cases) {
-    std::vector<ViewPredState> dump = good;
+    std::vector<storage::ViewPredDump> dump = good;
     c.corrupt(&dump);
     auto view = MaterializedView::Restore(P(text), &h.db, {}, dump);
     ASSERT_FALSE(view.ok()) << c.name;

@@ -227,15 +227,15 @@ TEST(ProvenanceTest, DerivationTreeForChain) {
   ast::Program p = P(kTc);
   Database db;
   AddFacts(&db, "e(1, 2). e(2, 3).");
-  EvalOptions opts;
-  opts.track_provenance = true;
-  auto result = Evaluate(p, &db, opts);
+  DerivationEdgeStore store(test::kUnboundedEdges);
+  auto result = exec::EvaluateParallel(p, &db, /*pool=*/nullptr, {},
+                                       test::RecordDerivations(p, &store));
   ASSERT_TRUE(result.ok());
 
   FactKey t13{"t", {db.store().InternInt(1), db.store().InternInt(3)}};
-  const Justification* just = result->provenance().Find(t13);
-  ASSERT_NE(just, nullptr);
-  DerivationTree tree = BuildDerivationTree(result->provenance(), t13);
+  ASSERT_NE(store.FindFact(t13.predicate, t13.row.data(), t13.row.size()),
+            DerivationEdgeStore::kNoFact);
+  DerivationTree tree = BuildDerivationTree(store, t13);
   // t(1,3) via rule 1 from e(1,2) and t(2,3); t(2,3) via rule 0 from e(2,3).
   EXPECT_EQ(tree.rule_index, 1);
   EXPECT_EQ(tree.Height(), 3u);
@@ -251,7 +251,7 @@ TEST(ProvenanceTest, DerivationTreeForChain) {
 
 TEST(ProvenanceTest, HeightMatchesDefinition21) {
   // A single-node tree (EDB fact) has height 1, per Definition 2.1.
-  ProvenanceStore store;
+  DerivationEdgeStore store(test::kUnboundedEdges);
   DerivationTree leaf = BuildDerivationTree(store, FactKey{"e", {0, 1}});
   EXPECT_EQ(leaf.Height(), 1u);
   EXPECT_EQ(leaf.NodeCount(), 1u);

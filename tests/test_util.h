@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "ast/parser.h"
 #include "eval/database.h"
+#include "eval/provenance.h"
 #include "eval/seminaive.h"
+#include "exec/parallel_seminaive.h"
 
 namespace factlog::test {
 
@@ -78,6 +81,21 @@ inline std::vector<std::string> Answers(const std::string& program_text,
     out.push_back(s);
   }
   return out;
+}
+
+/// An edge budget no test reaches.
+inline constexpr uint64_t kUnboundedEdges = ~uint64_t{0};
+
+/// A derivation callback (exec::EvaluateParallel) that records every rule
+/// instantiation of `program` into `store`, from which BuildDerivationTree
+/// reconstructs derivation trees. `program` must outlive the callback.
+inline exec::DerivationCallback RecordDerivations(
+    const ast::Program& program, eval::DerivationEdgeStore* store) {
+  return [&program, store](size_t rule, const std::vector<eval::ValueId>& head,
+                           const std::vector<eval::FactKey>& premises) {
+    store->AddDerivation(program.rules()[rule].head().predicate(), head,
+                         static_cast<int>(rule), premises);
+  };
 }
 
 }  // namespace factlog::test

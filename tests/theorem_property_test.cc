@@ -7,7 +7,7 @@
 //       p^a(x0, a) fact in the Magic program (the induction invariant);
 //   (3) every magic fact of the factored program is a magic fact of the
 //       Magic program (the m_p case of the induction);
-//   (4) derivation trees reconstructed from provenance satisfy
+//   (4) derivation trees built from the engine's derivation callback satisfy
 //       Definition 2.1 (leaves are EDB facts; internal nodes rule
 //       instantiations).
 
@@ -15,9 +15,13 @@
 
 #include <random>
 
+#include "ast/special_predicates.h"
 #include "core/pipeline.h"
 #include "eval/provenance.h"
 #include "eval/seminaive.h"
+#include "exec/parallel_seminaive.h"
+#include "exec/thread_pool.h"
+#include "tests/sweep_corpus.h"
 #include "tests/test_util.h"
 #include "workload/graph_gen.h"
 
@@ -131,17 +135,16 @@ TEST(DerivationTreeTest, TreesSatisfyDefinition21) {
   )");
   eval::Database db;
   workload::MakeChain(6, "e", &db);
-  eval::EvalOptions opts;
-  opts.track_provenance = true;
-  auto result = eval::Evaluate(p, &db, opts);
+  eval::DerivationEdgeStore store(test::kUnboundedEdges);
+  auto result = exec::EvaluateParallel(p, &db, /*pool=*/nullptr, {},
+                                       test::RecordDerivations(p, &store));
   ASSERT_TRUE(result.ok());
 
   const eval::Relation* t = result->Find("t");
   ASSERT_NE(t, nullptr);
   for (size_t r = 0; r < t->size(); ++r) {
     eval::FactKey fact{"t", {t->row(r)[0], t->row(r)[1]}};
-    eval::DerivationTree tree =
-        BuildDerivationTree(result->provenance(), fact);
+    eval::DerivationTree tree = BuildDerivationTree(store, fact);
     // Walk the tree checking Definition 2.1's two clauses.
     std::vector<const eval::DerivationTree*> stack = {&tree};
     while (!stack.empty()) {
@@ -168,7 +171,7 @@ TEST(DerivationTreeTest, TreesSatisfyDefinition21) {
   }
   // Spot-check a specific height: t(1,6) derives via 5 e-steps.
   eval::FactKey far{"t", {db.store().InternInt(1), db.store().InternInt(6)}};
-  eval::DerivationTree tree = BuildDerivationTree(result->provenance(), far);
+  eval::DerivationTree tree = BuildDerivationTree(store, far);
   EXPECT_EQ(tree.Height(), 6u);
 }
 
@@ -185,19 +188,115 @@ TEST(DerivationTreeTest, FactoredProgramAnswersHaveMagicDerivations) {
   eval::Database db;
   workload::MakeChain(5, "e", &db);
   db.AddPair("e", 2, 5);
-  eval::EvalOptions opts;
-  opts.track_provenance = true;
-  auto magic_result = eval::Evaluate(pipe->magic.program, &db, opts);
+  eval::DerivationEdgeStore store(test::kUnboundedEdges);
+  auto magic_result = exec::EvaluateParallel(
+      pipe->magic.program, &db, /*pool=*/nullptr, {},
+      test::RecordDerivations(pipe->magic.program, &store));
   ASSERT_TRUE(magic_result.ok());
   const eval::Relation* t_bf = magic_result->Find("t_bf");
   ASSERT_NE(t_bf, nullptr);
   for (size_t r = 0; r < t_bf->size(); ++r) {
     eval::FactKey fact{"t_bf", {t_bf->row(r)[0], t_bf->row(r)[1]}};
-    eval::DerivationTree tree =
-        BuildDerivationTree(magic_result->provenance(), fact);
+    eval::DerivationTree tree = BuildDerivationTree(store, fact);
     EXPECT_GE(tree.rule_index, 0);
     EXPECT_GE(tree.Height(), 2u);  // at least a rule over EDB/magic facts
   }
+}
+
+// Definition 2.1 over the sweep corpus, original and compiled: an inline run
+// reports exactly one callback per rule instantiation, every IDB fact has a
+// recorded derivation, and in every tree an internal node's rule has the
+// node's predicate as head and one child per relation literal, while leaves
+// have no recorded derivation.
+TEST(DerivationTreeTest, SweepTreesSatisfyDefinition21) {
+  for (const test::SweepProgram& ps : test::kSweepPrograms) {
+    ast::Program original = P(ps.text);
+    auto compiled =
+        core::CompileQuery(original, A(ps.query), core::Strategy::kAuto);
+    ASSERT_TRUE(compiled.ok()) << ps.name << ": "
+                               << compiled.status().ToString();
+    for (const ast::Program* program : {&original, &compiled->program}) {
+      for (const test::SweepWorkload& ws : test::kSweepWorkloads) {
+        const std::string where = std::string(ps.name) +
+                                  (program == &original ? "" : " compiled") +
+                                  " x " + ws.name;
+        eval::Database db;
+        ws.make(&db);
+        eval::DerivationEdgeStore store(test::kUnboundedEdges);
+        const exec::DerivationCallback record =
+            test::RecordDerivations(*program, &store);
+        uint64_t callbacks = 0;
+        auto result = exec::EvaluateParallel(
+            *program, &db, /*pool=*/nullptr, {},
+            [&](size_t rule, const std::vector<eval::ValueId>& head,
+                const std::vector<eval::FactKey>& premises) {
+              ++callbacks;
+              record(rule, head, premises);
+            });
+        ASSERT_TRUE(result.ok()) << where << ": "
+                                 << result.status().ToString();
+        EXPECT_EQ(callbacks, result->stats().instantiations) << where;
+
+        for (const auto& [pred, rel] : result->idb()) {
+          for (size_t r = 0; r < rel->size(); ++r) {
+            eval::FactKey fact{pred, {rel->row(r), rel->row(r) + rel->arity()}};
+            eval::DerivationTree tree = BuildDerivationTree(store, fact);
+            EXPECT_GE(tree.rule_index, 0) << where << ": " << pred;
+            std::vector<const eval::DerivationTree*> stack = {&tree};
+            while (!stack.empty()) {
+              const eval::DerivationTree* node = stack.back();
+              stack.pop_back();
+              if (node->rule_index < 0) {
+                const auto f = store.FindFact(node->fact.predicate,
+                                              node->fact.row.data(),
+                                              node->fact.row.size());
+                EXPECT_TRUE(f == eval::DerivationEdgeStore::kNoFact ||
+                            store.derivations_of(f).empty())
+                    << where << ": leaf " << node->fact.predicate;
+                continue;
+              }
+              ASSERT_LT(node->rule_index,
+                        static_cast<int>(program->rules().size()));
+              const ast::Rule& rule = program->rules()[node->rule_index];
+              EXPECT_EQ(rule.head().predicate(), node->fact.predicate)
+                  << where;
+              size_t relation_literals = 0;
+              for (const ast::Atom& lit : rule.body()) {
+                if (!ast::IsBuiltinPredicate(lit.predicate())) {
+                  ++relation_literals;
+                }
+              }
+              EXPECT_EQ(node->children.size(), relation_literals) << where;
+              for (const auto& child : node->children) {
+                stack.push_back(&child);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The callback needs an inline semi-naive run.
+TEST(DerivationTreeTest, CallbackRejectedOnPoolAndUnderNaive) {
+  ast::Program p = P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
+  eval::Database db;
+  workload::MakeChain(4, "e", &db);
+  eval::DerivationEdgeStore store(test::kUnboundedEdges);
+  const exec::DerivationCallback record = test::RecordDerivations(p, &store);
+
+  exec::ThreadPool pool(1);
+  auto pooled = exec::EvaluateParallel(p, &db, &pool, {}, record);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_EQ(pooled.status().code(), StatusCode::kInvalidArgument);
+
+  exec::ParallelEvalOptions naive;
+  naive.eval.strategy = eval::Strategy::kNaive;
+  auto oracle = exec::EvaluateParallel(p, &db, /*pool=*/nullptr, naive, record);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.num_edges(), 0u);
 }
 
 }  // namespace
