@@ -87,7 +87,9 @@ bool DerivationEdgeStore::AddEdge(FactId head, int rule_index,
   }
   for (EdgeId e : facts_[head].derivs) {
     const EdgeNode& n = edges_[e];
-    if (n.sig == sig && n.rule == rule_index && n.premises == premises) {
+    if (n.sig == sig && n.rule == rule_index &&
+        n.arity() == premises.size() &&
+        std::equal(premises.begin(), premises.end(), n.links.begin())) {
       return false;
     }
   }
@@ -107,10 +109,18 @@ bool DerivationEdgeStore::AddEdge(FactId head, int rule_index,
   n.head = head;
   n.rule = rule_index;
   n.sig = sig;
-  n.premises = premises;
+  const size_t k = premises.size();
+  n.links.resize(2 * k);
+  std::copy(premises.begin(), premises.end(), n.links.begin());
   n.live = true;
-  facts_[head].derivs.push_back(e);
-  for (FactId p : premises) facts_[p].uses.push_back(e);
+  std::vector<EdgeId>& derivs = facts_[head].derivs;
+  n.deriv_slot = static_cast<uint32_t>(derivs.size());
+  derivs.push_back(e);
+  for (size_t j = 0; j < k; ++j) {
+    std::vector<EdgeId>& uses = facts_[premises[j]].uses;
+    n.use_slot(j) = static_cast<uint32_t>(uses.size());
+    uses.push_back(e);
+  }
   ++num_edges_;
   ++edges_added_;
   return true;
@@ -149,28 +159,44 @@ void DerivationEdgeStore::FreeFactIfOrphaned(FactId f) {
 void DerivationEdgeStore::RemoveEdge(EdgeId e) {
   EdgeNode& n = edges_[e];
   if (!n.live) return;
-  auto unlink = [e](std::vector<EdgeId>* list) {
-    auto it = std::find(list->begin(), list->end(), e);
-    if (it != list->end()) {
-      *it = list->back();
-      list->pop_back();
+  // Swap-and-pop at the recorded slot, then repoint the moved edge's slot.
+  std::vector<EdgeId>& derivs = facts_[n.head].derivs;
+  const uint32_t slot = n.deriv_slot;
+  derivs[slot] = derivs.back();
+  derivs.pop_back();
+  if (slot < derivs.size()) edges_[derivs[slot]].deriv_slot = slot;
+  const size_t k = n.arity();
+  for (size_t j = 0; j < k; ++j) {
+    std::vector<EdgeId>& uses = facts_[n.links[j]].uses;
+    const uint32_t use = n.use_slot(j);
+    const uint32_t last = static_cast<uint32_t>(uses.size() - 1);
+    if (use != last) {
+      // The moved entry is the occurrence of this premise whose slot is
+      // `last`; it may be another occurrence in this very edge.
+      EdgeNode& moved = edges_[uses[last]];
+      for (size_t i = 0; i < moved.arity(); ++i) {
+        if (moved.links[i] == n.links[j] && moved.use_slot(i) == last) {
+          moved.use_slot(i) = use;
+          break;
+        }
+      }
+      uses[use] = uses[last];
     }
-  };
-  unlink(&facts_[n.head].derivs);
-  for (FactId p : n.premises) unlink(&facts_[p].uses);
+    uses.pop_back();
+  }
   // The head first, then each distinct premise; a premise repeated in the
-  // edge must be freed once (unlink above removed one uses entry per
+  // edge must be freed once (the loop above removed one uses entry per
   // occurrence, FreeFactIfOrphaned is idempotent).
   FactId head = n.head;
-  std::vector<FactId> prems = std::move(n.premises);
-  n.premises.clear();
+  std::vector<uint32_t> links = std::move(n.links);
+  n.links.clear();
   n.live = false;
   n.head = kNoFact;
   free_edges_.push_back(e);
   --num_edges_;
   ++edges_removed_;
   FreeFactIfOrphaned(head);
-  for (FactId p : prems) FreeFactIfOrphaned(p);
+  for (size_t j = 0; j < k; ++j) FreeFactIfOrphaned(links[j]);
 }
 
 void DerivationEdgeStore::RecomputeRanks() {
@@ -193,7 +219,7 @@ void DerivationEdgeStore::RecomputeRanks() {
   }
   for (size_t e = 0; e < edges_.size(); ++e) {
     if (!edges_[e].live) continue;
-    unresolved[e] = static_cast<uint32_t>(edges_[e].premises.size());
+    unresolved[e] = static_cast<uint32_t>(edges_[e].arity());
     if (unresolved[e] == 0) {  // ground fact rule of a tracked predicate
       FactId h = edges_[e].head;
       if (best[h] > 1) {

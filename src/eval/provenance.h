@@ -37,13 +37,32 @@ namespace factlog::eval {
 /// its rule and premise facts and is linked into the head's derivation list
 /// and every premise's uses list (one entry per premise occurrence, so
 /// repeated premises stay symmetric with the per-occurrence counters
-/// deletion keeps). Not thread-safe: single writer.
+/// deletion keeps). Each edge also records its position in each of those
+/// lists, so RemoveEdge unlinks in O(premises) however many edges share a
+/// premise (a 0-ary magic guard is a premise of every recursive edge). Not
+/// thread-safe: single writer.
 class DerivationEdgeStore {
  public:
   using FactId = uint32_t;
   using EdgeId = uint32_t;
   static constexpr FactId kNoFact = 0xffffffffu;
   static constexpr EdgeId kNoEdge = 0xffffffffu;
+
+  /// An edge's premise facts, in body order: a view into the store, valid
+  /// until the next AddEdge, AddDerivation or RemoveEdge.
+  class Premises {
+   public:
+    Premises(const FactId* begin, size_t size)
+        : begin_(begin), size_(size) {}
+    const FactId* begin() const { return begin_; }
+    const FactId* end() const { return begin_ + size_; }
+    size_t size() const { return size_; }
+    FactId operator[](size_t i) const { return begin_[i]; }
+
+   private:
+    const FactId* begin_;
+    size_t size_;
+  };
 
   explicit DerivationEdgeStore(uint64_t max_edges) : max_edges_(max_edges) {}
 
@@ -101,8 +120,9 @@ class DerivationEdgeStore {
 
   FactId head_of(EdgeId e) const { return edges_[e].head; }
   int rule_of(EdgeId e) const { return edges_[e].rule; }
-  const std::vector<FactId>& premises_of(EdgeId e) const {
-    return edges_[e].premises;
+  Premises premises_of(EdgeId e) const {
+    const EdgeNode& n = edges_[e];
+    return Premises(n.links.data(), n.arity());
   }
 
   // -- sizing --------------------------------------------------------------
@@ -132,8 +152,20 @@ class DerivationEdgeStore {
     FactId head = kNoFact;
     int rule = -1;
     uint64_t sig = 0;  // hash of (rule, premises) for cheap dedup compares
-    std::vector<FactId> premises;
+    /// One buffer of 2k entries for k premises: the premise ids, then this
+    /// edge's slot in each premise occurrence's `uses`.
+    std::vector<uint32_t> links;
     bool live = false;
+    /// This edge's slot in the head's `derivs`. It sits in the padding after
+    /// `live` rather than in `links`: with 3 premises a 2k + 1 buffer is
+    /// 28 bytes, one glibc size class above 24, and under view maintenance's
+    /// add/remove churn that class made unrelated small allocations in
+    /// other threads slow down over a run (perfbench view_serve's traced
+    /// `ast.parse` spans grew from 50 us to ~2 ms).
+    uint32_t deriv_slot = 0;
+
+    size_t arity() const { return links.size() / 2; }
+    uint32_t& use_slot(size_t j) { return links[arity() + j]; }
   };
 
   size_t FactHash(uint32_t pred, const ValueId* row, size_t arity) const;

@@ -67,36 +67,52 @@ Result<SupplementaryMagicProgram> SupplementaryMagicSets(
     // Bound-so-far: head bound args, then every processed literal's vars.
     std::set<std::string> bound = AtomVars(head_magic);
 
-    // The "previous stage" literal: m_h for i == 1, sup_{r,i-1} afterwards.
-    Atom prev = head_magic;
+    // The previous stage's atoms: m_h for i == 1, sup_{r,i-1} afterwards, or
+    // m_h, b_1 when sup_{r,1} would only copy b_1 (see the header).
+    std::vector<Atom> prev = {head_magic};
     for (size_t i = 1; i <= n; ++i) {
       const Atom& lit = rule.body()[i - 1];
+      std::vector<Atom> body = prev;
+      body.push_back(lit);
 
-      // Magic rule for an IDB literal: from the previous stage only.
+      // Magic rule for an IDB literal: from the previous stage only. A
+      // magic head already among those atoms derives nothing new.
+      bool guard_implied = false;
       if (info.body[i - 1].has_value()) {
         Atom magic_head(out.magic_names.at(lit.predicate()),
                         BoundArgs(lit, *info.body[i - 1]));
-        if (!(magic_head == prev)) {
-          out.program.AddRule(Rule(magic_head, {prev}));
+        guard_implied = magic_head == head_magic;
+        if (std::find(prev.begin(), prev.end(), magic_head) == prev.end()) {
+          out.program.AddRule(Rule(magic_head, prev));
         }
       }
 
       if (i == n) {
         // Final stage inlines into the modified rule.
-        out.program.AddRule(Rule(rule.head(), {prev, lit}));
+        out.program.AddRule(Rule(rule.head(), std::move(body)));
         break;
       }
 
+      std::set<std::string> lit_vars = AtomVars(lit);
+      bound.insert(lit_vars.begin(), lit_vars.end());
+      // b_1 facts all satisfy m_h already, and V_1 would keep all of b_1:
+      // sup_{r,1} would equal b_1 row for row, so read m_h, b_1 in its place.
+      if (i == 1 && guard_implied &&
+          std::includes(needed_after[1].begin(), needed_after[1].end(),
+                        lit_vars.begin(), lit_vars.end())) {
+        prev = std::move(body);
+        continue;
+      }
+
       // sup_{r,i}(V_i) :- prev, b_i.
-      for (const std::string& v : AtomVars(lit)) bound.insert(v);
       std::vector<Term> sup_args;
       for (const std::string& v : bound) {
         if (needed_after[i].count(v) > 0) sup_args.push_back(Term::Var(v));
       }
       Atom sup("sup_" + std::to_string(r) + "_" + std::to_string(i),
                std::move(sup_args));
-      out.program.AddRule(Rule(sup, {prev, lit}));
-      prev = sup;
+      out.program.AddRule(Rule(sup, std::move(body)));
+      prev = {sup};
     }
   }
 

@@ -12,9 +12,18 @@
 //   h                :- sup_{r,n-1}(V_{n-1}), b_n.
 //
 // where V_i keeps exactly the variables needed by the remaining literals
-// and the head. Answers are identical to plain Magic Sets; the join work is
-// not. The factoring pipeline is orthogonal — this module exists as the
-// stronger Magic baseline for the benchmark harness.
+// and the head. One first stage is not materialized: when b_1 is an IDB
+// literal whose magic atom is m_h(X̄) itself (the circular magic rule
+// m_h :- m_h, which is dropped) and V_1 keeps every variable of b_1, then
+// every b_1 fact was derived under that same guard and sup_{r,1} would hold
+// b_1 row for row. The later stages read the conjunction m_h(X̄), b_1 in
+// its place, so left-linear TC compiles to plain Magic's
+// `t(X, Y) :- m_t(..), t(X, W), e(W, Y).` instead of first copying the
+// closure. Where b_1 is EDB (right-linear TC, same-generation) the guard
+// is a real filter, and sup_{r,1} stays. Answers are identical to plain
+// Magic Sets; the join work is not. The factoring pipeline is orthogonal:
+// core::CompileQuery's kAuto falls back to this pass whenever factoring
+// does not apply (e.g. every query argument free).
 
 #ifndef FACTLOG_TRANSFORM_SUPPLEMENTARY_MAGIC_H_
 #define FACTLOG_TRANSFORM_SUPPLEMENTARY_MAGIC_H_

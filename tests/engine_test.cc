@@ -178,6 +178,34 @@ TEST(EngineAutoTest, FallsBackToSupplementaryMagic) {
   EXPECT_FALSE((*plan)->factoring_applied);
 }
 
+// The paper's cost measure on an all-free scan, where factoring cannot apply
+// and kAuto falls back to supplementary magic: the 100-node circulant with
+// steps 1 and 10 (perfbench closure_eval's scan graph) has 10000 closure
+// pairs. kAuto must derive no more than kMagic (m_t_ff plus t_ff), which
+// holds only while the fallback does not copy t_ff into sup_1_1.
+TEST(EngineAutoTest, AllFreeLeftTcDerivesWhatMagicDerives) {
+  Engine engine;
+  constexpr int64_t kNodes = 100;
+  for (int64_t i = 0; i < kNodes; ++i) {
+    engine.AddPair("e", 1 + i, 1 + (i + 1) % kNodes);
+    engine.AddPair("e", 1 + i, 1 + (i + 10) % kNodes);
+  }
+  ast::Program p =
+      P("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(X, Y).");
+  QueryStats auto_stats, magic_stats;
+  auto auto_rows = engine.Query(p, *p.query(), Strategy::kAuto, &auto_stats);
+  auto magic_rows =
+      engine.Query(p, *p.query(), Strategy::kMagic, &magic_stats);
+  ASSERT_TRUE(auto_rows.ok()) << auto_rows.status().ToString();
+  ASSERT_TRUE(magic_rows.ok()) << magic_rows.status().ToString();
+  EXPECT_EQ(auto_rows->rows.size(), 10000u);
+  EXPECT_EQ(auto_rows->rows, magic_rows->rows);
+  EXPECT_EQ(auto_stats.eval.total_facts, 10001u);
+  EXPECT_EQ(auto_stats.eval.instantiations, 20201u);
+  EXPECT_EQ(magic_stats.eval.total_facts, 10001u);
+  EXPECT_EQ(magic_stats.eval.instantiations, 20201u);
+}
+
 // ---- Plan cache ------------------------------------------------------------
 
 TEST(EnginePlanCacheTest, SecondCompileIsAHit) {

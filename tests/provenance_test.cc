@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace factlog::eval {
@@ -63,7 +68,9 @@ TEST(DerivationEdgeStoreTest, AddEdgeDeduplicatesPerHead) {
   EdgeId e = store.derivations_of(head)[0];
   EXPECT_EQ(store.head_of(e), head);
   EXPECT_EQ(store.rule_of(e), 1);
-  EXPECT_EQ(store.premises_of(e), (std::vector<FactId>{p1, p2}));
+  auto premises = store.premises_of(e);
+  EXPECT_EQ(std::vector<FactId>(premises.begin(), premises.end()),
+            (std::vector<FactId>{p1, p2}));
 }
 
 TEST(DerivationEdgeStoreTest, UsesListHasOneEntryPerOccurrence) {
@@ -118,6 +125,138 @@ TEST(DerivationEdgeStoreTest, SharedPremiseSurvivesPartialRemoval) {
   std::vector<ValueId> row = {0};
   EXPECT_NE(store.FindFact("e", row.data(), row.size()),
             DerivationEdgeStore::kNoFact);
+}
+
+// A 0-ary premise shared by thousands of edges (the magic guard of an
+// all-free query) plus edges that repeat a premise: removing them in
+// shuffled order, interleaved with adds that reuse the freed ids, keeps
+// every adjacency list equal (as a multiset) to the live edges.
+TEST(DerivationEdgeStoreTest, HubPremiseRemovalKeepsAdjacencyExact) {
+  using Key = std::pair<const char*, std::vector<ValueId>>;
+  struct Spec {
+    Key head;
+    std::vector<Key> premises;
+  };
+  const Key hub = {"m", {}};
+  std::vector<Spec> specs;
+  for (ValueId i = 0; i < 2000; ++i) {
+    specs.push_back({{"t", {i % 300}}, {hub, {"e", {i}}}});
+  }
+  specs.push_back({{"r", {0}}, {hub, hub}});
+  specs.push_back({{"s", {0}}, {{"q", {0}}, hub, {"q", {0}}}});
+  specs.push_back({{"s", {0}}, {{"q", {0}}, {"q", {0}}}});
+
+  DerivationEdgeStore store(/*max_edges=*/1u << 20);
+  // The expected state: live edges (id -> head, premises), and per fact the
+  // edges it heads and one entry per premise occurrence.
+  std::map<EdgeId, std::pair<FactId, std::vector<FactId>>> live;
+  std::map<FactId, std::multiset<EdgeId>> want_derivs, want_uses;
+  std::vector<EdgeId> edge_of(specs.size(), DerivationEdgeStore::kNoEdge);
+  auto add = [&](size_t i) {
+    FactId head = Intern(&store, specs[i].head.first, specs[i].head.second);
+    std::vector<FactId> premises;
+    for (const Key& k : specs[i].premises) {
+      premises.push_back(Intern(&store, k.first, k.second));
+    }
+    EXPECT_TRUE(store.AddEdge(head, 0, premises));
+    EdgeId e = store.derivations_of(head).back();
+    want_derivs[head].insert(e);
+    for (FactId p : premises) want_uses[p].insert(e);
+    live[e] = {head, std::move(premises)};
+    edge_of[i] = e;
+    return e;
+  };
+  auto remove = [&](EdgeId e) {
+    const auto& [head, premises] = live.at(e);
+    store.RemoveEdge(e);
+    auto drop = [e](std::map<FactId, std::multiset<EdgeId>>* m, FactId f) {
+      auto& list = (*m)[f];
+      list.erase(list.find(e));
+      if (list.empty()) m->erase(f);
+    };
+    drop(&want_derivs, head);
+    for (FactId p : premises) drop(&want_uses, p);
+    live.erase(e);
+  };
+  auto as_multiset = [](const std::vector<EdgeId>& v) {
+    return std::multiset<EdgeId>(v.begin(), v.end());
+  };
+  auto check_fact = [&](FactId f) {
+    ASSERT_EQ(as_multiset(store.derivations_of(f)), want_derivs[f])
+        << "fact " << f;
+    ASSERT_EQ(as_multiset(store.uses_of(f)), want_uses[f]) << "fact " << f;
+  };
+  // Every live edge and every fact it touches; a fact with no edges left
+  // must have been freed.
+  auto check_all = [&] {
+    std::set<FactId> facts;
+    for (const auto& [e, edge] : live) {
+      ASSERT_EQ(store.head_of(e), edge.first);
+      auto premises = store.premises_of(e);
+      ASSERT_EQ(std::vector<FactId>(premises.begin(), premises.end()),
+                edge.second);
+      facts.insert(edge.first);
+      facts.insert(edge.second.begin(), edge.second.end());
+    }
+    for (FactId f : facts) ASSERT_NO_FATAL_FAILURE(check_fact(f));
+    ASSERT_EQ(store.num_facts(), facts.size());
+    ASSERT_EQ(store.num_edges(), live.size());
+  };
+
+  std::vector<size_t> live_specs, dead_specs;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    add(i);
+    live_specs.push_back(i);
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all());
+  const FactId hub_id = Intern(&store, hub.first, hub.second);
+  ASSERT_EQ(store.uses_of(hub_id).size(), 2000u + 2u + 1u);
+
+  // A step writes only the lists of the facts on the edges it removes and
+  // adds, so those are checked after every step (with every live edge's
+  // premises); the full sweep runs every 256 steps and at the end.
+  std::mt19937 rng(23);
+  std::set<EdgeId> freed;
+  int readds = 0;
+  for (int step = 1; !live_specs.empty(); ++step) {
+    std::set<FactId> touched;
+    auto touch = [&](EdgeId e) {
+      touched.insert(live.at(e).first);
+      touched.insert(live.at(e).second.begin(), live.at(e).second.end());
+    };
+    std::swap(live_specs[rng() % live_specs.size()], live_specs.back());
+    const size_t i = live_specs.back();
+    live_specs.pop_back();
+    touch(edge_of[i]);
+    remove(edge_of[i]);
+    freed.insert(edge_of[i]);
+    dead_specs.push_back(i);
+    if (step % 3 == 0 && readds < 600) {
+      std::swap(dead_specs[rng() % dead_specs.size()], dead_specs.back());
+      const size_t j = dead_specs.back();
+      dead_specs.pop_back();
+      EdgeId e = add(j);
+      EXPECT_EQ(freed.erase(e), 1u) << "edge id " << e << " was not freed";
+      touch(e);
+      live_specs.push_back(j);
+      ++readds;
+    }
+    for (const auto& [e, edge] : live) {
+      auto premises = store.premises_of(e);
+      ASSERT_TRUE(std::equal(premises.begin(), premises.end(),
+                             edge.second.begin(), edge.second.end()))
+          << "edge " << e << " after step " << step;
+    }
+    for (FactId f : touched) {
+      ASSERT_NO_FATAL_FAILURE(check_fact(f)) << "after step " << step;
+    }
+    if (step % 256 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check_all());
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all());
+  EXPECT_EQ(readds, 600);
+  EXPECT_EQ(store.num_facts(), 0u);
 }
 
 TEST(DerivationEdgeStoreTest, EdgeBudgetOverflowSticks) {

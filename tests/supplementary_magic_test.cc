@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "transform/magic.h"
 #include "eval/equivalence.h"
 #include "eval/seminaive.h"
@@ -36,6 +39,100 @@ TEST(SupplementaryMagicTest, RightLinearTcStructure) {
   EXPECT_EQ(rules.count("m_t_bf(W) :- sup_0_1(W, X)."), 1u);
   EXPECT_EQ(rules.count("t_bf(X, Y) :- sup_0_1(W, X), t_bf(W, Y)."), 1u);
   EXPECT_EQ(rules.count("t_bf(X, Y) :- m_t_bf(X), e(X, Y)."), 1u);
+}
+
+std::set<std::string> RuleStrings(const ast::Program& p) {
+  std::set<std::string> rules;
+  for (const ast::Rule& r : p.rules()) rules.insert(r.ToString());
+  return rules;
+}
+
+// Names of the sup_{r,1} predicates the program defines.
+std::set<std::string> FirstStages(const ast::Program& p) {
+  std::set<std::string> out;
+  for (const ast::Rule& r : p.rules()) {
+    const std::string& name = r.head().predicate();
+    if (name.rfind("sup_", 0) == 0 && name.size() > 2 &&
+        name.compare(name.size() - 2, 2, "_1") == 0) {
+      out.insert(name);
+    }
+  }
+  return out;
+}
+
+// When b_1 is an IDB literal under the head's own magic guard and keeps all
+// its variables, sup_{r,1} would copy b_1; the next stage reads m_h, b_1
+// instead, which for left-linear TC is plain Magic's modified rule.
+TEST(SupplementaryMagicTest, LeftTcAllFreeSkipsFirstStageCopy) {
+  ast::Program p = P(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- t(X, W), e(W, Y).
+  )");
+  auto supp = Supp(p, A("t(X, Y)"));
+  ASSERT_TRUE(supp.ok()) << supp.status().ToString();
+  EXPECT_EQ(FirstStages(supp->program), std::set<std::string>{});
+  EXPECT_EQ(RuleStrings(supp->program),
+            (std::set<std::string>{
+                "m_t_ff.",
+                "t_ff(X, Y) :- m_t_ff, e(X, Y).",
+                "t_ff(X, Y) :- m_t_ff, t_ff(X, W), e(W, Y).",
+            }));
+}
+
+TEST(SupplementaryMagicTest, LeftTcBoundSkipsFirstStageCopy) {
+  ast::Program p = P(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- t(X, W), e(W, Y).
+  )");
+  auto supp = Supp(p, A("t(1, Y)"));
+  ASSERT_TRUE(supp.ok()) << supp.status().ToString();
+  EXPECT_EQ(FirstStages(supp->program), std::set<std::string>{});
+  EXPECT_EQ(RuleStrings(supp->program).count(
+                "t_bf(X, Y) :- m_t_bf(X), t_bf(X, W), e(W, Y)."),
+            1u);
+}
+
+TEST(SupplementaryMagicTest, NonlinearTcBoundSkipsFirstStageCopy) {
+  ast::Program p = P(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- t(X, W), t(W, Y).
+  )");
+  auto supp = Supp(p, A("t(1, Y)"));
+  ASSERT_TRUE(supp.ok()) << supp.status().ToString();
+  EXPECT_EQ(FirstStages(supp->program), std::set<std::string>{});
+  std::set<std::string> rules = RuleStrings(supp->program);
+  EXPECT_EQ(rules.count("m_t_bf(W) :- m_t_bf(X), t_bf(X, W)."), 1u);
+  EXPECT_EQ(rules.count("t_bf(X, Y) :- m_t_bf(X), t_bf(X, W), t_bf(W, Y)."),
+            1u);
+}
+
+// An EDB first literal is really filtered by the guard, so its stage stays.
+TEST(SupplementaryMagicTest, SameGenerationKeepsFirstStage) {
+  ast::Program p = P(R"(
+    sg(X, Y) :- flat(X, Y).
+    sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
+  )");
+  auto supp = Supp(p, A("sg(1, Y)"));
+  ASSERT_TRUE(supp.ok()) << supp.status().ToString();
+  EXPECT_EQ(FirstStages(supp->program), std::set<std::string>{"sup_1_1"});
+  EXPECT_EQ(RuleStrings(supp->program)
+                .count("sup_1_1(U, X) :- m_sg_bf(X), up(X, U)."),
+            1u);
+}
+
+// b_1 under the head's guard, but W is not needed after stage 1: the stage
+// projects it away, so it is not a copy and stays.
+TEST(SupplementaryMagicTest, ProjectingFirstStageStays) {
+  ast::Program p = P(R"(
+    r(X, Y) :- e(X, Y).
+    r(X, Y) :- r(X, W), e(X, Y).
+  )");
+  auto supp = Supp(p, A("r(1, Y)"));
+  ASSERT_TRUE(supp.ok()) << supp.status().ToString();
+  EXPECT_EQ(FirstStages(supp->program), std::set<std::string>{"sup_1_1"});
+  std::set<std::string> rules = RuleStrings(supp->program);
+  EXPECT_EQ(rules.count("sup_1_1(X) :- m_r_bf(X), r_bf(X, W)."), 1u);
+  EXPECT_EQ(rules.count("r_bf(X, Y) :- sup_1_1(X), e(X, Y)."), 1u);
 }
 
 TEST(SupplementaryMagicTest, FactsBecomeGuardedHeads) {
@@ -80,6 +177,23 @@ INSTANTIATE_TEST_SUITE_P(
         SuppCase{"nonlinear_tc",
                  "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).",
                  "t(1, Y)"},
+        SuppCase{"nonlinear_tc_ff",
+                 "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).",
+                 "t(X, Y)"},
+        SuppCase{"left_tc_ff",
+                 "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y).",
+                 "t(X, Y)"},
+        SuppCase{"left_tc_bf",
+                 "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y).",
+                 "t(1, Y)"},
+        // b_1 = t(X, X) repeats a variable: the skipped stage keeps the
+        // equality filter in the conjunction that replaces it.
+        SuppCase{"repeated_var_first_literal",
+                 "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, X), e(X, Y).",
+                 "t(X, Y)"},
+        SuppCase{"projecting_first_stage",
+                 "r(X, Y) :- e(X, Y). r(X, Y) :- r(X, W), e(X, Y).",
+                 "r(1, Y)"},
         SuppCase{"same_generation",
                  "sg(X, Y) :- flat(X, Y). "
                  "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).",
