@@ -81,9 +81,11 @@
 // storage shards (the parallel fixpoint consumes delta shards in place);
 // per-shard row counts appear in the stats output when n > 1.
 // --batch f reads one query atom per line from f (e.g.
-// "t(1, Y)."), executes all of them concurrently against the program and
-// facts via api::Engine::ExecuteBatch, and prints per-query stats plus a
-// wall-clock summary.
+// "t(1, Y)."), submits all of them at once through the serving queue
+// (api::Engine::StartServing + SubmitQuery), which evaluates them
+// concurrently against the program and facts, and prints per-query stats
+// plus a wall-clock summary. Like --serve, it defaults --threads to 2 when
+// unset. It exits 11 when any query fails.
 //
 // Exit codes: 0 on success, 2 on usage errors, and 10 + StatusCode on
 // pipeline/evaluation errors (11 = invalid argument, 12 = not found,
@@ -98,6 +100,7 @@
 //   e(1, 2). e(2, 3).
 //   $ ./optimizer_cli tc.dl --facts facts.dl
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -105,6 +108,7 @@
 #include <map>
 #include <memory>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -461,35 +465,28 @@ std::string ShardRowsSuffix(const std::vector<uint64_t>& shard_facts) {
 }
 
 // --batch mode: every nonblank line of the batch file is a query atom posed
-// against the program's rules; all queries execute concurrently.
-int ExecuteBatchFile(const factlog::ast::Program& program,
-                     const std::string& batch_path,
-                     const std::string& facts_path,
-                     factlog::core::Strategy strategy, size_t threads,
-                     size_t shards,
-                     const factlog::plan::CostModelParams& cost) {
+// against the program's rules. All of them are submitted at once through the
+// serving queue, which evaluates them concurrently on the engine's pool
+// against one snapshot and shares the plan cache between them.
+int RunBatchFile(const factlog::ast::Program& program,
+                 const std::string& batch_path, const std::string& facts_path,
+                 factlog::core::Strategy strategy, size_t threads,
+                 size_t shards, const factlog::plan::CostModelParams& cost) {
   using namespace factlog;
   auto batch_text = ReadFile(batch_path);
   if (!batch_text.ok()) return Fail(batch_text.status());
 
-  std::vector<api::Engine::BatchQuery> batch;
+  std::vector<ast::Atom> queries;
   std::istringstream lines(*batch_text);
-  std::vector<std::string> rendered;
   for (std::string line; std::getline(lines, line);) {
     // Trim whitespace and an optional trailing '.'.
     size_t begin = line.find_first_not_of(" \t\r");
     if (begin == std::string::npos || line[begin] == '%') continue;
     size_t end = line.find_last_not_of(" \t\r.");
     if (end == std::string::npos || end < begin) continue;  // only ". " etc.
-    std::string text = line.substr(begin, end - begin + 1);
-    auto query = ast::ParseAtom(text);
+    auto query = ast::ParseAtom(line.substr(begin, end - begin + 1));
     if (!query.ok()) return Fail(query.status());
-    api::Engine::BatchQuery q;
-    q.program = program;
-    q.query = std::move(query).value();
-    q.strategy = strategy;
-    rendered.push_back(q.query.ToString());
-    batch.push_back(std::move(q));
+    queries.push_back(std::move(query).value());
   }
 
   api::EngineOptions options;
@@ -504,28 +501,48 @@ int ExecuteBatchFile(const factlog::ast::Program& program,
     if (!load.ok()) return Fail(load);
   }
 
-  auto result = engine.ExecuteBatch(batch);
-  if (!result.ok()) return Fail(result.status());
+  // The whole file is in flight at once, so admission must take all of it.
+  serve::ServeOptions serve_options;
+  serve_options.max_queue = std::max(serve_options.max_queue, queries.size());
+  serve_options.max_inflight_per_session =
+      std::max(serve_options.max_inflight_per_session, queries.size());
+  if (Status st = engine.StartServing(serve_options); !st.ok()) {
+    return Fail(st);
+  }
+  const uint64_t session = engine.OpenSession();
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<serve::QueryResponse>> pending;
+  pending.reserve(queries.size());
+  for (const ast::Atom& query : queries) {
+    pending.push_back(engine.SubmitQuery(session, program, query, strategy));
+  }
+  std::vector<serve::QueryResponse> responses;
+  responses.reserve(pending.size());
+  for (auto& response : pending) responses.push_back(response.get());
+  const int64_t wall_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  engine.StopServing();
+
   size_t failed = 0;
   int64_t sum_execute_us = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const api::QueryStats& s = result->stats[i];
-    sum_execute_us += s.execute_us;
-    std::cout << "% [" << i << "] " << rendered[i] << " : ";
-    if (result->status[i].ok()) {
-      std::cout << result->answers[i].size() << " answers, "
-                << s.eval.total_facts << " facts, "
-                << (s.cache_hit ? "cache hit" : "compiled") << ", "
-                << s.execute_us << " us" << ShardRowsSuffix(s.eval.shard_facts)
-                << "\n";
+  for (size_t i = 0; i < responses.size(); ++i) {
+    const serve::QueryResponse& r = responses[i];
+    sum_execute_us += r.execute_us;
+    std::cout << "% [" << i << "] " << queries[i].ToString() << " : ";
+    if (r.status.ok()) {
+      std::cout << r.answers.size() << " answers, "
+                << (r.cache_hit ? "cache hit" : "compiled") << ", queue "
+                << r.queue_us << " us, execute " << r.execute_us << " us\n";
     } else {
       ++failed;
-      std::cout << "error: " << result->status[i].ToString() << "\n";
+      std::cout << "error: " << r.status.ToString() << "\n";
     }
   }
-  std::cout << "% batch: " << batch.size() << " queries ("
-            << batch.size() - failed << " ok, " << failed << " failed) on "
-            << threads << " threads in " << result->wall_us << " us wall ("
+  std::cout << "% batch: " << responses.size() << " queries ("
+            << responses.size() - failed << " ok, " << failed << " failed) on "
+            << threads << " threads in " << wall_us << " us wall ("
             << sum_execute_us << " us summed execute)\n";
   return failed == 0 ? 0 : StatusCodeToExitCode(StatusCode::kInvalidArgument);
 }
@@ -637,8 +654,9 @@ int main(int argc, char** argv) {
       std::cerr << "error: --db and --batch are exclusive\n";
       return 2;
     }
-    return ExecuteBatchFile(*program, batch_path, facts_path, strategy,
-                            threads, shards, cost);
+    // Like --serve, the batch runs on the serving queue, which needs a pool.
+    return RunBatchFile(*program, batch_path, facts_path, strategy,
+                        threads == 0 ? 2 : threads, shards, cost);
   }
   if (!program->query().has_value()) {
     std::cerr << "error: the program has no '?-' query\n";

@@ -91,8 +91,7 @@ bool BuiltinExecutable(const ast::Atom& a, const std::set<std::string>& bound) {
 
 // ---- L001 / L002: safety and builtin executability ----
 
-void CheckSafety(const ast::Program& program, const LintOptions& options,
-                 std::vector<Diagnostic>* out) {
+void CheckSafety(const ast::Program& program, std::vector<Diagnostic>* out) {
   for (size_t i = 0; i < program.rules().size(); ++i) {
     const ast::Rule& rule = program.rules()[i];
     const std::set<std::string> bound = BoundVars(rule);
@@ -105,8 +104,7 @@ void CheckSafety(const ast::Program& program, const LintOptions& options,
       if (bound.count(t.var_name()) > 0) continue;
       Diagnostic d;
       d.code = "L001";
-      d.severity =
-          options.unsafe_as_warning ? Severity::kWarning : Severity::kError;
+      d.severity = Severity::kError;
       d.message = "unsafe rule: head variable '" + t.var_name() +
                   "' is not bound by any positive body literal";
       d.rule_index = static_cast<int>(i);
@@ -493,7 +491,7 @@ void CheckReachability(const ast::Program& program, const LintOptions& options,
 LintReport LintProgram(const ast::Program& program,
                        const LintOptions& options) {
   LintReport report;
-  CheckSafety(program, options, &report.diagnostics);
+  CheckSafety(program, &report.diagnostics);
   CheckArities(program, options, &report.diagnostics);
   CheckStratification(program, options, &report);
   CheckSingletons(program, &report.diagnostics);

@@ -65,10 +65,6 @@ struct LintOptions {
   /// Known EDB schema (e.g. the engine database's relations). Checked
   /// against program usage for L003 and consulted for L106.
   std::map<std::string, size_t> edb_arities;
-  /// Downgrade L001 to a warning. Top-down SLD resolution handles
-  /// Prolog-style rules with unrestricted head variables (pmem's cons
-  /// heads), so the top-down engine opts out of hard safety rejection.
-  bool unsafe_as_warning = false;
   /// Body-size cap for the L103 containment test (NP-complete in rule
   /// size; the paper's observation that queries are small keeps this
   /// cheap, but transformed programs can grow bodies).

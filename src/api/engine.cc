@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <set>
 #include <utility>
 
 #include "ast/parser.h"
@@ -43,6 +41,17 @@ bool ExtentsDrifted(const std::map<std::string, uint64_t>& hints,
     }
   }
   return false;
+}
+
+/// What compilation knows of the base relations: each one's arity for the
+/// linter (the L003 arity check; L106 treats it as defined) and, when
+/// `planner` is set, its row count as a join-planner extent hint.
+void SeedFromSchema(const eval::Database& db, analysis::LintOptions* lint,
+                    plan::PlanOptions* planner) {
+  for (const auto& [name, rel] : db.relations()) {
+    lint->edb_arities.emplace(name, rel->arity());
+    if (planner != nullptr) planner->extent_hints[name] = rel->size();
+  }
 }
 
 }  // namespace
@@ -211,31 +220,21 @@ std::string Engine::PlanCacheKey(const ast::Program& program,
 core::PipelineOptions Engine::PipelineOptionsForCompile(
     const eval::Database* hint_db) const {
   core::PipelineOptions opts = options_.pipeline;
-  // Top-down SLD resolution handles Prolog-style rules with unrestricted
-  // head variables, so safety violations only warn under kTopDown.
-  if (options_.execution == ExecutionMode::kTopDown) {
-    opts.lint.unsafe_as_warning = true;
-  }
-  // A serving compile seeds the planner from the pinned snapshot: immutable,
-  // so no guard is needed and no mutation can race the iteration.
   if (hint_db != nullptr) {
-    for (const auto& [name, rel] : hint_db->relations()) {
-      opts.planner.extent_hints[name] = rel->size();
-      opts.lint.edb_arities.emplace(name, rel->arity());
-    }
-    stats_catalog_.SeedPlanOptions(&opts.planner);
-    return opts;
-  }
-  // Seed the join planner with the actual base-relation sizes. Reading the
-  // database makes this snapshot subject to the same contract as evaluation
-  // (mutations must not race it), so it runs under the evaluation-epoch
-  // guard: a concurrent AddFact/RemoveFact fails with kFailedPrecondition
-  // instead of mutating the relations map mid-iteration. Same best-effort
-  // detection level as Execute — see the header's epoch-guard caveat.
-  QueryScope scope(this);
-  for (const auto& [name, rel] : db_.relations()) {
-    opts.planner.extent_hints[name] = rel->size();
-    opts.lint.edb_arities.emplace(name, rel->arity());
+    // A serving compile seeds the planner from the pinned snapshot:
+    // immutable, so no guard is needed and no mutation can race the
+    // iteration.
+    SeedFromSchema(*hint_db, &opts.lint, &opts.planner);
+  } else {
+    // Seed the join planner with the actual base-relation sizes. Reading the
+    // database makes this snapshot subject to the same contract as
+    // evaluation (mutations must not race it), so it runs under the
+    // evaluation-epoch guard: a concurrent AddFact/RemoveFact fails with
+    // kFailedPrecondition instead of mutating the relations map
+    // mid-iteration. Same best-effort detection level as Execute — see the
+    // header's epoch-guard caveat.
+    QueryScope scope(this);
+    SeedFromSchema(db_, &opts.lint, &opts.planner);
   }
   // Measured feedback: observed delta means and probe selectivities (plus
   // extents for predicates the live database doesn't know — derived IDB).
@@ -244,16 +243,9 @@ core::PipelineOptions Engine::PipelineOptionsForCompile(
 }
 
 analysis::LintReport Engine::Lint(const ast::Program& program) const {
+  // Same read contract as compilation: mutations must not race.
   analysis::LintOptions opts = options_.pipeline.lint;
-  if (options_.execution == ExecutionMode::kTopDown) {
-    opts.unsafe_as_warning = true;
-  }
-  // The database schema feeds the arity check (L003) and marks the query
-  // predicate defined (L106). Same read contract as compilation: mutations
-  // must not race.
-  for (const auto& [name, rel] : db_.relations()) {
-    opts.edb_arities.emplace(name, rel->arity());
-  }
+  SeedFromSchema(db_, &opts, /*planner=*/nullptr);
   return analysis::LintProgram(program, opts);
 }
 
@@ -429,35 +421,23 @@ Result<eval::AnswerSet> Engine::Execute(const CompiledQuery& plan,
     stats->plan_rules = plan.plans.rules.size();
     stats->plan_reordered = plan.plans.reordered_rules();
   }
-  Result<eval::AnswerSet> answers = Status::Internal("unreachable");
-  switch (options_.execution) {
-    case ExecutionMode::kBottomUp: {
-      // Evaluate under the compile-time join plan (`plan` outlives the
-      // call) on the one semi-naive engine, on the pool when the engine has
-      // one. Evaluation counters are always collected — the measured
-      // cardinalities feed the statistics catalog even when the caller
-      // didn't ask for stats.
-      exec::ParallelEvalOptions popts;
-      popts.eval = options_.eval;
-      popts.eval.program_plan = &plan.plans;
-      popts.num_shards = options_.num_shards;
-      Result<eval::EvalResult> result =
-          exec::EvaluateParallel(plan.program, &db_, EnsurePool(), popts);
-      if (!result.ok()) {
-        answers = result.status();
-        break;
-      }
-      answers = eval::ExtractAnswers(plan.query, &*result, &db_,
-                                     popts.eval.shared_edb);
-      if (stats != nullptr) stats->eval = result->stats();
-      if (answers.ok()) RecordEvalObservations(result->stats());
-      break;
-    }
-    case ExecutionMode::kTopDown:
-      answers = eval::SolveTopDown(plan.program, plan.query, &db_,
-                                   options_.sld,
-                                   stats != nullptr ? &stats->sld : nullptr);
-      break;
+  // Evaluate under the compile-time join plan (`plan` outlives the call) on
+  // the one semi-naive engine, on the pool when the engine has one.
+  // Evaluation counters are always collected — the measured cardinalities
+  // feed the statistics catalog even when the caller didn't ask for stats.
+  exec::ParallelEvalOptions popts;
+  popts.eval = options_.eval;
+  popts.eval.program_plan = &plan.plans;
+  popts.num_shards = options_.num_shards;
+  Result<eval::EvalResult> result =
+      exec::EvaluateParallel(plan.program, &db_, EnsurePool(), popts);
+  Result<eval::AnswerSet> answers =
+      result.ok() ? eval::ExtractAnswers(plan.query, &*result, &db_,
+                                         popts.eval.shared_edb)
+                  : Result<eval::AnswerSet>(result.status());
+  if (result.ok()) {
+    if (stats != nullptr) stats->eval = result->stats();
+    if (answers.ok()) RecordEvalObservations(result->stats());
   }
   if (stats != nullptr) stats->execute_us = MicrosSince(start);
   return answers;
@@ -645,122 +625,11 @@ size_t Engine::num_views() const {
   return views_.size();
 }
 
-// ---- Batch ------------------------------------------------------------------
-
-Result<BatchResult> Engine::ExecuteBatch(
-    const std::vector<BatchQuery>& batch) {
-  return ExecuteBatchImpl(batch, std::vector<Status>(batch.size()));
-}
-
-Result<BatchResult> Engine::ExecuteBatch(
-    const std::vector<std::string>& program_texts, Strategy strategy) {
-  // Parse failures are per-query outcomes, not batch failures: valid texts
-  // still execute, and the invalid ones report their status index-aligned.
-  std::vector<BatchQuery> batch(program_texts.size());
-  std::vector<Status> status(program_texts.size());
-  for (size_t i = 0; i < program_texts.size(); ++i) {
-    auto program = ast::ParseProgram(program_texts[i]);
-    if (!program.ok()) {
-      status[i] = program.status();
-    } else if (!program->query().has_value()) {
-      status[i] = Status::Invalid("batch program text has no '?-' query: " +
-                                  program_texts[i]);
-    } else {
-      batch[i].query = *program->query();
-      batch[i].program = std::move(program).value();
-      batch[i].strategy = strategy;
-    }
-  }
-  return ExecuteBatchImpl(batch, std::move(status));
-}
-
-Result<BatchResult> Engine::ExecuteBatchImpl(
-    const std::vector<BatchQuery>& batch, std::vector<Status> status) {
-  if (options_.execution != ExecutionMode::kBottomUp) {
-    return Status::Invalid(
-        "ExecuteBatch requires bottom-up execution (top-down resolution is "
-        "not thread-safe against a shared database)");
-  }
-  if (serving_active_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "ExecuteBatch while serving; use SubmitQuery (the serving queue "
-        "already multiplexes the pool) or StopServing first");
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  QueryScope scope(this);
-  const size_t n = batch.size();
-  BatchResult result;
-  result.answers.resize(n);
-  result.status = std::move(status);
-  result.stats.resize(n);
-  exec::ThreadPool* pool = EnsurePool();
-  auto for_each_query = [&](const std::function<void(size_t)>& fn) {
-    if (pool != nullptr) {
-      pool->ParallelFor(n, fn);
-    } else {
-      for (size_t i = 0; i < n; ++i) fn(i);
-    }
-  };
-
-  // Phase 1: compile every query on the pool. The plan cache is
-  // single-flight, so concurrent workers share plans.
-  std::vector<std::shared_ptr<const CompiledQuery>> plans(n);
-  for_each_query([&](size_t i) {
-    if (!result.status[i].ok()) return;
-    auto plan = Compile(batch[i].program, batch[i].query, batch[i].strategy,
-                        &result.stats[i]);
-    if (plan.ok()) {
-      plans[i] = std::move(plan).value();
-    } else {
-      result.status[i] = plan.status();
-    }
-  });
-
-  // Phase 2 (control thread): build the base-relation indices each distinct
-  // plan probes, so phase 3 stays on the read-only path. The needs come from
-  // the plan evaluation will resolve (the identity plan under kLeftToRight):
-  // indices for any other plan would leave its probes scanning.
-  std::set<const CompiledQuery*> warmed;
-  for (const auto& plan : plans) {
-    if (plan == nullptr || !warmed.insert(plan.get()).second) continue;
-    eval::EvalOptions eopts = options_.eval;
-    eopts.program_plan = &plan->plans;
-    for (const auto& [pred, cols] : plan::BaseIndexNeeds(
-             plan->program,
-             eval::PlanForEvaluation(plan->program, db_, eopts),
-             plan->query)) {
-      if (eval::Relation* rel = db_.Find(pred)) rel->EnsureIndex(cols);
-    }
-  }
-
-  // Phase 3: evaluate concurrently, each query with private IDB state.
-  for_each_query([&](size_t i) {
-    if (plans[i] == nullptr) return;
-    auto answers =
-        EvaluateShared(*plans[i], batch[i].query, &db_, &result.stats[i]);
-    if (answers.ok()) {
-      result.answers[i] = std::move(answers).value();
-    } else {
-      result.status[i] = answers.status();
-    }
-  });
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batches;
-  }
-  result.wall_us = MicrosSince(wall_start);
-  return result;
-}
-
 // ---- Async serving ----------------------------------------------------------
 
 Engine::~Engine() { StopServing(); }
 
 Status Engine::StartServing(const serve::ServeOptions& serve_options) {
-  if (options_.execution != ExecutionMode::kBottomUp) {
-    return Status::FailedPrecondition(
-        "serving requires bottom-up execution");
-  }
   exec::ThreadPool* pool = EnsurePool();
   if (pool == nullptr) {
     return Status::FailedPrecondition(
@@ -960,33 +829,25 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
   } else {
     serving_->vocab.RegisterFromPlan(**plan, (*plan)->plans);
   }
-  Result<eval::AnswerSet> answers =
-      EvaluateShared(**plan, query, snap->db.get(), &qs);
+  // The snapshot's base relations are shared read-only with every other
+  // reader: the evaluation probes the indices built at install and scans
+  // otherwise, never building one lazily.
+  eval::EvalOptions eopts = options_.eval;
+  eopts.program_plan = &(*plan)->plans;
+  eopts.shared_edb = true;
+  Result<eval::AnswerSet> answers = eval::EvaluateQuery(
+      (*plan)->program, (*plan)->query, snap->db.get(), eopts, &qs.eval);
+  if (answers.ok()) RecordEvalObservations(qs.eval);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.executions;
+  }
   if (!answers.ok()) {
     resp->status = answers.status();
     return;
   }
   resp->answers = std::move(answers).value();
-}
-
-Result<eval::AnswerSet> Engine::EvaluateShared(const CompiledQuery& plan,
-                                               const ast::Atom& caller_query,
-                                               eval::Database* db,
-                                               QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  eval::EvalOptions eopts = options_.eval;
-  eopts.program_plan = &plan.plans;
-  eopts.shared_edb = true;  // base relations are shared read-only
-  Result<eval::AnswerSet> answers =
-      eval::EvaluateQuery(plan.program, plan.query, db, eopts, &stats->eval);
-  if (answers.ok()) RecordEvalObservations(stats->eval);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.executions;
-  }
-  stats->execute_us = MicrosSince(start);
-  if (answers.ok()) RenameAnswerVars(caller_query, &*answers);
-  return answers;
+  RenameAnswerVars(query, &resp->answers);
 }
 
 // ---- Persistence ------------------------------------------------------------

@@ -3,7 +3,7 @@
 // The engine owns an extensional database, compiles queries through the
 // pass-manager pipeline (core/pipeline.h) under a selectable strategy, caches
 // the resulting CompiledQuery plans, and executes them bottom-up (semi-naive)
-// or top-down (SLD) to return AnswerSets:
+// to return AnswerSets:
 //
 //   api::Engine engine;
 //   engine.AddPair("e", 1, 2);
@@ -22,12 +22,12 @@
 // parallel partitioning in all execution paths.
 //
 // Parallelism: with EngineOptions::num_threads > 0 the engine owns a
-// work-stealing exec::ThreadPool. Single bottom-up queries then run the
-// partitioned parallel fixpoint (exec/parallel_seminaive.h), and
-// ExecuteBatch evaluates many queries concurrently against the frozen EDB
-// while sharing the plan cache. The plan cache and counters are
-// mutex-guarded, so Compile may be called from concurrent workers; concurrent
-// misses on one key collapse into a single compilation (single-flight).
+// work-stealing exec::ThreadPool. Single queries then run the partitioned
+// parallel fixpoint (exec/parallel_seminaive.h); many concurrent queries go
+// through the serving queue (StartServing + SubmitQuery), which shares the
+// plan cache. The plan cache and counters are mutex-guarded, so Compile may
+// be called from concurrent workers; concurrent misses on one key collapse
+// into a single compilation (single-flight).
 //
 // Incremental maintenance: Materialize compiles a (program, query) and keeps
 // its full IDB as a live view (inc::MaterializedView) that AddFact/RemoveFact
@@ -73,7 +73,6 @@
 #include "core/transform_pass.h"
 #include "eval/database.h"
 #include "eval/seminaive.h"
-#include "eval/topdown.h"
 #include "exec/thread_pool.h"
 #include "inc/incremental.h"
 #include "plan/stats_catalog.h"
@@ -86,29 +85,15 @@ namespace factlog::api {
 using core::CompiledQuery;
 using core::Strategy;
 
-/// How Engine::Execute runs a compiled plan.
-enum class ExecutionMode {
-  /// Semi-naive bottom-up fixpoint (the paper's default).
-  kBottomUp,
-  /// Top-down SLD resolution (the Prolog baseline of Examples 1.2 / 4.6).
-  /// Note the magic-transformed plans are left-recursive on unbound goals,
-  /// so recursive queries diverge under plain SLD exactly as in Prolog; the
-  /// SldOptions budgets turn that into kResourceExhausted.
-  kTopDown,
-};
-
 struct EngineOptions {
   /// Compilation knobs forwarded to the pass pipeline.
   core::PipelineOptions pipeline;
   /// Bottom-up evaluation budgets / strategy.
   eval::EvalOptions eval;
-  /// Top-down resolution budgets (kTopDown only).
-  eval::SldOptions sld;
-  ExecutionMode execution = ExecutionMode::kBottomUp;
   /// Maximum cached plans; least recently used plans are evicted. 0 caches
   /// nothing: every query recompiles.
   size_t plan_cache_capacity = 128;
-  /// Worker threads for the parallel fixpoint and ExecuteBatch. 0 keeps the
+  /// Worker threads for the parallel fixpoint and serving. 0 keeps the
   /// engine fully sequential (no pool is created). The pool is built lazily
   /// on first use and reused for the engine's lifetime.
   size_t num_threads = 0;
@@ -143,8 +128,7 @@ struct EngineOptions {
 struct EngineStats {
   uint64_t compiles = 0;       // plans built (cache misses included)
   uint64_t cache_hits = 0;     // compiles avoided by the plan cache
-  uint64_t executions = 0;     // plans evaluated (batch queries included)
-  uint64_t batches = 0;        // ExecuteBatch calls
+  uint64_t executions = 0;     // plans evaluated (serving reads included)
   uint64_t view_hits = 0;      // queries answered from a materialized view
   uint64_t view_updates = 0;   // AddFact/RemoveFact deltas propagated to views
   uint64_t plans_recosted = 0;     // stale-plan guard firings: a cached
@@ -165,8 +149,7 @@ struct PersistenceStats {
                                      // or compile on Open
 };
 
-/// Per-query statistics (optional out-param of Query/Execute; one per query
-/// of an ExecuteBatch).
+/// Per-query statistics (optional out-param of Query/Execute).
 struct QueryStats {
   bool cache_hit = false;
   /// The answer came from a materialized view (no execution ran).
@@ -183,20 +166,8 @@ struct QueryStats {
   /// Microseconds spent compiling (0 on a cache hit) and executing.
   int64_t compile_us = 0;
   int64_t execute_us = 0;
-  /// Bottom-up evaluation counters (kBottomUp).
+  /// Semi-naive evaluation counters.
   eval::EvalStats eval;
-  /// Resolution counters (kTopDown).
-  eval::SldStats sld;
-};
-
-/// Result of Engine::ExecuteBatch: answers, status and stats are
-/// index-aligned with the requests (a failed query has an empty AnswerSet).
-struct BatchResult {
-  std::vector<eval::AnswerSet> answers;
-  std::vector<Status> status;
-  std::vector<QueryStats> stats;
-  /// Whole batch, end to end.
-  int64_t wall_us = 0;
 };
 
 /// Handle to a materialized view registered with an Engine. Views are keyed
@@ -273,10 +244,9 @@ class Engine {
 
   /// Runs the static linter (analysis/lint.h) over `program` — and its query
   /// when set — under this engine's configuration: the database schema feeds
-  /// the arity/reachability checks, and kTopDown execution downgrades safety
-  /// violations to warnings (SLD resolves Prolog-style heads fine). Pure:
-  /// nothing is compiled or cached. The same analysis runs as the mandatory
-  /// opening pass of every compilation, where errors reject the program.
+  /// the arity/reachability checks. Pure: nothing is compiled or cached. The
+  /// same analysis runs as the mandatory opening pass of every compilation,
+  /// where errors reject the program.
   analysis::LintReport Lint(const ast::Program& program) const;
   /// Parses `program_text` (query line optional) and lints it.
   Result<analysis::LintReport> Lint(const std::string& program_text) const;
@@ -311,36 +281,11 @@ class Engine {
                                 Strategy strategy = Strategy::kAuto,
                                 QueryStats* stats = nullptr);
 
-  /// Executes an already-compiled plan against the engine's database.
-  /// Bottom-up plans run the semi-naive engine, on the pool when
-  /// num_threads > 0, or the naive loop when that strategy is requested.
+  /// Executes an already-compiled plan against the engine's database on the
+  /// semi-naive engine (on the pool when num_threads > 0; the naive loop when
+  /// EvalOptions asks for it), under the plan's compile-time join plan.
   Result<eval::AnswerSet> Execute(const CompiledQuery& plan,
                                   QueryStats* stats = nullptr);
-
-  // ---- Batch --------------------------------------------------------------
-
-  /// One query of a batch: a program, the query atom, and the strategy to
-  /// compile it under.
-  struct BatchQuery {
-    ast::Program program;
-    ast::Atom query;
-    Strategy strategy = Strategy::kAuto;
-  };
-
-  /// Compiles and executes every query concurrently on the engine's pool
-  /// against the current database snapshot, sharing the plan cache. The
-  /// database must not be mutated during the call. Requires kBottomUp
-  /// execution. Per-query failures are reported in the result's status; the
-  /// call itself only fails when the engine cannot run a batch (top-down
-  /// execution, serving).
-  Result<BatchResult> ExecuteBatch(const std::vector<BatchQuery>& batch);
-
-  /// Convenience: every element of `program_texts` is a full program with a
-  /// `?- query.` line, compiled under `strategy`. A text that does not parse
-  /// fails only its own query.
-  Result<BatchResult> ExecuteBatch(
-      const std::vector<std::string>& program_texts,
-      Strategy strategy = Strategy::kAuto);
 
   // ---- Materialized views -------------------------------------------------
 
@@ -378,8 +323,8 @@ class Engine {
 
   /// Switches the engine into serving mode: installs the first MVCC snapshot
   /// epoch and starts the request-queue front end on the engine's pool.
-  /// Requires kBottomUp execution and num_threads > 0. Idempotent while
-  /// already serving. While serving:
+  /// Requires num_threads > 0. Idempotent while already serving. While
+  /// serving:
   ///   * SubmitQuery executes against a pinned snapshot on a pool worker —
   ///     concurrent with updates, never failed by the epoch guard;
   ///   * SubmitUpdate is serialized through the single writer thread, which
@@ -387,8 +332,8 @@ class Engine {
   ///     epoch per drained batch;
   ///   * the synchronous entry points reroute: Query evaluates inline against
   ///     the current snapshot, AddFact/RemoveFact submit-and-wait through the
-  ///     writer; ExecuteBatch and Materialize fail with kFailedPrecondition
-  ///     (materialize views before serving).
+  ///     writer; Materialize fails with kFailedPrecondition (materialize
+  ///     views before serving).
   Status StartServing(const serve::ServeOptions& serve_options = {});
   /// Drains in-flight requests, stops the writer, and returns the engine to
   /// stop-the-world mode. Idempotent.
@@ -524,24 +469,12 @@ class Engine {
   /// the epoch. Returns the new epoch.
   uint64_t InstallServingSnapshot();
   /// Reader-side execution against the pinned snapshot (the serve::Server
-  /// read hook, also the inline Query path while serving).
+  /// read hook, also the inline Query path while serving): answers from the
+  /// epoch's frozen view copy, or compiles and evaluates sequentially with
+  /// the snapshot's base relations shared read-only, feeding the statistics
+  /// catalog and counting the execution.
   void ServingRead(const ast::Program& program, const ast::Atom& query,
                    Strategy strategy, serve::QueryResponse* resp);
-  /// ExecuteBatch's body; queries whose `status` is not OK (parse failures)
-  /// are skipped and keep it.
-  Result<BatchResult> ExecuteBatchImpl(const std::vector<BatchQuery>& batch,
-                                       std::vector<Status> status);
-  /// The one read step against a database whose base relations are shared
-  /// read-only (a serving snapshot, or db_ during a batch): evaluates `plan`
-  /// under the engine's EvalOptions with shared_edb on,
-  /// feeds the statistics catalog, counts the execution, fills
-  /// stats->execute_us and stats->eval, and names the answer columns after
-  /// `caller_query`. The indices it can probe must be built beforehand
-  /// (plan::BaseIndexNeeds).
-  Result<eval::AnswerSet> EvaluateShared(const CompiledQuery& plan,
-                                         const ast::Atom& caller_query,
-                                         eval::Database* db,
-                                         QueryStats* stats);
   /// kFailedPrecondition when a query is executing (mutations must not race).
   Status CheckMutable(const char* op) const;
   /// Open()'s body: attaches the table space, restores the checkpoint, and

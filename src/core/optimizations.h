@@ -56,13 +56,6 @@ struct OptimizationContext {
 enum class UeOrder { kForward, kBackward };
 
 struct OptimizeOptions {
-  bool apply_prop_5_1 = true;
-  bool apply_prop_5_2 = true;
-  bool apply_prop_5_3 = true;
-  bool apply_head_in_body = true;     // Prop 5.4, first half
-  bool apply_unreachable = true;      // Prop 5.4, second half
-  bool apply_anonymize = true;        // Prop 5.5
-  bool apply_duplicates = true;
   bool apply_uniform_equivalence = true;
   UeOrder ue_order = UeOrder::kForward;
   /// Budget for each uniform-equivalence chase. Chases evaluate bodies in

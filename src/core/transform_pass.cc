@@ -758,13 +758,13 @@ std::unique_ptr<Transform> MakeSectionFiveFixpointPass(
   // The child order reproduces the paper's final programs verbatim; every
   // child is idempotent and deterministic, as the fixpoint requires.
   PassSequence children;
-  if (opts.apply_head_in_body) children.push_back(MakeHeadInBodyPass());
-  if (opts.apply_prop_5_1) children.push_back(MakeSubsumedMagicPass());
-  if (opts.apply_anonymize) children.push_back(MakeAnonymizePass());
-  if (opts.apply_prop_5_2) children.push_back(MakeAnonymousFactorPass());
-  if (opts.apply_prop_5_3) children.push_back(MakeSeedFactorPass());
-  if (opts.apply_duplicates) children.push_back(MakeDuplicateRulePass());
-  if (opts.apply_unreachable) children.push_back(MakeUnreachablePass());
+  children.push_back(MakeHeadInBodyPass());
+  children.push_back(MakeSubsumedMagicPass());
+  children.push_back(MakeAnonymizePass());
+  children.push_back(MakeAnonymousFactorPass());
+  children.push_back(MakeSeedFactorPass());
+  children.push_back(MakeDuplicateRulePass());
+  children.push_back(MakeUnreachablePass());
   if (opts.apply_uniform_equivalence) {
     children.push_back(MakeUniformEquivalencePass(opts));
   }

@@ -51,7 +51,7 @@ struct EvalOptions {
   /// Abort with kResourceExhausted after this many fixpoint iterations.
   uint64_t max_iterations = 1'000'000;
   /// The database's base relations are shared read-only with concurrent
-  /// evaluations (api::Engine::ExecuteBatch, serving reads): never build
+  /// evaluations (api::Engine's serving reads): never build
   /// indices on them lazily — probe pre-built ones (plan::BaseIndexNeeds
   /// names them) and otherwise scan. The
   /// ValueStore itself is always safe to share; this flag only governs the

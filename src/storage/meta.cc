@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "storage/crc32.h"
+#include "storage/posix_io.h"
 #include "storage/serde.h"
 
 namespace factlog::storage {
@@ -18,10 +19,6 @@ constexpr uint32_t kMetaMagic = 0x464C4D54;  // "FLMT"
 // Version 2 appends the runtime statistics catalog after the free list;
 // version 1 files (no catalog) still read fine.
 constexpr uint32_t kMetaVersion = 2;
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
 
 void WriteValues(const std::vector<ValueDumpEntry>& values, BinWriter* w) {
   w->U64(values.size());
@@ -291,17 +288,10 @@ Status WriteCheckpointMeta(const std::string& path,
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Errno("open '" + tmp + "'");
-  const char* p = file.str().data();
-  size_t left = file.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Errno("write meta");
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
+  if (Status st = WriteAll(fd, file.str().data(), file.size(), "write meta");
+      !st.ok()) {
+    ::close(fd);
+    return st;
   }
   if (::fsync(fd) != 0) {
     ::close(fd);
@@ -330,18 +320,9 @@ Result<CheckpointMeta> ReadCheckpointMeta(const std::string& path) {
     return Errno("open '" + path + "'");
   }
   std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Errno("read meta");
-    }
-    if (n == 0) break;
-    data.append(buf, static_cast<size_t>(n));
-  }
+  Status read = ReadAll(fd, &data, "read meta");
   ::close(fd);
+  FACTLOG_RETURN_IF_ERROR(read);
 
   BinReader header(data.data(), data.size());
   if (header.U32() != kMetaMagic) {

@@ -6,15 +6,9 @@
 #include <cerrno>
 #include <cstring>
 
+#include "storage/posix_io.h"
+
 namespace factlog::storage {
-
-namespace {
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 PageFile::~PageFile() { Close(); }
 

@@ -8,29 +8,12 @@
 #include <cstring>
 
 #include "storage/crc32.h"
+#include "storage/posix_io.h"
 #include "storage/serde.h"
 
 namespace factlog::storage {
 
 namespace {
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-Status WriteAll(int fd, const void* data, size_t len) {
-  const char* p = static_cast<const char*>(data);
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::write(fd, p + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write wal");
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 // A record larger than this is treated as corruption during recovery. The
 // engine's facts are tiny; the bound only exists so a garbage length field
@@ -76,7 +59,7 @@ Status WalWriter::Append(WalRecordType type, const std::string& payload) {
   frame.Bytes(payload.data(), payload.size());
   uint32_t crc = Crc32(frame.str().data() + 4, payload.size() + 1);
   frame.U32(crc);
-  FACTLOG_RETURN_IF_ERROR(WriteAll(fd_, frame.str().data(), frame.size()));
+  FACTLOG_RETURN_IF_ERROR(WriteAll(fd_, frame.str().data(), frame.size(), "write wal"));
   bytes_ += frame.size();
   ++pending_;
   return Status::OK();
@@ -109,18 +92,9 @@ Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
     return Errno("open wal '" + path + "'");
   }
   std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Errno("read wal");
-    }
-    if (n == 0) break;
-    data.append(buf, static_cast<size_t>(n));
-  }
+  Status read = ReadAll(fd, &data, "read wal");
   ::close(fd);
+  FACTLOG_RETURN_IF_ERROR(read);
 
   size_t pos = 0;
   while (pos + 4 <= data.size()) {

@@ -421,30 +421,6 @@ TEST(EngineTest, QueryTextWithoutQueryFails) {
   EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineTest, TopDownExecutionMode) {
-  // SLD on a nonrecursive magic plan: the top-down path is wired through
-  // the same facade. (Recursive magic plans are left-recursive and diverge
-  // under plain SLD, as in Prolog.)
-  EngineOptions options;
-  options.execution = ExecutionMode::kTopDown;
-  Engine topdown(options);
-  Engine bottomup;
-  const char* text =
-      "hop2(X, Y) :- e(X, W), e(W, Y). ?- hop2(1, Y).";
-  for (Engine* e : {&topdown, &bottomup}) {
-    ASSERT_TRUE(e->LoadFacts("e(1, 2). e(2, 3). e(2, 4).").ok());
-  }
-  QueryStats td_stats;
-  auto td = topdown.Query(text, Strategy::kMagic, &td_stats);
-  auto bu = bottomup.Query(text, Strategy::kMagic);
-  ASSERT_TRUE(td.ok()) << td.status().ToString();
-  ASSERT_TRUE(bu.ok());
-  EXPECT_EQ(td->rows.size(), 2u);
-  EXPECT_EQ(td->ToString(topdown.db().store()),
-            bu->ToString(bottomup.db().store()));
-  EXPECT_GT(td_stats.sld.inferences, 0u);
-}
-
 TEST(EngineTest, MutatingEdbBetweenQueriesUsesCachedPlan) {
   Engine engine;
   ASSERT_TRUE(engine.LoadFacts("e(1, 2).").ok());

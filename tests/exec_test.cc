@@ -1,8 +1,7 @@
 // Tests for the parallel execution subsystem: the partitioned semi-naive
 // fixpoint must be fact-for-fact identical to the naive T_P oracle with and
-// without a pool at every thread and shard count, and concurrent batch
-// execution must agree with one-at-a-time queries while hammering the shared
-// plan cache.
+// without a pool at every thread and shard count, and the engine's pooled
+// and sharded queries must agree with a flat sequential engine.
 
 #include <gtest/gtest.h>
 
@@ -349,12 +348,6 @@ const char* kTcQueries[] = {
     "s(Y) :- e(1, Y). s(Y) :- e(X, Y), s(X). ?- s(Y).",
 };
 
-// Queries of a batch that ran to an OK status.
-size_t Succeeded(const api::BatchResult& result) {
-  return std::count_if(result.status.begin(), result.status.end(),
-                       [](const Status& st) { return st.ok(); });
-}
-
 TEST(EngineParallelTest, ParallelSingleQueryMatchesSequentialEngine) {
   api::EngineOptions seq_opts;
   api::Engine sequential(seq_opts);
@@ -398,227 +391,20 @@ TEST(EngineParallelTest, ShardedEngineMatchesFlatSequentialEngine) {
   }
 }
 
-TEST(ExecuteBatchTest, ReportsPerShardRowCounts) {
+TEST(EngineParallelTest, ReportsPerShardRowCounts) {
   api::EngineOptions opts;
   opts.num_threads = 2;
   opts.num_shards = 4;
   api::Engine engine(opts);
   workload::MakeGrid(4, 4, "e", &engine.db());
 
-  auto batch = engine.ExecuteBatch(std::vector<std::string>{kTcQueries[0]});
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_TRUE(batch->status[0].ok());
-  ASSERT_EQ(batch->stats[0].eval.shard_facts.size(), 4u);
+  api::QueryStats stats;
+  auto answers = engine.Query(kTcQueries[0], core::Strategy::kAuto, &stats);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  ASSERT_EQ(stats.eval.shard_facts.size(), 4u);
   uint64_t sum = 0;
-  for (uint64_t n : batch->stats[0].eval.shard_facts) sum += n;
-  EXPECT_EQ(sum, batch->stats[0].eval.total_facts);
-}
-
-TEST(ExecuteBatchTest, BatchAnswersMatchOneAtATimeQueries) {
-  api::EngineOptions opts;
-  opts.num_threads = 4;
-  api::Engine engine(opts);
-  workload::MakeGrid(5, 5, "e", &engine.db());
-
-  api::Engine oracle;  // sequential, same EDB
-  workload::MakeGrid(5, 5, "e", &oracle.db());
-
-  // Each round also asks kTcQueries[0] with its answer variable renamed: it
-  // shares that query's plan, and its answers must carry its own names.
-  std::vector<std::string> texts;
-  for (int rep = 0; rep < 8; ++rep) {
-    for (const char* q : kTcQueries) texts.push_back(q);
-    texts.push_back(
-        "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Z).");
-  }
-
-  auto batch = engine.ExecuteBatch(texts);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->answers.size(), texts.size());
-  ASSERT_EQ(batch->status.size(), texts.size());
-  ASSERT_EQ(batch->stats.size(), texts.size());
-  EXPECT_EQ(Succeeded(*batch), texts.size());
-  EXPECT_GT(batch->wall_us, 0);
-
-  for (size_t i = 0; i < texts.size(); ++i) {
-    ASSERT_TRUE(batch->status[i].ok())
-        << i << ": " << batch->status[i].ToString();
-    auto expected = oracle.Query(texts[i]);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(batch->answers[i].ToString(engine.db().store()),
-              expected->ToString(oracle.db().store()))
-        << texts[i];
-    EXPECT_EQ(batch->answers[i].vars, expected->vars) << texts[i];
-    EXPECT_EQ(batch->answers[i].size(), expected->size());
-  }
-
-  // Every Compile call either hits the shared cache or compiles; with 8
-  // distinct plans, almost all of the 72 calls must be hits (concurrent
-  // cold-cache misses may compile a plan more than once).
-  auto stats = engine.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.cache_hits + stats.compiles, texts.size());
-  EXPECT_GE(stats.cache_hits, texts.size() - 4 * 8);
-}
-
-TEST(ExecuteBatchTest, StressPlanCacheWithEvictions) {
-  // A cache smaller than the distinct-plan count forces concurrent misses,
-  // inserts, and evictions — the mutex-guarded LRU must survive and every
-  // answer must stay correct.
-  api::EngineOptions opts;
-  opts.num_threads = 8;
-  opts.plan_cache_capacity = 3;
-  api::Engine engine(opts);
-  workload::MakeGrid(4, 4, "e", &engine.db());
-
-  api::Engine oracle;
-  workload::MakeGrid(4, 4, "e", &oracle.db());
-
-  std::vector<std::string> texts;
-  for (int rep = 0; rep < 12; ++rep) {
-    for (const char* q : kTcQueries) texts.push_back(q);
-  }
-
-  for (int round = 0; round < 3; ++round) {
-    auto batch = engine.ExecuteBatch(texts);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    EXPECT_EQ(Succeeded(*batch), texts.size());
-    for (size_t i = 0; i < texts.size(); ++i) {
-      auto expected = oracle.Query(texts[i]);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_EQ(batch->answers[i].ToString(engine.db().store()),
-                expected->ToString(oracle.db().store()))
-          << texts[i];
-    }
-    EXPECT_LE(engine.plan_cache_size(), 3u);
-  }
-}
-
-TEST(ExecuteBatchTest, PerQueryFailuresAreIsolated) {
-  api::EngineOptions opts;
-  opts.num_threads = 2;
-  api::Engine engine(opts);
-  workload::MakeChain(6, "e", &engine.db());
-
-  std::vector<api::Engine::BatchQuery> batch;
-  {
-    ast::Program p = P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
-    batch.push_back({p, A("t(1, Y)"), core::Strategy::kAuto});
-    // Strict strategy on a program it does not apply to: this query fails,
-    // the others must not.
-    ast::Program nonlinear =
-        P("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).");
-    batch.push_back({nonlinear, A("t(1, Y)"), core::Strategy::kLinearRewrite});
-    batch.push_back({p, A("t(2, Y)"), core::Strategy::kAuto});
-  }
-
-  auto result = engine.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->status.size(), 3u);
-  EXPECT_EQ(Succeeded(*result), 2u);
-  EXPECT_TRUE(result->status[0].ok());
-  EXPECT_FALSE(result->status[1].ok());
-  EXPECT_TRUE(result->status[2].ok());
-  EXPECT_EQ(result->answers[0].size(), 5u);
-  EXPECT_EQ(result->answers[1].size(), 0u);
-  EXPECT_EQ(result->answers[2].size(), 4u);
-}
-
-TEST(ExecuteBatchTest, ParseFailuresAreIsolatedInTextBatches) {
-  api::EngineOptions opts;
-  opts.num_threads = 2;
-  api::Engine engine(opts);
-  workload::MakeChain(5, "e", &engine.db());
-
-  std::vector<std::string> texts = {
-      "t(X, Y) :- e(X, Y). ?- t(1, Y).",
-      "this is not datalog ((",            // parse error
-      "t(X, Y) :- e(X, Y).",               // no ?- query
-      "t(X, Y) :- e(X, Y). ?- t(2, Y).",
-  };
-  auto result = engine.ExecuteBatch(texts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->stats.size(), texts.size());
-  ASSERT_EQ(result->status.size(), texts.size());
-  EXPECT_EQ(Succeeded(*result), 2u);
-  EXPECT_TRUE(result->status[0].ok());
-  EXPECT_FALSE(result->status[1].ok());
-  EXPECT_FALSE(result->status[2].ok());
-  EXPECT_TRUE(result->status[3].ok());
-  EXPECT_EQ(result->answers[0].size(), 1u);  // t(1, Y) on a chain: {2}
-  EXPECT_EQ(result->answers[3].size(), 1u);  // t(2, Y): {3}
-}
-
-TEST(ExecuteBatchTest, EmptyBatchIsANoOp) {
-  api::Engine engine;
-  auto result = engine.ExecuteBatch(std::vector<std::string>{});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->status.size(), 0u);
-  EXPECT_EQ(Succeeded(*result), 0u);
-}
-
-TEST(ExecuteBatchTest, FeedsStatsCatalog) {
-  api::EngineOptions opts;
-  opts.num_threads = 2;
-  api::Engine engine(opts);
-  workload::MakeChain(6, "e", &engine.db());
-
-  // Two queries evaluate; the third fails to compile and never runs.
-  ast::Program p = P("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y).");
-  ast::Program nonlinear =
-      P("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).");
-  std::vector<api::Engine::BatchQuery> batch = {
-      {p, A("t(1, Y)"), core::Strategy::kAuto},
-      {p, A("t(2, Y)"), core::Strategy::kAuto},
-      {nonlinear, A("t(1, Y)"), core::Strategy::kLinearRewrite},
-  };
-  auto result = engine.ExecuteBatch(batch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Succeeded(*result), 2u);
-  EXPECT_FALSE(engine.stats_catalog().Snapshot().empty());
-  EXPECT_EQ(engine.stats().executions, 2u);
-}
-
-TEST(ExecuteBatchTest, BuildsThePlannedBaseIndexes) {
-  // On a 200-node chain the compiled t(1, Y) plan probes e on its first
-  // column (a 2-row e would plan a scan instead). The batch builds exactly
-  // that index before its shared read-only evaluation, and the answers
-  // match a private evaluation of the same plan.
-  api::EngineOptions opts;
-  opts.num_threads = 2;
-  api::Engine engine(opts);
-  workload::MakeChain(200, "e", &engine.db());
-  const std::string text =
-      "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Y).";
-
-  auto result = engine.ExecuteBatch(std::vector<std::string>{text});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(result->status[0].ok()) << result->status[0].ToString();
-  const eval::Relation* e = engine.db().Find("e");
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->HasIndex({0}));
-  EXPECT_FALSE(e->HasIndex({1}));
-
-  ast::Program program = P(text);
-  auto compiled = engine.Compile(program, *program.query());
-  ASSERT_TRUE(compiled.ok());
-  eval::Database private_db;
-  workload::MakeChain(200, "e", &private_db);
-  auto expected = eval::EvaluateQuery((*compiled)->program,
-                                      (*compiled)->query, &private_db);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  EXPECT_EQ(result->answers[0].ToString(engine.db().store()),
-            expected->ToString(private_db.store()));
-}
-
-TEST(ExecuteBatchTest, TopDownIsRejected) {
-  api::EngineOptions opts;
-  opts.execution = api::ExecutionMode::kTopDown;
-  api::Engine engine(opts);
-  auto result = engine.ExecuteBatch(std::vector<std::string>{
-      "t(X, Y) :- e(X, Y). ?- t(1, Y)."});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (uint64_t n : stats.eval.shard_facts) sum += n;
+  EXPECT_EQ(sum, stats.eval.total_facts);
 }
 
 }  // namespace

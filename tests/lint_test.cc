@@ -58,15 +58,6 @@ TEST(LintTest, BuiltinBindingSatisfiesSafety) {
   EXPECT_TRUE(report.ok());
 }
 
-TEST(LintTest, UnsafeAsWarningDowngrades) {
-  LintOptions opts;
-  opts.unsafe_as_warning = true;
-  LintReport report = LintProgram(P("p(X, Y) :- e(X, X). ?- p(1, Y)."), opts);
-  EXPECT_EQ(Count(report, "L001"), 1);
-  EXPECT_TRUE(report.ok()) << "downgraded L001 must not reject";
-  EXPECT_GE(report.warnings(), 1u);
-}
-
 // ---- L002: builtin executability ----
 
 TEST(LintTest, UnboundGeqIsError) {

@@ -356,28 +356,6 @@ TEST(OptimizeProgramTest, Example53FullSequence) {
       << optimized->ToString();
 }
 
-TEST(OptimizeProgramTest, PassesCanBeDisabled) {
-  ast::Program fig2 = P(R"(
-    m(5).
-    bt(X) :- m(X), bt(X), ft(W).
-    query(Y) :- bt(5), ft(Y).
-    ft(Y) :- m(X), e(X, Y).
-  )");
-  OptimizeOptions opts;
-  opts.apply_head_in_body = false;
-  opts.apply_uniform_equivalence = false;
-  opts.apply_prop_5_3 = false;
-  opts.apply_unreachable = false;
-  auto optimized = OptimizeProgram(fig2, TcContext(), opts);
-  ASSERT_TRUE(optimized.ok());
-  // The head-in-body rule survives.
-  bool found = false;
-  for (const ast::Rule& r : optimized->rules()) {
-    if (r.head().predicate() == "bt" && !r.body().empty()) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 
 // ---- Exactness of the memoized, pre-checked, source-order scan ----
 

@@ -24,6 +24,7 @@
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "tests/sweep_corpus.h"
+#include "workload/graph_gen.h"
 
 namespace factlog {
 namespace {
@@ -628,6 +629,8 @@ TEST(ServeEngineTest, ViewHitsServeFromFrozenEpochs) {
   EXPECT_TRUE(read.view_hit);
   EXPECT_GE(read.epoch, update.epoch);
   EXPECT_EQ(read.answers.rows.size(), 3u);  // the view was maintained + frozen
+  // View hits answer from the frozen copy: nothing is evaluated.
+  EXPECT_EQ(engine.stats().executions, 0u);
 
   // Structural changes are fenced off while serving.
   EXPECT_EQ(engine.Materialize(*program, ast::ParseAtom("t(2, Y)").value())
@@ -692,6 +695,135 @@ TEST(ServeEngineTest, LeftToRightRegistersTheIndexesItProbes) {
   ASSERT_TRUE(update.status.ok());
   EXPECT_TRUE(engine.db().Find("e")->HasIndex({0, 1}));
   EXPECT_FALSE(engine.db().Find("e")->HasIndex({1}));
+  EXPECT_TRUE(engine.StopServing().ok());
+}
+
+const char* kTcQueries[] = {
+    "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Y).",
+    "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(2, Y).",
+    "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(3, Y).",
+    "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y). ?- t(4, Y).",
+    "p(X, Y) :- e(X, Y). p(X, Y) :- e(Y, X). ?- p(5, Y).",
+    "q(X) :- e(X, Y). ?- q(X).",
+    "r(X, Z) :- e(X, Y), e(Y, Z). ?- r(1, Z).",
+    "s(Y) :- e(1, Y). s(Y) :- e(X, Y), s(X). ?- s(Y).",
+    // Shares the first query's plan; its answers must carry its own name.
+    "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Z).",
+};
+
+// Many reads in flight at once against a plan cache smaller than the
+// distinct-plan count: concurrent misses, single-flight waits, inserts and
+// evictions all race on the cache, and every answer must still equal a
+// sequential engine's.
+TEST(ServeEngineTest, PlanCacheStressWithEvictions) {
+  EngineOptions options;
+  options.num_threads = 8;
+  options.plan_cache_capacity = 3;
+  Engine engine(options);
+  workload::MakeGrid(4, 4, "e", &engine.db());
+  Engine oracle;
+  workload::MakeGrid(4, 4, "e", &oracle.db());
+
+  std::vector<ast::Program> programs;
+  std::vector<std::vector<std::string>> expected;
+  std::vector<std::vector<std::string>> expected_vars;
+  for (const char* text : kTcQueries) {
+    auto program = ast::ParseProgram(text);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    auto answers = oracle.Query(*program, *program->query());
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    expected.push_back(Rendered(*answers, oracle.db().store()));
+    expected_vars.push_back(answers->vars);
+    programs.push_back(std::move(program).value());
+  }
+
+  serve::ServeOptions serve_options;
+  serve_options.max_inflight_per_session = 12 * programs.size();
+  ASSERT_TRUE(engine.StartServing(serve_options).ok());
+  const uint64_t session = engine.OpenSession();
+  std::vector<std::future<serve::QueryResponse>> reads;
+  for (int rep = 0; rep < 12; ++rep) {
+    for (const ast::Program& program : programs) {
+      reads.push_back(engine.SubmitQuery(session, program, *program.query(),
+                                         Strategy::kAuto));
+    }
+  }
+  for (size_t i = 0; i < reads.size(); ++i) {
+    const size_t q = i % programs.size();
+    serve::QueryResponse resp = reads[i].get();
+    ASSERT_TRUE(resp.status.ok()) << kTcQueries[q] << ": "
+                                  << resp.status.ToString();
+    EXPECT_EQ(Rendered(resp.answers, engine.db().store()), expected[q])
+        << kTcQueries[q];
+    EXPECT_EQ(resp.answers.vars, expected_vars[q]) << kTcQueries[q];
+  }
+  EXPECT_LE(engine.plan_cache_size(), 3u);
+  // Every read either compiled its plan or shared a cached or in-flight one.
+  const api::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.compiles + stats.cache_hits, reads.size());
+  EXPECT_EQ(stats.executions, reads.size());
+  EXPECT_TRUE(engine.StopServing().ok());
+}
+
+TEST(ServeEngineTest, FailingRequestFailsOnlyItsOwnResponse) {
+  EngineOptions options;
+  options.num_threads = 2;
+  Engine engine(options);
+  workload::MakeChain(6, "e", &engine.db());
+  ASSERT_TRUE(engine.StartServing().ok());
+  auto right_tc = ast::ParseProgram(kRightTcText);
+  // The linear rewrite does not apply to nonlinear TC: compiling it fails.
+  auto nonlinear =
+      ast::ParseProgram("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).");
+  ASSERT_TRUE(right_tc.ok() && nonlinear.ok());
+  const uint64_t session = engine.OpenSession();
+  auto first = engine.SubmitQuery(session, *right_tc,
+                                  ast::ParseAtom("t(1, Y)").value());
+  auto failing =
+      engine.SubmitQuery(session, *nonlinear, ast::ParseAtom("t(1, Y)").value(),
+                         Strategy::kLinearRewrite);
+  auto last = engine.SubmitQuery(session, *right_tc,
+                                 ast::ParseAtom("t(2, Y)").value());
+
+  serve::QueryResponse a = first.get();
+  serve::QueryResponse b = failing.get();
+  serve::QueryResponse c = last.get();
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  EXPECT_FALSE(b.status.ok());
+  ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+  EXPECT_EQ(a.answers.size(), 5u);
+  EXPECT_EQ(b.answers.size(), 0u);
+  EXPECT_EQ(c.answers.size(), 4u);
+  EXPECT_TRUE(engine.StopServing().ok());
+}
+
+TEST(ServeEngineTest, EvaluatedReadsFeedStatsCatalogAndCountExecutions) {
+  EngineOptions options;
+  options.num_threads = 2;
+  Engine engine(options);
+  workload::MakeChain(6, "e", &engine.db());
+  ASSERT_TRUE(engine.stats_catalog().Snapshot().empty());
+  ASSERT_TRUE(engine.StartServing().ok());
+  auto right_tc = ast::ParseProgram(kRightTcText);
+  auto nonlinear =
+      ast::ParseProgram("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), t(W, Y).");
+  ASSERT_TRUE(right_tc.ok() && nonlinear.ok());
+  const uint64_t session = engine.OpenSession();
+
+  // Two reads evaluate; the third fails to compile and never runs.
+  std::vector<std::future<serve::QueryResponse>> reads;
+  reads.push_back(engine.SubmitQuery(session, *right_tc,
+                                     ast::ParseAtom("t(1, Y)").value()));
+  reads.push_back(engine.SubmitQuery(session, *right_tc,
+                                     ast::ParseAtom("t(2, Y)").value()));
+  reads.push_back(engine.SubmitQuery(session, *nonlinear,
+                                     ast::ParseAtom("t(1, Y)").value(),
+                                     Strategy::kLinearRewrite));
+  size_t ok = 0;
+  for (auto& read : reads) ok += read.get().status.ok() ? 1 : 0;
+  EXPECT_EQ(ok, 2u);
+  EXPECT_FALSE(engine.stats_catalog().Snapshot().empty());
+  EXPECT_EQ(engine.stats().executions, 2u);
   EXPECT_TRUE(engine.StopServing().ok());
 }
 
