@@ -60,7 +60,7 @@ inline void RunAndCount(const ast::Program& program, const ast::Atom& query,
   state.counters["facts"] = static_cast<double>(stats.total_facts);
   state.counters["instantiations"] = static_cast<double>(stats.instantiations);
   state.counters["answers"] = static_cast<double>(answers->rows.size());
-  benchmark::DoNotOptimize(answers->rows.data());
+  benchmark::DoNotOptimize(answers->rows.cells().data());
 }
 
 }  // namespace factlog::bench

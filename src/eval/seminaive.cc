@@ -224,14 +224,10 @@ std::string AnswerSet::ToString(const ValueStore& values) const {
   return out;
 }
 
-std::vector<std::vector<ValueId>> SortedUniqueRows(
-    const std::vector<ValueId>& cells, size_t width, size_t n) {
-  std::vector<std::vector<ValueId>> rows;
-  if (n == 0) return rows;
-  if (width == 0) {
-    rows.emplace_back();  // every match is the one empty row
-    return rows;
-  }
+RowTable SortedUniqueRows(const std::vector<ValueId>& cells, size_t width,
+                          size_t n) {
+  if (n == 0) return RowTable({}, width, 0);
+  if (width == 0) return RowTable({}, 0, 1);  // every match is the empty row
   // LSD radix sort of row indices. Digit (c, b) is byte b of column c's id
   // with the sign bit flipped, so unsigned byte order is signed ValueId
   // order; passes run from the last column's low byte to the first column's
@@ -283,12 +279,12 @@ std::vector<std::vector<ValueId>> SortedUniqueRows(
     }
     order[kept++] = order[i];
   }
-  rows.reserve(kept);
+  std::vector<ValueId> sorted(kept * width);
   for (size_t i = 0; i < kept; ++i) {
-    const ValueId* row = cells.data() + size_t{order[i]} * width;
-    rows.emplace_back(row, row + width);
+    std::copy_n(cells.data() + size_t{order[i]} * width, width,
+                sorted.data() + i * width);
   }
-  return rows;
+  return RowTable(std::move(sorted), width, kept);
 }
 
 Result<AnswerSet> ExtractAnswersFrom(const ast::Atom& query, Relation* rel,

@@ -11,9 +11,12 @@
 #ifndef FACTLOG_EVAL_SEMINAIVE_H_
 #define FACTLOG_EVAL_SEMINAIVE_H_
 
+#include <cstddef>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ast/program.h"
@@ -181,11 +184,102 @@ class EvalResult {
 Result<EvalResult> Evaluate(const ast::Program& program, Database* db,
                             const EvalOptions& opts = EvalOptions());
 
+/// One row of a RowTable: `size()` ids read in place from the table's
+/// buffer. Valid while its table is alive and unmodified.
+class RowView {
+ public:
+  using value_type = ValueId;
+  using const_iterator = const ValueId*;
+  using iterator = const_iterator;
+
+  RowView(const ValueId* ids, size_t width) : ids_(ids), width_(width) {}
+
+  size_t size() const { return width_; }
+  bool empty() const { return width_ == 0; }
+  ValueId operator[](size_t i) const { return ids_[i]; }
+  const ValueId* begin() const { return ids_; }
+  const ValueId* end() const { return ids_ + width_; }
+
+ private:
+  const ValueId* ids_;
+  size_t width_;
+};
+
+/// Answer rows stored flat: `size()` rows of `width()` ids each, back to
+/// back in one buffer (row r is cells()[r * width(), (r + 1) * width())).
+/// The row count is kept apart from the buffer because width-0 rows take no
+/// cells: a matched 0-ary query has one empty row. Indexing and iteration
+/// yield RowViews into the buffer, valid while the table is alive and
+/// unmodified. Two tables are equal when they hold the same rows in the
+/// same order, so empty tables are equal whatever their widths.
+class RowTable {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RowView;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = RowView;
+
+    const_iterator(const ValueId* ids, size_t width, size_t row)
+        : ids_(ids), width_(width), row_(row) {}
+    RowView operator*() const { return RowView(ids_ + row_ * width_, width_); }
+    const_iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++row_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return row_ == o.row_; }
+    bool operator!=(const const_iterator& o) const { return row_ != o.row_; }
+
+   private:
+    const ValueId* ids_;
+    size_t width_;
+    size_t row_;
+  };
+  using iterator = const_iterator;
+  using value_type = RowView;
+
+  RowTable() = default;
+  /// `cells` holds `rows` rows of `width` ids (rows * width ids in all).
+  RowTable(std::vector<ValueId> cells, size_t width, size_t rows)
+      : cells_(std::move(cells)), width_(width), rows_(rows) {}
+
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  size_t width() const { return width_; }
+  const std::vector<ValueId>& cells() const { return cells_; }
+
+  RowView operator[](size_t r) const {
+    return RowView(cells_.data() + r * width_, width_);
+  }
+  const_iterator begin() const { return {cells_.data(), width_, 0}; }
+  const_iterator end() const { return {cells_.data(), width_, rows_}; }
+
+  bool operator==(const RowTable& o) const {
+    return rows_ == o.rows_ &&
+           (rows_ == 0 || (width_ == o.width_ && cells_ == o.cells_));
+  }
+  bool operator!=(const RowTable& o) const { return !(*this == o); }
+
+ private:
+  std::vector<ValueId> cells_;
+  size_t width_ = 0;
+  size_t rows_ = 0;
+};
+
 /// A set of answers to a query: one row per binding of the query's distinct
-/// variables (in first-occurrence order). Rows are kept sorted and unique.
+/// variables (in first-occurrence order), so every row has vars.size() ids.
+/// Rows are unique and sorted lexicographically over signed ValueId (the
+/// SortedUniqueRows order), stored flat in one RowTable buffer.
 struct AnswerSet {
   std::vector<std::string> vars;
-  std::vector<std::vector<ValueId>> rows;
+  RowTable rows;
 
   bool operator==(const AnswerSet& o) const { return rows == o.rows; }
   bool operator!=(const AnswerSet& o) const { return !(*this == o); }
@@ -218,10 +312,10 @@ Result<AnswerSet> ExtractAnswersFrom(const ast::Atom& query, Relation* rel,
 /// The one definition of answer order: sorts the `n` rows of `width` ids
 /// stored back to back in `cells` lexicographically over signed ValueId
 /// (std::vector<ValueId>::operator<), drops duplicates, and returns them as
-/// AnswerSet rows. Width 0 gives one empty row when n > 0. An LSD radix
-/// sort over the id bytes that vary between rows.
-std::vector<std::vector<ValueId>> SortedUniqueRows(
-    const std::vector<ValueId>& cells, size_t width, size_t n);
+/// AnswerSet rows, gathered into one buffer. Width 0 gives one empty row
+/// when n > 0. An LSD radix sort over the id bytes that vary between rows.
+RowTable SortedUniqueRows(const std::vector<ValueId>& cells, size_t width,
+                          size_t n);
 
 /// Convenience: Evaluate + ExtractAnswers. When `stats_out` is non-null the
 /// evaluation statistics are copied there.

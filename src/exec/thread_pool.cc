@@ -20,10 +20,6 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-  // Workers abandon queued tasks on stop; free any discarded detached ones.
-  for (auto& w : workers_) {
-    for (const Task& t : w->deque) delete t.fn;
-  }
 }
 
 bool ThreadPool::TryPopOwn(size_t worker_index, Task* out) {
@@ -32,6 +28,15 @@ bool ThreadPool::TryPopOwn(size_t worker_index, Task* out) {
   if (w.deque.empty()) return false;
   *out = w.deque.back();  // LIFO: most recently pushed, cache-warm
   w.deque.pop_back();
+  pending_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool ThreadPool::TryPopDetached(std::function<void()>* out) {
+  std::lock_guard<std::mutex> lock(detached_mu_);
+  if (detached_.empty()) return false;
+  *out = std::move(detached_.front());  // FIFO: the oldest submission
+  detached_.pop_front();
   pending_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
@@ -56,12 +61,6 @@ bool ThreadPool::TrySteal(size_t thief_index, Task* out) {
 }
 
 void ThreadPool::RunTask(const Task& task) {
-  if (task.fn != nullptr) {
-    (*task.fn)();
-    delete task.fn;
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   (*task.batch->fn)(task.index);
   executed_.fetch_add(1, std::memory_order_relaxed);
   if (task.batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -76,9 +75,16 @@ void ThreadPool::RunTask(const Task& task) {
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
   Task task;
+  std::function<void()> detached;
   for (;;) {
     if (TryPopOwn(worker_index, &task) || TrySteal(worker_index, &task)) {
       RunTask(task);
+      continue;
+    }
+    if (TryPopDetached(&detached)) {
+      detached();
+      detached = nullptr;  // release the task's captures before sleeping
+      executed_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     std::unique_lock<std::mutex> lock(wake_mu_);
@@ -96,15 +102,10 @@ void ThreadPool::Submit(std::function<void()> fn) {
     executed_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Task task;
-  task.fn = new std::function<void()>(std::move(fn));
-  // Round-robin placement; any worker can steal it anyway.
-  size_t w = next_victim_.fetch_add(1, std::memory_order_relaxed) %
-             workers_.size();
   pending_.fetch_add(1, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(workers_[w]->mu);
-    workers_[w]->deque.push_back(task);
+    std::lock_guard<std::mutex> lock(detached_mu_);
+    detached_.push_back(std::move(fn));
   }
   {
     std::lock_guard<std::mutex> lock(wake_mu_);

@@ -6,7 +6,9 @@
 // tasks first). ParallelFor submits one task per index, round-robined across
 // the worker deques, and the *calling* thread participates by stealing while
 // it waits — so nested ParallelFor calls cannot deadlock and a pool of width
-// 0 degrades to a plain sequential loop.
+// 0 degrades to a plain sequential loop. Detached tasks (Submit) wait in one
+// shared FIFO queue that idle workers drain oldest first, after the batch
+// tasks, which have a blocked caller.
 //
 // Tasks must not throw. The pool is created once and reused; see
 // api::EngineOptions::num_threads.
@@ -44,7 +46,9 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Enqueues a detached task: runs once on some worker, nobody waits for it
-  /// here (the serving front end tracks completion itself). Runs inline when
+  /// here (the serving front end tracks completion itself). Detached tasks
+  /// start in submission order, each when a worker has no batch task to run
+  /// (the serving queue's oldest request goes first). Runs inline when
   /// the pool has no workers. Tasks still queued when the pool is destroyed
   /// are discarded unrun — callers that need every task to finish must drain
   /// before destruction (serve::Server::Stop does).
@@ -74,9 +78,6 @@ class ThreadPool {
   struct Task {
     Batch* batch = nullptr;
     size_t index = 0;
-    /// Detached task (Submit): owned by the task, deleted after running or
-    /// by the destructor when discarded. Mutually exclusive with `batch`.
-    std::function<void()>* fn = nullptr;
   };
 
   struct Worker {
@@ -87,12 +88,15 @@ class ThreadPool {
   void WorkerLoop(size_t worker_index);
   bool TryPopOwn(size_t worker_index, Task* out);
   bool TrySteal(size_t thief_index, Task* out);
+  bool TryPopDetached(std::function<void()>* out);
   void RunTask(const Task& task);
 
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::mutex detached_mu_;
+  std::deque<std::function<void()>> detached_;  // Submit's tasks, oldest first
   std::vector<std::thread> threads_;
 
-  // Sleep/wake machinery: pending_ counts tasks sitting in deques. Enqueuers
+  // Sleep/wake machinery: pending_ counts tasks sitting in queues. Enqueuers
   // bump it, then take wake_mu_ briefly before notifying, which closes the
   // classic lost-wakeup window against the predicate re-check in WorkerLoop.
   std::atomic<size_t> pending_{0};

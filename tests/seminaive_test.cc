@@ -24,6 +24,7 @@ using test::A;
 using test::AddFacts;
 using test::Answers;
 using test::P;
+using test::RowsAre;
 
 const char kTc[] = R"(
   t(X, Y) :- e(X, Y).
@@ -398,7 +399,7 @@ class ExtractOracleTest : public ::testing::Test {
       auto got = ExtractAnswersFrom(query, rel, &store_, shared);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got->vars, query.DistinctVars());
-      EXPECT_EQ(got->rows, ReferenceAnswers(query, rel, &store_));
+      EXPECT_TRUE(RowsAre(got->rows, ReferenceAnswers(query, rel, &store_)));
     }
   }
 
@@ -430,7 +431,7 @@ TEST_F(ExtractOracleTest, EmptyAndZeroAryRelations) {
   prop.Insert(std::vector<ValueId>{});
   auto got = ExtractAnswersFrom(test::A("t"), &prop, &store_, false);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->rows, std::vector<std::vector<ValueId>>(1));
+  EXPECT_TRUE(RowsAre(got->rows, std::vector<std::vector<ValueId>>(1)));
 }
 
 TEST_F(ExtractOracleTest, MoreThan65536DistinctIds) {
@@ -449,7 +450,7 @@ TEST_F(ExtractOracleTest, MoreThan65536DistinctIds) {
     ast::Atom query = test::A(text);
     auto got = ExtractAnswersFrom(query, &rel, &store_, false);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->rows, ReferenceAnswers(query, &rel, &store_));
+    EXPECT_TRUE(RowsAre(got->rows, ReferenceAnswers(query, &rel, &store_)));
   }
 }
 
@@ -506,8 +507,10 @@ TEST(SortedUniqueRowsTest, MatchesStdSetOrderOnSignedIds) {
       }
       SCOPED_TRACE("width " + std::to_string(width) + ", n " +
                    std::to_string(n));
-      EXPECT_EQ(SortedUniqueRows(cells, width, n),
-                std::vector<std::vector<ValueId>>(want.begin(), want.end()));
+      const RowTable got = SortedUniqueRows(cells, width, n);
+      EXPECT_EQ(got.width(), width);
+      EXPECT_TRUE(RowsAre(
+          got, std::vector<std::vector<ValueId>>(want.begin(), want.end())));
     }
   }
 }

@@ -18,6 +18,40 @@
 
 namespace factlog::test {
 
+/// Compares an answer table with reference rows, row for row, through both
+/// the table's iteration and its indexing.
+inline ::testing::AssertionResult RowsAre(
+    const eval::RowTable& got,
+    const std::vector<std::vector<eval::ValueId>>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " rows, want " << want.size();
+  }
+  size_t r = 0;
+  for (const eval::RowView row : got) {
+    const std::vector<eval::ValueId>& w = want[r];
+    const eval::RowView at = got[r];
+    if (row.size() != w.size() || at.size() != w.size()) {
+      return ::testing::AssertionFailure()
+             << "row " << r << " has " << row.size() << " ids, want "
+             << w.size();
+    }
+    for (size_t c = 0; c < w.size(); ++c) {
+      if (row.begin()[c] != w[c] || at[c] != w[c]) {
+        return ::testing::AssertionFailure()
+               << "row " << r << " column " << c << " is " << at[c]
+               << ", want " << w[c];
+      }
+    }
+    ++r;
+  }
+  if (r != want.size()) {
+    return ::testing::AssertionFailure() << "iteration visited " << r
+                                         << " rows, want " << want.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Parses a program, failing the test on error.
 inline ast::Program P(const std::string& text) {
   auto r = ast::ParseProgram(text);

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace factlog::exec {
@@ -90,6 +93,38 @@ TEST(ThreadPoolTest, UnevenTaskDurationsComplete) {
     work.fetch_add(acc == 0 ? 1 : 1, std::memory_order_relaxed);
   });
   EXPECT_EQ(work.load(), 32u);
+}
+
+TEST(ThreadPoolTest, DetachedTasksRunOldestFirst) {
+  // One worker, held busy by a gated task while A, B and C queue up behind
+  // it: once the gate opens they must run in submission order.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false, open = false;
+  std::string order;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  for (char name : {'A', 'B', 'C'}) {
+    pool.Submit([&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order += name;
+      cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  open = true;
+  cv.notify_all();
+  cv.wait(lock, [&] { return order.size() == 3; });
+  EXPECT_EQ(order, "ABC");
 }
 
 }  // namespace
