@@ -1,10 +1,13 @@
 #include "api/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <unordered_set>
 #include <utility>
 
 #include "ast/parser.h"
+#include "ast/special_predicates.h"
 #include "common/dcheck.h"
 #include "core/canonical.h"
 #include "exec/parallel_seminaive.h"
@@ -52,6 +55,73 @@ void SeedFromSchema(const eval::Database& db, analysis::LintOptions* lint,
     lint->edb_arities.emplace(name, rel->arity());
     if (planner != nullptr) planner->extent_hints[name] = rel->size();
   }
+}
+
+/// Counting (§6.4) keeps the goal depth in an index field, so on cyclic
+/// data its fixpoint never ends: every round derives a deeper index. On
+/// acyclic data the depth stays below the number of distinct goal tuples,
+/// at most D^k for the D distinct constants of the base relations the
+/// program reads (plus the query's own) and the k bound query arguments.
+/// The answer phase descends the same indices once more, and the other
+/// rules add a round each at most. Returns that iteration bound, capped at
+/// `cap`; `cap` itself for other strategies and for programs that compute
+/// values (builtins, function terms), which no constant count bounds.
+uint64_t CountingIterationBound(const core::CompiledQuery& plan,
+                                const eval::Database& db, uint64_t cap) {
+  if (plan.strategy != core::Strategy::kCounting) return cap;
+  auto computes = [](const ast::Atom& atom) {
+    if (ast::IsBuiltinPredicate(atom.predicate()) ||
+        ast::IsStructuralPredicate(atom.predicate())) {
+      return true;
+    }
+    for (const ast::Term& t : atom.args()) {
+      if (t.IsCompound()) return true;
+    }
+    return false;
+  };
+  if (computes(plan.source_query)) return cap;
+  for (const ast::Rule& rule : plan.source.rules()) {
+    if (computes(rule.head())) return cap;
+    for (const ast::Atom& lit : rule.body()) {
+      if (computes(lit)) return cap;
+    }
+  }
+  std::unordered_set<eval::ValueId> constants;
+  for (const auto& [pred, arity] : plan.program.EdbPredicates()) {
+    const eval::Relation* rel = db.Find(pred);
+    if (rel == nullptr) continue;
+    for (size_t r = 0; r < rel->size(); ++r) {
+      const eval::ValueId* row = rel->row(r);
+      constants.insert(row, row + rel->arity());
+    }
+  }
+  uint64_t bound_args = 0;
+  for (const ast::Term& t : plan.source_query.args()) {
+    if (t.IsConstant()) ++bound_args;
+  }
+  const uint64_t d = std::max<uint64_t>(1, constants.size() + bound_args);
+  const uint64_t slack = 4 + plan.program.rules().size();
+  uint64_t goals = 1;  // saturates at cap
+  for (uint64_t i = 0; i < bound_args && goals < cap; ++i) {
+    goals = goals > cap / d ? cap : goals * d;
+  }
+  if (goals >= (cap - std::min(cap, slack)) / 2) return cap;
+  return 2 * goals + slack;
+}
+
+/// Names §6.4 on a budget failure of a Counting plan: Counting diverges on
+/// cyclic data, which is what an exhausted budget almost always means.
+Status NoteCountingDivergence(const core::CompiledQuery& plan,
+                              uint64_t iteration_bound, Status st) {
+  if (plan.strategy != core::Strategy::kCounting ||
+      st.code() != StatusCode::kResourceExhausted) {
+    return st;
+  }
+  return Status::ResourceExhausted(
+      "Counting diverges on cyclic data (§6.4); on acyclic data this query "
+      "would finish within " +
+      std::to_string(iteration_bound) + " iterations (" + st.message() +
+      ")");
 }
 
 }  // namespace
@@ -429,12 +499,15 @@ Result<eval::AnswerSet> Engine::Execute(const CompiledQuery& plan,
   popts.eval = options_.eval;
   popts.eval.program_plan = &plan.plans;
   popts.num_shards = options_.num_shards;
+  popts.eval.max_iterations =
+      CountingIterationBound(plan, db_, popts.eval.max_iterations);
   Result<eval::EvalResult> result =
       exec::EvaluateParallel(plan.program, &db_, EnsurePool(), popts);
   Result<eval::AnswerSet> answers =
       result.ok() ? eval::ExtractAnswers(plan.query, &*result, &db_,
                                          popts.eval.shared_edb)
-                  : Result<eval::AnswerSet>(result.status());
+                  : Result<eval::AnswerSet>(NoteCountingDivergence(
+                        plan, popts.eval.max_iterations, result.status()));
   if (result.ok()) {
     if (stats != nullptr) stats->eval = result->stats();
     if (answers.ok()) RecordEvalObservations(result->stats());
@@ -835,6 +908,8 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
   eval::EvalOptions eopts = options_.eval;
   eopts.program_plan = &(*plan)->plans;
   eopts.shared_edb = true;
+  eopts.max_iterations =
+      CountingIterationBound(**plan, *snap->db, eopts.max_iterations);
   Result<eval::AnswerSet> answers = eval::EvaluateQuery(
       (*plan)->program, (*plan)->query, snap->db.get(), eopts, &qs.eval);
   if (answers.ok()) RecordEvalObservations(qs.eval);
@@ -843,7 +918,8 @@ void Engine::ServingRead(const ast::Program& program, const ast::Atom& query,
     ++stats_.executions;
   }
   if (!answers.ok()) {
-    resp->status = answers.status();
+    resp->status = NoteCountingDivergence(**plan, eopts.max_iterations,
+                                          answers.status());
     return;
   }
   resp->answers = std::move(answers).value();

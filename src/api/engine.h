@@ -97,10 +97,12 @@ struct EngineOptions {
   /// engine fully sequential (no pool is created). The pool is built lazily
   /// on first use and reused for the engine's lifetime.
   size_t num_threads = 0;
-  /// Storage shards per relation (base and derived alike): rows are
-  /// hash-partitioned so the parallel fixpoint consumes delta shards in
-  /// place and merges under per-shard locks. 0 and 1 both keep the flat
-  /// single-shard layout. A few shards per worker thread (e.g. 2x
+  /// Storage shards per base relation, and per derived relation of a
+  /// fixpoint on the pool: rows are hash-partitioned so the parallel
+  /// fixpoint consumes delta shards in place and merges under per-shard
+  /// locks. Shards partition pooled work only; inline runs (num_threads 0,
+  /// serving reads) keep their derived relations flat. 0 and 1 both keep the
+  /// flat single-shard layout. A few shards per worker thread (e.g. 2x
   /// num_threads) balances stealing granularity against per-shard overhead;
   /// answers are identical at any value.
   size_t num_shards = 1;

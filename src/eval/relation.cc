@@ -16,6 +16,14 @@ inline uint64_t PackLoc(size_t shard, size_t local) {
   return (static_cast<uint64_t>(shard) << 32) | static_cast<uint32_t>(local);
 }
 
+// Grows `v`'s capacity to at least `n`, at least doubling it: the fixpoints
+// reserve once per round for a few more rows (full += delta), and an exact
+// reserve would reallocate and copy the whole vector every round.
+template <typename T>
+void ReserveGeometric(std::vector<T>* v, size_t n) {
+  if (n > v->capacity()) v->reserve(std::max(n, 2 * v->capacity()));
+}
+
 }  // namespace
 
 const std::vector<uint32_t> Relation::kEmptyRows;
@@ -165,11 +173,11 @@ size_t Relation::ShardOf(const ValueId* row) const {
 
 void Relation::Reserve(size_t rows) {
   if (shards_.empty()) {
-    if (paged_ == nullptr) cells_.reserve(rows * arity_);
+    if (paged_ == nullptr) ReserveGeometric(&cells_, rows * arity_);
     GrowDedup(rows);
     return;
   }
-  row_locs_.reserve(rows);
+  ReserveGeometric(&row_locs_, rows);
   size_t per_shard = rows / shards_.size() + 1;
   for (auto& sh : shards_) {
     // A shard still shared with a frozen copy must not be touched; the hint
@@ -532,7 +540,7 @@ size_t Relation::Absorb(const Relation& other) {
     // belongs in our shard s, so skip the route hash. Reads other's shards
     // directly, so `other` need not be synced.
     size_t inserted = 0;
-    row_locs_.reserve(num_rows_ + other.num_rows_);
+    ReserveGeometric(&row_locs_, num_rows_ + other.num_rows_);
     for (size_t s = 0; s < shards_.size(); ++s) {
       const Relation& src = *other.shards_[s];
       if (src.empty()) continue;

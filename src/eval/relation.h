@@ -108,6 +108,8 @@ class Relation {
 
   /// Pre-sizes row storage and the dedup table for `rows` total rows, so a
   /// bulk load (fixpoint merge, shard build) does not reallocate per row.
+  /// Row storage at least doubles when it grows, so reserving a few more
+  /// rows every fixpoint round stays amortized.
   void Reserve(size_t rows);
 
   /// Inserts a row (length == arity), routed to its shard. Returns true when

@@ -91,6 +91,15 @@ class SemiNaiveEngine {
     uint64_t delta_rounds = 0;
   };
 
+  // Where one compiled body literal's extent lives, resolved once per
+  // (re)compile so the per-round loops never look predicates up by name:
+  // an IDB (or seeded) predicate's state, or a base relation (null when the
+  // database has none, or for builtin literals).
+  struct Extent {
+    PredState* idb = nullptr;
+    Relation* base = nullptr;
+  };
+
   // One (rule, recursive-occurrence) delta pass of a pooled iteration.
   // Partitioning follows the rule's join plan:
   //   * when the occurrence IS the plan's driver literal, the delta's shards
@@ -156,9 +165,12 @@ class SemiNaiveEngine {
     }
     rule_stats_.resize(n);
 
+    // Shards only partition pooled work, so an inline run keeps its IDB
+    // relations flat: no shard routing per insert, no location table per
+    // row() and no shard sync per round.
     size_t shards = opts_.num_shards > 0 ? opts_.num_shards
                                          : db_->storage_options().num_shards;
-    shards = std::max<size_t>(1, shards);
+    shards = inline_ ? 1 : std::max<size_t>(1, shards);
     const auto arities = program_.PredicateArities();
     auto add = [&](const std::string& p, bool input) {
       StorageOptions storage;
@@ -187,6 +199,12 @@ class SemiNaiveEngine {
         st->stored = seed.stored;
         if (seed.delta != nullptr) st->delta->Absorb(*seed.delta);
       }
+    }
+    extents_.resize(n);
+    heads_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      ResolveExtents(i);
+      heads_.push_back(&preds_.at(rules_[i].head().predicate));
     }
     // Saturating 2x slack over the fact budget: cross-task duplicates make
     // the in-flight counter an overestimate, so the hard mid-iteration trip
@@ -230,9 +248,33 @@ class SemiNaiveEngine {
     return {};
   }
 
-  // True for the predicates the engine keeps full/delta/next for: the
-  // program's IDB predicates and, in a seeded run, the seeded ones.
-  bool IsIdb(const std::string& pred) const { return preds_.count(pred) > 0; }
+  // Resolves rule i's compiled body literals to their extents: the engine's
+  // full/delta/next for the program's IDB predicates (and, in a seeded run,
+  // the seeded ones), else the database's relation. Runs once per rule in
+  // Prepare and again whenever MaybeReplan recompiles the rule.
+  void ResolveExtents(size_t i) {
+    const std::vector<CompiledAtom>& body = rules_[i].body();
+    std::vector<Extent>& out = extents_[i];
+    out.assign(body.size(), Extent{});
+    for (size_t k = 0; k < body.size(); ++k) {
+      if (body[k].kind != LitKind::kRelation) continue;
+      auto it = preds_.find(body[k].predicate);
+      if (it != preds_.end()) {
+        out[k].idb = &it->second;
+      } else {
+        out[k].base = db_->Find(body[k].predicate);
+      }
+    }
+  }
+
+  // True when rule i runs a delta pass this round: one of its IDB body
+  // literals has a non-empty delta.
+  bool RuleActive(size_t i) const {
+    for (const Extent& e : extents_[i]) {
+      if (e.idb != nullptr && !e.idb->delta->empty()) return true;
+    }
+    return false;
+  }
 
   // The facts counted against max_facts: everything derived so far (seeded
   // input is not derived).
@@ -263,13 +305,14 @@ class SemiNaiveEngine {
   // share base relations only under shared_edb.
   RelationView ViewFor(size_t rule, size_t occ, size_t k,
                        const Relation* occ_rows) {
-    const CompiledAtom& lit = rules_[rule].body()[k];
-    if (lit.kind != LitKind::kRelation) return RelationView{};
-    if (!IsIdb(lit.predicate)) {
-      return RelationView{db_->Find(lit.predicate), nullptr,
-                          !inline_ || opts_.eval.shared_edb};
+    if (rules_[rule].body()[k].kind != LitKind::kRelation) {
+      return RelationView{};
     }
-    PredState& st = preds_.at(lit.predicate);
+    const Extent& e = extents_[rule][k];
+    if (e.idb == nullptr) {
+      return RelationView{e.base, nullptr, !inline_ || opts_.eval.shared_edb};
+    }
+    PredState& st = *e.idb;
     const bool shared = !inline_;
     if (k == occ) {
       // Pooled tasks pass a delta shard, reachable only as const; the view
@@ -303,8 +346,7 @@ class SemiNaiveEngine {
   // inline sink.
   Status EnumerateInline(size_t rule, const std::vector<RelationView>& views,
                          Relation* target, bool check_known) {
-    target_ = InlineTarget{rule, &preds_.at(rules_[rule].head().predicate),
-                           target, check_known};
+    target_ = InlineTarget{rule, heads_[rule], target, check_known};
     FACTLOG_RETURN_IF_ERROR(EnumerateRule(rules_[rule], &db_->store(), views,
                                           on_derivation_ != nullptr,
                                           &rule_stats_[rule], inline_sink_));
@@ -353,10 +395,9 @@ class SemiNaiveEngine {
       bool has_idb = false;
       int first_rel = -1;
       for (size_t k = 0; k < rule.body().size(); ++k) {
-        const CompiledAtom& lit = rule.body()[k];
-        if (lit.kind != LitKind::kRelation) continue;
+        if (rule.body()[k].kind != LitKind::kRelation) continue;
         if (first_rel < 0) first_rel = static_cast<int>(k);
-        if (IsIdb(lit.predicate)) {
+        if (extents_[i][k].idb != nullptr) {
           has_idb = true;
           break;
         }
@@ -364,8 +405,7 @@ class SemiNaiveEngine {
       if (has_idb) continue;
 
       const Relation* extent =
-          first_rel >= 0 ? db_->Find(rule.body()[first_rel].predicate)
-                         : nullptr;
+          first_rel >= 0 ? extents_[i][first_rel].base : nullptr;
       bool fan_out = !inline_ && extent != nullptr &&
                      extent->shard_count() > 1 &&
                      extent->size() >= opts_.min_rows_to_partition;
@@ -378,11 +418,9 @@ class SemiNaiveEngine {
       // shared read-only (workers then fall back to filtered scans).
       if (!opts_.eval.shared_edb) {
         for (size_t k = 0; k < rule.body().size(); ++k) {
-          const CompiledAtom& lit = rule.body()[k];
           const std::vector<int>& cols = Cols(i, k);
-          if (lit.kind != LitKind::kRelation || cols.empty()) continue;
-          Relation* rel = db_->Find(lit.predicate);
-          if (rel == nullptr) continue;
+          Relation* rel = extents_[i][k].base;
+          if (rel == nullptr || cols.empty()) continue;
           if (static_cast<int>(k) == first_rel) {
             rel->EnsureShardIndexes(cols);
           } else {
@@ -413,16 +451,15 @@ class SemiNaiveEngine {
   Status SeedRuleInline(size_t rule_index) {
     const CompiledRule& rule = rules_[rule_index];
     views_.clear();
-    for (const CompiledAtom& lit : rule.body()) {
-      if (lit.kind != LitKind::kRelation) {
+    for (size_t k = 0; k < rule.body().size(); ++k) {
+      if (rule.body()[k].kind != LitKind::kRelation) {
         views_.push_back(RelationView{});
       } else {
-        views_.push_back(RelationView{db_->Find(lit.predicate), nullptr,
+        views_.push_back(RelationView{extents_[rule_index][k].base, nullptr,
                                       opts_.eval.shared_edb});
       }
     }
-    return EnumerateInline(rule_index, views_,
-                           preds_.at(rule.head().predicate).delta.get(),
+    return EnumerateInline(rule_index, views_, heads_[rule_index]->delta.get(),
                            /*check_known=*/false);
   }
 
@@ -433,8 +470,8 @@ class SemiNaiveEngine {
     result->rule = task.rule;
     if (cancelled_.load(std::memory_order_acquire)) return;
     const CompiledRule& rule = rules_[task.rule];
-    const Relation* extent = db_->Find(rule.body()[task.lit].predicate);
-    const Relation& shard_rows = extent->shard(task.shard);
+    const std::vector<Extent>& extents = extents_[task.rule];
+    const Relation& shard_rows = extents[task.lit].base->shard(task.shard);
     if (shard_rows.empty()) return;
 
     std::vector<RelationView> views;
@@ -447,13 +484,13 @@ class SemiNaiveEngine {
         views.push_back(RelationView{const_cast<Relation*>(&shard_rows),
                                      nullptr, /*shared=*/true});
       } else {
-        views.push_back(RelationView{db_->Find(lit.predicate), nullptr,
-                                     /*shared=*/true});
+        views.push_back(
+            RelationView{extents[k].base, nullptr, /*shared=*/true});
       }
     }
 
-    PredState& head = preds_.at(rule.head().predicate);
-    EnumerateBuffered(task.rule, views, &head, head.delta.get(),
+    PredState* head = heads_[task.rule];
+    EnumerateBuffered(task.rule, views, head, head->delta.get(),
                       /*check_known=*/false, result);
   }
 
@@ -529,23 +566,22 @@ class SemiNaiveEngine {
                       result);
   }
 
-  // The observed extent a body occurrence of `pred` ranges over this round:
-  // the current delta for IDB predicates (their estimates are delta-based),
-  // the live relation size for base predicates.
-  uint64_t CurrentExtent(const std::string& pred) const {
-    if (IsIdb(pred)) return preds_.at(pred).delta->size();
-    const Relation* rel = db_->Find(pred);
-    return rel == nullptr ? 0 : rel->size();
+  // The observed extent a body occurrence ranges over this round: the
+  // current delta for IDB predicates (their estimates are delta-based), the
+  // live relation size for base predicates.
+  static uint64_t CurrentExtent(const Extent& e) {
+    if (e.idb != nullptr) return e.idb->delta->size();
+    return e.base == nullptr ? 0 : e.base->size();
   }
 
   // Re-routes an IDB relation's rows onto new partition columns (Absorb
   // re-hashes when layouts differ). Partition columns only steer how pooled
-  // passes split work, so inline runs and single-shard relations skip the
-  // copy. Shard count is unchanged, so the per-shard lock array stays valid;
-  // worker buffers copy next's storage options per task, so shard-to-shard
-  // merges stay aligned.
+  // passes split work, so single-shard relations (every inline run's) skip
+  // the copy. Shard count is unchanged, so the per-shard lock array stays
+  // valid; worker buffers copy next's storage options per task, so
+  // shard-to-shard merges stay aligned.
   void Repartition(PredState* st, const std::vector<int>& cols) {
-    if (inline_ || st->next->shard_count() == 1) return;
+    if (st->next->shard_count() == 1) return;
     StorageOptions storage = st->next->storage_options();
     if (storage.partition_cols == cols) return;
     storage.partition_cols = cols;
@@ -563,7 +599,10 @@ class SemiNaiveEngine {
   // recursive occurrence is now probed on different columns. Plans only
   // direct enumeration and partitioning, so the fact set is unchanged. A
   // re-plan that keeps the order still refreshes est_rows, which re-arms the
-  // drift check instead of tripping it every round.
+  // drift check instead of tripping it every round. Only rules that run a
+  // delta pass this round are checked: an idle rule's deltas read 0 and
+  // would trip the check, so it keeps its plan and estimates until its next
+  // active round.
   void MaybeReplan() {
     if (opts_.eval.replan_threshold <= 0 ||
         opts_.eval.join_order != eval::JoinOrder::kPlanned) {
@@ -573,14 +612,17 @@ class SemiNaiveEngine {
     bool popts_ready = false;
     bool replanned = false;
     for (size_t i = 0; i < rules_.size(); ++i) {
+      if (!RuleActive(i)) continue;
       const plan::JoinPlan& jp = plan_.rules[i];
       size_t relation_lits = 0;
       bool drifted = false;
-      for (const plan::LiteralPlan& lp : jp.order) {
-        if (!lp.is_relation) continue;
+      // The compiled body is in plan order, so extents_[i][k] is the extent
+      // of jp.order[k].
+      for (size_t k = 0; k < jp.order.size(); ++k) {
+        if (!jp.order[k].is_relation) continue;
         ++relation_lits;
-        const ast::Atom& lit = program_.rules()[i].body()[lp.body_index];
-        if (eval::ExtentDrifted(lp.est_rows, CurrentExtent(lit.predicate()),
+        if (eval::ExtentDrifted(jp.order[k].est_rows,
+                                CurrentExtent(extents_[i][k]),
                                 opts_.eval.replan_threshold)) {
           drifted = true;
         }
@@ -622,6 +664,7 @@ class SemiNaiveEngine {
       if (!cr.ok()) continue;  // keep the old plan; never fail the fixpoint
       plan_.rules[i] = std::move(fresh);
       rules_[i] = std::move(*cr);
+      ResolveExtents(i);
       ++result_.mutable_stats()->replans;
       replanned = true;
     }
@@ -673,22 +716,18 @@ class SemiNaiveEngine {
   // with a non-empty delta), inserting new facts straight into next.
   Status RunIterationInline() {
     for (size_t i = 0; i < rules_.size(); ++i) {
-      const std::vector<CompiledAtom>& body = rules_[i].body();
-      for (size_t j = 0; j < body.size(); ++j) {
-        const CompiledAtom& lit_j = body[j];
-        if (lit_j.kind != LitKind::kRelation || !IsIdb(lit_j.predicate)) {
-          continue;
-        }
-        const Relation* delta = preds_.at(lit_j.predicate).delta.get();
+      const std::vector<Extent>& extents = extents_[i];
+      for (size_t j = 0; j < extents.size(); ++j) {
+        if (extents[j].idb == nullptr) continue;
+        const Relation* delta = extents[j].idb->delta.get();
         if (delta->empty()) continue;
         ++result_.mutable_stats()->delta_passes;
         views_.clear();
-        for (size_t k = 0; k < body.size(); ++k) {
+        for (size_t k = 0; k < extents.size(); ++k) {
           views_.push_back(ViewFor(i, j, k, delta));
         }
         FACTLOG_RETURN_IF_ERROR(EnumerateInline(
-            i, views_, preds_.at(rules_[i].head().predicate).next.get(),
-            /*check_known=*/true));
+            i, views_, heads_[i]->next.get(), /*check_known=*/true));
       }
     }
     return Status::OK();
@@ -706,13 +745,10 @@ class SemiNaiveEngine {
     const bool shared_edb = opts_.eval.shared_edb;
     std::vector<Pass> passes;
     for (size_t i = 0; i < rules_.size(); ++i) {
-      const CompiledRule& rule = rules_[i];
-      for (size_t j = 0; j < rule.body().size(); ++j) {
-        const CompiledAtom& lit = rule.body()[j];
-        if (lit.kind != LitKind::kRelation || !IsIdb(lit.predicate)) {
-          continue;
-        }
-        Relation* delta = preds_.at(lit.predicate).delta.get();
+      const std::vector<Extent>& extents = extents_[i];
+      for (size_t j = 0; j < extents.size(); ++j) {
+        if (extents[j].idb == nullptr) continue;
+        Relation* delta = extents[j].idb->delta.get();
         if (delta->empty()) continue;
 
         Pass pass;
@@ -729,7 +765,7 @@ class SemiNaiveEngine {
           pass.driver_pos = static_cast<size_t>(driver);
           RelationView dview = ViewFor(i, j, pass.driver_pos, nullptr);
           const bool index_driver =
-              !shared_edb || IsIdb(rule.body()[pass.driver_pos].predicate);
+              !shared_edb || extents[pass.driver_pos].idb != nullptr;
           Relation* members[3] = {dview.first, dview.second, dview.third};
           size_t total = 0;
           for (Relation* m : members) {
@@ -767,7 +803,7 @@ class SemiNaiveEngine {
             delta->EnsureIndex(probe_cols);
           }
         }
-        pass.head_state = &preds_.at(rule.head().predicate);
+        pass.head_state = heads_[i];
         passes.push_back(std::move(pass));
       }
     }
@@ -781,7 +817,7 @@ class SemiNaiveEngine {
         if (pass.by_driver && k == pass.driver_pos) continue;  // per shard
         const std::vector<int>& cols = Cols(pass.rule, k);
         if (cols.empty()) continue;
-        if (shared_edb && !IsIdb(rule.body()[k].predicate)) continue;
+        if (shared_edb && extents_[pass.rule][k].idb == nullptr) continue;
         RelationView view = ViewFor(pass.rule, pass.occ, k, nullptr);
         for (Relation* r : {view.first, view.second, view.third}) {
           if (r != nullptr) r->EnsureIndex(cols);
@@ -848,6 +884,9 @@ class SemiNaiveEngine {
   std::map<std::string, PredState> preds_;
   plan::ProgramPlan plan_;
   std::vector<CompiledRule> rules_;
+  // Per rule: each compiled body literal's extent, and the head's state.
+  std::vector<std::vector<Extent>> extents_;
+  std::vector<PredState*> heads_;
   std::vector<JoinStats> rule_stats_;
   std::vector<plan::ProbeObservation> probe_obs_;  // drained at Finish
   EvalResult result_;

@@ -5,11 +5,11 @@
 // O(n^k) to O(n) facts; this module consumes those relations on every core.
 // Rules are compiled against their plan::JoinPlan (the per-rule join order,
 // index requirements, and partitioning driver chosen at compile time — see
-// plan/join_plan.h), and storage is shard-native (eval::StorageOptions):
-// every IDB relation is hash-partitioned on the plan's join-key columns of
-// its first recursive occurrence (else column 0). Work is partitioned along
-// the plan's driver literal — nothing is re-partitioned or copied per
-// iteration:
+// plan/join_plan.h), and storage is shard-native (eval::StorageOptions): on
+// a pool every IDB relation is hash-partitioned on the plan's join-key
+// columns of its first recursive occurrence (else column 0). Work is
+// partitioned along the plan's driver literal — nothing is re-partitioned
+// or copied per iteration:
 //
 //   1. Iteration 0 (EDB-only rules) partitions the plan's first relation
 //      literal's extent by the base relation's shards, so even the seed fans
@@ -42,7 +42,14 @@
 // fact budget checked per insert, and every rule instantiation reported to
 // the derivation callback when one is given (derivation trees are built
 // from it; eval/provenance.h). eval::Evaluate's semi-naive strategy is this
-// inline run.
+// inline run. Shards only partition pooled work, so an inline run keeps its
+// IDB relations flat (one shard) whatever num_shards says; base relations
+// keep their layout.
+//
+// Every round, rules whose literal estimates drifted from the observed
+// extents are re-planned (EvalOptions::replan_threshold). Only rules that
+// run a delta pass that round are checked; an idle rule keeps its plan and
+// estimates until its next active round.
 //
 // EvaluateSeeded enters the same fixpoint mid-way (incremental maintenance,
 // src/inc): each seeded predicate's stored extent joins its views as the
@@ -78,8 +85,10 @@ struct ParallelEvalOptions {
   /// Budgets and flags shared with eval::Evaluate. `strategy` kNaive runs
   /// eval::Evaluate's naive loop (the pool is unused).
   eval::EvalOptions eval;
-  /// Shards per IDB relation. 0 inherits the database's storage options, so
-  /// IDB and EDB partitioning stay uniform by default.
+  /// Shards per IDB relation of a pooled run. 0 inherits the database's
+  /// storage options, so IDB and EDB partitioning stay uniform by default.
+  /// Shards partition pooled work only: an inline run keeps its IDB
+  /// relations flat whatever this says.
   size_t num_shards = 0;
   /// Extents (delta, or the seed pass's first-literal base relation) with
   /// fewer rows than this run as a single task even when sharded; fanning a

@@ -287,6 +287,80 @@ TEST(AdaptiveFixpoint, EngineOracleSweep) {
   }
 }
 
+// Only rules that run a delta pass in a round are checked for drift. The
+// factored three-form TC point alternates m_t_bf and ft rounds, so each
+// rule's delta swings between 0 and its frontier every other round; re-plans
+// of the idle rule never reorder anything, so the adaptive run must match
+// the static one exactly and never count a re-plan.
+TEST(AdaptiveFixpoint, FactoredTcPointIsNotReplanned) {
+  std::string facts;
+  for (int i = 0; i < 300; ++i) {
+    for (int step : {1, 10}) {
+      facts += "g(" + std::to_string(i) + ", " +
+               std::to_string((i + step) % 300) + ").\n";
+    }
+  }
+  const ast::Program program = P(
+      "t(X, Y) :- t(X, W), t(W, Y). t(X, Y) :- g(X, W), t(W, Y). "
+      "t(X, Y) :- t(X, W), g(W, Y). t(X, Y) :- g(X, Y).");
+  auto run = [&](double threshold, api::QueryStats* stats) {
+    api::EngineOptions opts;
+    opts.num_shards = 4;
+    opts.eval.replan_threshold = threshold;
+    api::Engine engine(opts);
+    EXPECT_TRUE(engine.LoadFacts(facts).ok());
+    auto answers =
+        engine.Query(program, A("t(7, Y)"), api::Strategy::kAuto, stats);
+    EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+    return Tuples(*answers, engine.db().store());
+  };
+  api::QueryStats static_stats;
+  std::set<std::string> expected = run(0.0, &static_stats);
+  api::QueryStats adaptive_stats;
+  std::set<std::string> actual = run(4.0, &adaptive_stats);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(expected.size(), 300u);
+  EXPECT_GT(adaptive_stats.eval.iterations, 10u);
+  EXPECT_EQ(adaptive_stats.eval.replans, 0u);
+  EXPECT_EQ(adaptive_stats.eval.rows_matched, static_stats.eval.rows_matched);
+}
+
+// A rule idle for most of the fixpoint keeps its plan and estimates until
+// its first active round. r's q literal is planned at the default delta
+// estimate (16 rows) and reads 16 rows when it finally runs, so it never
+// drifts; had the idle rounds (where q's delta reads 0) been checked, each
+// would have re-planned r with q first.
+TEST(AdaptiveFixpoint, IdleRuleKeepsItsPlan) {
+  std::string facts = "seed(40, 41).\ng(100, 99).\n";
+  for (int i = 0; i < 40; ++i) {
+    facts += "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  for (int j = 100; j < 116; ++j) {
+    facts += "e(" + std::to_string(j) + ", 0).\nstop(" + std::to_string(j) +
+             ").\n";
+  }
+  const ast::Program program = P(
+      "c(X, Y) :- seed(X, Y). c(X, Y) :- e(X, W), c(W, Y). "
+      "q(X) :- c(X, Y), stop(X). r(X, Z) :- q(X), g(X, Z).");
+  auto run = [&](double threshold, eval::EvalStats* stats) {
+    eval::Database db;
+    AddFacts(&db, facts);
+    eval::EvalOptions opts;
+    opts.replan_threshold = threshold;
+    auto answers = eval::EvaluateQuery(program, A("r(X, Z)"), &db, opts, stats);
+    EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+    return Tuples(*answers, db.store());
+  };
+  eval::EvalStats static_stats;
+  std::set<std::string> expected = run(0.0, &static_stats);
+  eval::EvalStats adaptive_stats;
+  std::set<std::string> actual = run(4.0, &adaptive_stats);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(expected.size(), 1u);
+  EXPECT_EQ(adaptive_stats.replans, 0u);
+  EXPECT_EQ(adaptive_stats.rows_matched, static_stats.rows_matched);
+}
+
 // ---- Engine drift guard: re-cost in place -----------------------------------
 
 TEST(AdaptiveEngine, DriftedCacheHitRecostsWithoutRecompiling) {

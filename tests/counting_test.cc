@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
+#include "api/engine.h"
 #include "core/canonical.h"
 #include "core/optimizations.h"
 #include "core/pipeline.h"
@@ -179,6 +183,51 @@ TEST(CountingTest, StrippedProgramStillAnswersCorrectly) {
       eval::EvaluateQuery(stripped, *stripped.query(), &db);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->rows.size(), 7u);
+}
+
+// The engine bounds a Counting run's iterations by the distinct constants of
+// the base relations it reads: on acyclic data the goal index cannot pass
+// that count, so a run past it is diverging (§6.4). Without the bound the
+// cyclic case below ran for minutes towards the 10M fact budget.
+std::string ChainFacts(int edges) {
+  std::string facts;
+  for (int i = 1; i <= edges; ++i) {
+    facts += "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  return facts;
+}
+
+TEST(CountingTest, EngineFailsFastOnCyclicData) {
+  api::Engine engine;
+  ASSERT_TRUE(engine.LoadFacts(ChainFacts(61) + "e(7, 3).\n").ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto answers = engine.Query(P(kRightTc), A("t(1, Y)"),
+                              core::Strategy::kCounting);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(answers.status().message().find("§6.4"), std::string::npos)
+      << answers.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(CountingTest, EngineBoundLetsAcyclicDataFinish) {
+  // The deepest acyclic case for its constant count: every node lies on the
+  // query's path.
+  api::Engine engine;
+  ASSERT_TRUE(engine.LoadFacts(ChainFacts(61)).ok());
+  api::QueryStats stats;
+  auto answers = engine.Query(P(kRightTc), A("t(1, Y)"),
+                              core::Strategy::kCounting, &stats);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 61u);
+  // The goal index climbs to 61 and the answers walk it back down to 0.
+  EXPECT_GE(stats.eval.iterations, 2u * 61u);
+  // Left-linear Counting diverges on any data; the bound catches it too.
+  auto left = engine.Query(P(kLeftTc), A("t(1, Y)"),
+                           core::Strategy::kCounting);
+  ASSERT_FALSE(left.ok());
+  EXPECT_NE(left.status().message().find("§6.4"), std::string::npos);
 }
 
 }  // namespace

@@ -335,6 +335,90 @@ TEST(ParallelSemiNaiveTest, SharedEdbLeavesBaseRelationsUntouched) {
   }
 }
 
+// Shards only partition pooled work. An inline run keeps its IDB relations
+// flat whatever num_shards asks for, and agrees with a 1-shard inline run and
+// a 4-shard pooled run on facts, iterations and per-rule instantiations.
+void ExpectSameRun(const eval::EvalResult& got, const eval::EvalResult& want,
+                   const eval::ValueStore& store, const std::string& what) {
+  EXPECT_EQ(FactSets(got, store), FactSets(want, store)) << what;
+  EXPECT_EQ(got.stats().iterations, want.stats().iterations) << what;
+  EXPECT_EQ(got.stats().rule_instantiations, want.stats().rule_instantiations)
+      << what;
+}
+
+TEST(ParallelSemiNaiveTest, InlineRunsKeepIdbFlatAndAgreeWithShardedPool) {
+  eval::Database db(eval::StorageOptions{4, {}});
+  workload::MakeGrid(6, 6, "e", &db);
+  ast::Program program = P(
+      "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). "
+      "s(X, Y) :- t(X, W), t(W, Y).");
+  auto run = [&](exec::ThreadPool* pool, size_t shards) {
+    exec::ParallelEvalOptions opts;
+    opts.min_rows_to_partition = 1;
+    opts.num_shards = shards;
+    return exec::EvaluateParallel(program, &db, pool, opts);
+  };
+  exec::ThreadPool width0(0);
+  exec::ThreadPool pool(2);
+  auto inline4 = run(nullptr, 4);
+  auto width0_4 = run(&width0, 4);
+  auto inline1 = run(nullptr, 1);
+  auto pooled4 = run(&pool, 4);
+  for (const auto* r : {&inline4, &width0_4, &inline1, &pooled4}) {
+    ASSERT_TRUE(r->ok()) << r->status().ToString();
+  }
+  for (const auto* r : {&inline4, &width0_4, &inline1}) {
+    EXPECT_EQ((*r)->stats().shard_facts.size(), 1u);
+    EXPECT_EQ((*r)->Find("t")->shard_count(), 1u);
+  }
+  EXPECT_EQ(pooled4->Find("t")->shard_count(), 4u);
+  ExpectSameRun(*inline4, *inline1, db.store(), "inline 4 vs inline 1");
+  ExpectSameRun(*width0_4, *inline1, db.store(), "width-0 4 vs inline 1");
+  ExpectSameRun(*pooled4, *inline1, db.store(), "pooled 4 vs inline 1");
+}
+
+// The same for a seeded run whose stored extent and seed delta are sharded:
+// the inline engine reads the sharded stored extent and copies the sharded
+// delta into its flat one.
+TEST(ParallelSemiNaiveTest, SeededInlineRunsAgreeOverShardedSeeds) {
+  eval::Database db(eval::StorageOptions{4, {}});
+  workload::MakeChain(30, "e", &db);
+  ast::Program program = P("t(X, Y) :- t(X, W), e(W, Y).");
+  const eval::StorageOptions sharded{4, {0}};
+  eval::Relation stored(2, sharded);
+  eval::Relation delta(2, sharded);
+  auto pair = [&](int64_t a, int64_t b) {
+    return std::vector<eval::ValueId>{db.store().InternInt(a),
+                                      db.store().InternInt(b)};
+  };
+  for (int64_t y = 2; y <= 5; ++y) stored.Insert(pair(1, y));
+  delta.Insert(pair(1, 6));
+  for (int64_t x = 10; x <= 20; x += 2) delta.Insert(pair(x, x + 1));
+  ASSERT_EQ(delta.shard_count(), 4u);
+  const std::map<std::string, exec::SeedExtent> seeds = {
+      {"t", {&stored, &delta}}};
+  auto run = [&](exec::ThreadPool* pool, size_t shards) {
+    exec::ParallelEvalOptions opts;
+    opts.min_rows_to_partition = 1;
+    opts.num_shards = shards;
+    return exec::EvaluateSeeded(program, &db, pool, opts, seeds);
+  };
+  exec::ThreadPool pool(2);
+  auto inline4 = run(nullptr, 4);
+  auto inline1 = run(nullptr, 1);
+  auto pooled4 = run(&pool, 4);
+  for (const auto* r : {&inline4, &inline1, &pooled4}) {
+    ASSERT_TRUE(r->ok()) << r->status().ToString();
+  }
+  EXPECT_EQ(inline4->stats().shard_facts.size(), 1u);
+  // t(1, 6..30) and, from each seeded (x, x+1), t(x, x+2..30).
+  uint64_t expected = 25;
+  for (int64_t x = 10; x <= 20; x += 2) expected += 30 - (x + 1) + 1;
+  EXPECT_EQ(inline4->stats().total_facts, expected);
+  ExpectSameRun(*inline4, *inline1, db.store(), "inline 4 vs inline 1");
+  ExpectSameRun(*pooled4, *inline1, db.store(), "pooled 4 vs inline 1");
+}
+
 // ---- Engine integration ----------------------------------------------------
 
 const char* kTcQueries[] = {

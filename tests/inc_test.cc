@@ -723,6 +723,54 @@ TEST(IncRestoreTest, MalformedDumpIsRejected) {
   }
 }
 
+// Shards only partition pooled work, so a view built without a pool holds
+// flat relations even over a sharded database, while Restore builds them in
+// the database's layout. Both layouts maintain the same state, and the flat
+// view's frozen answer is copied only after the view changed.
+TEST(IncRestoreTest, InlineBuiltViewIsFlatAndRestoredOneSharded) {
+  Harness h(eval::StorageOptions{2, {}});
+  for (int64_t i = 1; i < 8; ++i) h.db.AddPair("e", i, i + 1);
+  const char* text =
+      "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, W), t(W, Y). ?- t(1, Y).";
+  h.Build(text);
+  ASSERT_EQ(h.view->Find("t")->shard_count(), 1u);
+  auto restored = MaterializedView::Restore(P(text), &h.db, {},
+                                            h.view->DumpState());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  MaterializedView* sharded = restored->get();
+  ASSERT_EQ(sharded->Find("t")->shard_count(), 2u);
+
+  std::shared_ptr<eval::Relation> frozen = h.view->FrozenAnswer();
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_EQ(h.view->FrozenAnswer(), frozen) << "copied without a change";
+
+  eval::Relation* e = h.db.Find("e");
+  auto apply = [&](bool insert, int64_t a, int64_t b) {
+    auto row = h.db.InternRow(Edge(a, b));
+    ASSERT_TRUE(row.ok());
+    eval::Relation delta(2, e->storage_options());
+    delta.Insert(*row);
+    if (insert) {
+      ASSERT_TRUE(h.view->ApplyInsert("e", delta).ok());
+      ASSERT_TRUE(sharded->ApplyInsert("e", delta).ok());
+      e->Insert(*row);
+    } else {
+      e->Erase(row->data());
+      e->SyncShards();
+      ASSERT_TRUE(h.view->ApplyDelete("e", delta).ok());
+      ASSERT_TRUE(sharded->ApplyDelete("e", delta).ok());
+    }
+    EXPECT_EQ(RowSet(*h.view->Find("t")), RowSet(*sharded->Find("t")));
+  };
+  apply(true, 8, 9);
+  apply(true, 3, 7);
+  apply(false, 4, 5);
+  apply(false, 1, 2);
+  EXPECT_EQ(h.view->Find("t")->shard_count(), 1u);
+  EXPECT_EQ(sharded->Find("t")->shard_count(), 2u);
+  EXPECT_NE(h.view->FrozenAnswer(), frozen);
+}
+
 // ---- Engine integration -----------------------------------------------------
 
 TEST(EngineViewTest, QueryAnswersFromViewWithoutExecuting) {

@@ -141,6 +141,23 @@ TEST(RelationTest, ReserveDoesNotChangeContents) {
   EXPECT_EQ(r.size(), 101u);
 }
 
+// The fixpoints absorb each round's delta into the full relation, a few rows
+// at a time; Reserve must grow the row store geometrically, or every round
+// reallocates (and copies) all of it.
+TEST(RelationTest, RepeatedSmallAbsorbsReallocateLogarithmically) {
+  Relation full(2);
+  size_t moves = 0;
+  const ValueId* first = nullptr;
+  for (ValueId i = 0; i < 64; ++i) {
+    Relation delta(2);
+    delta.Insert({i, i + 1});
+    ASSERT_EQ(full.Absorb(delta), 1u);
+    if (full.row(0) != first) ++moves;
+    first = full.row(0);
+  }
+  EXPECT_LE(moves, 8u);
+}
+
 TEST(RelationTest, MoveInsertAcceptsTemporaries) {
   Relation r(3);
   EXPECT_TRUE(r.Insert(std::vector<ValueId>{1, 2, 3}));
