@@ -9,7 +9,9 @@
 //     first query, which answers from the restored view — against full
 //     re-evaluation: an in-memory engine loading the same facts and running
 //     the fixpoint from scratch. The speedup is the claim persistence makes:
-//     restart without re-deriving the IDB.
+//     restart without re-deriving the IDB. The reopened view's derivation
+//     edge store is built on its first update or `why`, not at open:
+//     `edge_store_edges_after_open` is 0.
 //
 //  2. Buffer-pool sweep. An EDB ~4x larger than the frame budget (budget =
 //     25% of its page count) is scanned repeatedly through full queries, so
@@ -111,6 +113,8 @@ int main(int argc, char** argv) {
   double save_s = 0, open_s = 0, cold_query_s = 0, reeval_s = 0;
   size_t answers_cold = 0, answers_reeval = 0;
   uint64_t views_restored = 0;
+  uint64_t edges_after_open = 0;
+  std::string view_key;
   {
     auto t0 = Clock::now();
     auto engine = api::Engine::Open(cold_db.path);
@@ -118,9 +122,9 @@ int main(int argc, char** argv) {
     if (Status st = (*engine)->LoadFacts(chain); !st.ok()) {
       return Die("load", st);
     }
-    if (auto h = (*engine)->Materialize(kLeftTc); !h.ok()) {
-      return Die("materialize", h.status());
-    }
+    auto h = (*engine)->Materialize(kLeftTc);
+    if (!h.ok()) return Die("materialize", h.status());
+    view_key = h->key;
     if (Status st = (*engine)->Checkpoint(); !st.ok()) {
       return Die("checkpoint", st);
     }
@@ -132,6 +136,9 @@ int main(int argc, char** argv) {
     if (!engine.ok()) return Die("reopen", engine.status());
     open_s = SecondsBetween(t0, Clock::now());
     views_restored = (*engine)->persistence_stats().views_restored;
+    auto vs = (*engine)->ViewStatsFor(api::ViewHandle{view_key});
+    if (!vs.ok()) return Die("view stats", vs.status());
+    edges_after_open = vs->edge_store_edges;
     auto t1 = Clock::now();
     auto a = (*engine)->Query(kLeftTc);
     if (!a.ok()) return Die("cold query", a.status());
@@ -207,6 +214,8 @@ int main(int argc, char** argv) {
               answers_cold == answers_reeval ? "true" : "false");
   std::printf("    \"views_restored\": %llu,\n",
               static_cast<unsigned long long>(views_restored));
+  std::printf("    \"edge_store_edges_after_open\": %llu,\n",
+              static_cast<unsigned long long>(edges_after_open));
   std::printf("    \"save_s\": %.4f,\n", save_s);
   std::printf("    \"open_s\": %.4f,\n", open_s);
   std::printf("    \"first_query_s\": %.4f,\n", cold_query_s);

@@ -210,7 +210,9 @@ void PrintEngineStats(factlog::api::Engine* engine, std::ostream& out) {
 
 // The view's maintenance counters for the synchronous `stats` command:
 // cumulative, edge-store gauges, and the per-update `last update` snapshot.
-void PrintViewStats(const factlog::inc::ViewStats& stats, std::ostream& out) {
+// `edges_owed` marks a restored view whose edge store is not built yet.
+void PrintViewStats(const factlog::inc::ViewStats& stats, bool edges_owed,
+                    std::ostream& out) {
   out << "% view: +" << stats.inserts_applied << " -" << stats.deletes_applied
       << " EDB rows; IDB +" << stats.idb_inserted << " -" << stats.idb_deleted
       << "; support updates " << stats.support_updates << "; overdeleted "
@@ -226,7 +228,8 @@ void PrintViewStats(const factlog::inc::ViewStats& stats, std::ostream& out) {
               : std::string(stats.edge_store_dropped
                                 ? "store dropped over budget "
                                   "(re-evaluation fallback)"
-                                : "not tracked"))
+                            : edges_owed ? "built on first update or why"
+                                         : "not tracked"))
       << "\n";
   const factlog::inc::ViewUpdateStats& lu = stats.last_update;
   out << "% last update: IDB +" << lu.idb_inserted << " -" << lu.idb_deleted
@@ -374,7 +377,8 @@ int RunRepl(factlog::api::Engine* engine, const factlog::ast::Program& program,
     }
     auto vs = engine->ViewStatsFor(*handle);
     if (!vs.ok()) return Fail(vs.status());
-    PrintViewStats(*vs, std::cout);
+    PrintViewStats(*vs, engine->view(*handle)->edge_store_owed(),
+                   std::cout);
     PrintEngineStats(engine, std::cout);
     if (engine->persistent()) PrintStorageStats(engine, std::cout);
     return 0;

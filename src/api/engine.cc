@@ -66,8 +66,10 @@ void SeedFromSchema(const eval::Database& db, analysis::LintOptions* lint,
 /// rules add a round each at most. Returns that iteration bound, capped at
 /// `cap`; `cap` itself for other strategies and for programs that compute
 /// values (builtins, function terms), which no constant count bounds.
+/// `incoming` counts the values of a row about to join the base relations.
 uint64_t CountingIterationBound(const core::CompiledQuery& plan,
-                                const eval::Database& db, uint64_t cap) {
+                                const eval::Database& db, uint64_t cap,
+                                uint64_t incoming = 0) {
   if (plan.strategy != core::Strategy::kCounting) return cap;
   auto computes = [](const ast::Atom& atom) {
     if (ast::IsBuiltinPredicate(atom.predicate()) ||
@@ -99,7 +101,8 @@ uint64_t CountingIterationBound(const core::CompiledQuery& plan,
   for (const ast::Term& t : plan.source_query.args()) {
     if (t.IsConstant()) ++bound_args;
   }
-  const uint64_t d = std::max<uint64_t>(1, constants.size() + bound_args);
+  const uint64_t d =
+      std::max<uint64_t>(1, constants.size() + incoming + bound_args);
   const uint64_t slack = 4 + plan.program.rules().size();
   uint64_t goals = 1;  // saturates at cap
   for (uint64_t i = 0; i < bound_args && goals < cap; ++i) {
@@ -219,8 +222,21 @@ Status Engine::PropagateToViews(const std::string& pred,
     eval::Relation delta(rel.arity(), rel.storage_options());
     delta.Insert(row);
     for (auto& [key, view] : views_) {
+      // A Counting view's maintenance fixpoints are bounded like its build,
+      // over the base relations as they stand once this delta applies.
+      auto counting = counting_plans_.find(key);
+      uint64_t bound = 0;
+      if (counting != counting_plans_.end()) {
+        bound = CountingIterationBound(*counting->second, db_,
+                                       options_.eval.max_iterations,
+                                       insert ? row.size() : 0);
+        view->set_max_iterations(bound);
+      }
       Status st = insert ? view->ApplyInsert(pred, delta)
                          : view->ApplyDelete(pred, delta);
+      if (counting != counting_plans_.end()) {
+        st = NoteCountingDivergence(*counting->second, bound, st);
+      }
       if (!st.ok() && result.ok()) result = st;
       std::vector<plan::ProbeObservation> obs = view->DrainObservations();
       view_obs.insert(view_obs.end(), obs.begin(), obs.end());
@@ -613,13 +629,18 @@ Result<ViewHandle> Engine::Materialize(const ast::Program& program,
     inc::IncrementalOptions iopts = MakeIncOptions();
     // The view copies the plan during Build and drops the pointer after.
     iopts.eval.program_plan = &plan->plans;
-    FACTLOG_ASSIGN_OR_RETURN(
-        view, inc::MaterializedView::Build(plan->program, &db_, iopts));
+    iopts.eval.max_iterations =
+        CountingIterationBound(*plan, db_, iopts.eval.max_iterations);
+    auto built = inc::MaterializedView::Build(plan->program, &db_, iopts);
+    FACTLOG_RETURN_IF_ERROR(NoteCountingDivergence(
+        *plan, iopts.eval.max_iterations, built.status()));
+    view = std::move(built).value();
     stats_catalog_.ObserveBatch(view->DrainObservations());
     if (stats != nullptr) stats->execute_us = MicrosSince(start);
   }
   std::lock_guard<std::mutex> lock(view_mu_);
   views_.emplace(key, std::move(view));
+  if (plan->strategy == Strategy::kCounting) counting_plans_[key] = plan;
   return ViewHandle{key};
 }
 
@@ -691,6 +712,7 @@ void Engine::DropView(const ViewHandle& handle) {
   if (serving_active_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(view_mu_);
   views_.erase(handle.key);
+  counting_plans_.erase(handle.key);
 }
 
 size_t Engine::num_views() const {
@@ -1081,6 +1103,13 @@ Status Engine::RestoreFromCheckpoint() {
         *prog, *qprog->query(), *strat, nullptr, pd.cache_key);
     if (plan.ok()) {
       ++plans_restored_;
+      // A restored Counting view takes its maintenance bound from its plan.
+      if ((*plan)->strategy == Strategy::kCounting) {
+        std::lock_guard<std::mutex> lock(view_mu_);
+        if (views_.count(pd.cache_key) > 0) {
+          counting_plans_[pd.cache_key] = *plan;
+        }
+      }
     } else {
       ++plans_dropped_;
     }

@@ -539,6 +539,11 @@ class Engine {
   /// erased by DropView, which requires the usual external serialization
   /// against in-flight queries).
   std::map<std::string, std::unique_ptr<inc::MaterializedView>> views_;
+  /// The plans of Counting views, by view key, also guarded by view_mu_:
+  /// each propagation re-derives a view's iteration bound from its plan and
+  /// the current base relations. A restored view gets its plan back when
+  /// the checkpoint's plan cache held it.
+  std::map<std::string, std::shared_ptr<const CompiledQuery>> counting_plans_;
   /// Guards views_ and serializes view access: map registration/lookup,
   /// delta propagation, and answering (Answer may build indices lazily).
   /// Never nested with mu_ — every section takes exactly one of the two.

@@ -11,12 +11,15 @@
 // (clause (1) of Def. 2.1), rule instantiations internal nodes (clause (2)).
 //
 // Materialized views keep the *complete* hypergraph of their recursive
-// predicates in one store. Deletion then propagates along actual derivation
-// edges instead of over-deleting everything reachable, and `why` queries can
-// print a tree for any maintained fact. Memory is bounded: fact rows are
-// interned once and ref-counted by the edges touching them (nodes free as
-// their last edge goes), and a hard edge budget lets the owner drop the
-// store and fall back to derivation-free maintenance.
+// predicates in one store, filled only by that callback: at build, by every
+// insertion, and — checkpoints persist rows, not edges — on first need after
+// a restore (the first update reaching a recursive SCC, or `why`).
+// Deletion then propagates along actual derivation edges instead of
+// over-deleting everything reachable, and `why` queries can print a tree
+// for any maintained fact. Memory is bounded: fact rows are interned once
+// and ref-counted by the edges touching them (nodes free as their last edge
+// goes), and a hard edge budget lets the owner drop the store and fall back
+// to derivation-free maintenance.
 
 #ifndef FACTLOG_EVAL_PROVENANCE_H_
 #define FACTLOG_EVAL_PROVENANCE_H_

@@ -175,47 +175,67 @@ Status MaterializedView::Init(
       rel->SyncShards();
       (*result_.mutable_idb())[pd.pred] = std::move(rel);
     }
-    // IDB predicates the dump omitted (empty at checkpoint time) still need
-    // their relations.
-    auto arities = program_.PredicateArities();
-    for (const std::string& pred : idb_preds_) {
-      if (result_.Find(pred) == nullptr) {
-        auto it = arities.find(pred);
-        (*result_.mutable_idb())[pred] = std::make_unique<Relation>(
-            it == arities.end() ? 0 : it->second, db_->storage_options());
-      }
-    }
   } else {
-    // The initial materialization is one ordinary from-scratch evaluation,
-    // on the pool when the caller has one.
+    // The initial materialization is one inline from-scratch evaluation
+    // whose derivation callback records what maintenance needs: an edge per
+    // instantiation of a recursive head, a support per instantiation of a
+    // non-recursive one. Inline rounds write only into next, so each
+    // instantiation is reported exactly once and the counts are exact.
+    if (edge_store_owed()) {
+      edges_ =
+          std::make_unique<DerivationEdgeStore>(opts_.max_derivation_edges);
+    }
+    std::map<std::string, std::unique_ptr<Relation>> counted;
+    std::vector<Relation*> counts_of_rule(rules_.size());
+    for (const auto& [pred, info] : pred_info_) {
+      if (info.recursive) continue;
+      auto& rel = counted[pred];
+      rel = std::make_unique<Relation>(
+          program_.rules()[info.rules.front()].head().arity());
+      rel->EnableSupportCounts();
+      for (size_t ri : info.rules) counts_of_rule[ri] = rel.get();
+    }
     exec::ParallelEvalOptions popts;
     popts.eval = opts_.eval;
     popts.eval.strategy = eval::Strategy::kSemiNaive;
     popts.eval.shared_edb = false;
     popts.eval.program_plan = &plan_;
-    popts.min_rows_to_partition = opts_.min_rows_to_partition;
     FACTLOG_ASSIGN_OR_RETURN(
-        result_, exec::EvaluateParallel(program_, db_, opts_.pool, popts));
+        result_,
+        exec::EvaluateParallel(
+            program_, db_, nullptr, popts,
+            [&](size_t i, const std::vector<ValueId>& row,
+                const std::vector<FactKey>& premises) {
+              if (counts_of_rule[i] != nullptr) {
+                counts_of_rule[i]->AddSupport(row.data(), 1);
+              } else {
+                RecordEdge(program_.rules()[i].head().predicate(), row, i,
+                           premises);
+              }
+            }));
+    // Same rows as the evaluated relations, with their derivation counts.
+    for (auto& [pred, rel] : counted) {
+      (*result_.mutable_idb())[pred] = std::move(rel);
+    }
+    // First-derivation ranks follow the rounds facts were found in: minimal
+    // heights on programs like TC, but only upper bounds when a recursive
+    // rule reads a lower derived predicate. Make them exact.
+    if (edges_ != nullptr && !edges_overflowed_) edges_->RecomputeRanks();
   }
   // The engine's plan pointer has served its purpose (plan_ is a copy);
   // never read it again — its CompiledQuery may be evicted from the cache.
   opts_.eval.program_plan = nullptr;
 
+  // IDB predicates a dump omitted (empty at checkpoint time) still need
+  // their relations.
   for (const auto& [pred, info] : pred_info_) {
-    if (result_.Find(pred) == nullptr) {
-      return Status::Internal("evaluation produced no relation for IDB '" +
-                              pred + "'");
-    }
+    if (result_.Find(pred) != nullptr) continue;
+    (*result_.mutable_idb())[pred] = std::make_unique<Relation>(
+        program_.rules()[info.rules.front()].head().arity(),
+        db_->storage_options());
   }
-
-  // Derivation edges are never persisted (checkpoints dump rows, not the
-  // hypergraph), so both Build and Restore run the same full-sweep rebuild.
-  FACTLOG_RETURN_IF_ERROR(RebuildDerivationEdges());
-
-  // A restored view carries exact dumped counts; rebuilding would require
-  // re-joining and defeat the point of persisting the view.
-  if (restore != nullptr) return Status::OK();
-  return RebuildSupportCounts();
+  SettleEdgeStore();
+  return Status::OK();
 }
 
 Status MaterializedView::CheckDump(const storage::ViewPredDump& pd) const {
@@ -265,63 +285,26 @@ Status MaterializedView::CheckDump(const storage::ViewPredDump& pd) const {
   return Status::OK();
 }
 
-Status MaterializedView::RebuildSupportCounts() {
-  // Exact derivation counts for every counting-maintained predicate: zero
-  // them, then credit one support per rule instantiation over the final
-  // state. Every derivable row is already in the relation (fixpoint), so
-  // AddSupport only adjusts counters here.
-  for (const auto& [pred, info] : pred_info_) {
-    if (info.recursive) continue;
-    result_.Find(pred)->EnableSupportCounts();
-  }
-  for (const auto& [pred, info] : pred_info_) {
-    if (info.recursive) continue;
-    Relation* rel = result_.Find(pred);
-    for (size_t ri : info.rules) {
-      const CompiledRule& rule = rules_[ri];
-      JoinStats js;
-      FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rule, &db_->store(), FullViews(rule), /*track_premises=*/false, &js,
-          [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
-            rel->AddSupport(row.data(), 1);
-            return true;
-          }));
-    }
-  }
-  return Status::OK();
+bool MaterializedView::edge_store_owed() const {
+  return edges_ == nullptr && !stats_.edge_store_dropped &&
+         opts_.max_derivation_edges > 0 &&
+         std::any_of(sccs_.begin(), sccs_.end(),
+                     [](const Scc& scc) { return scc.recursive; });
 }
 
-Status MaterializedView::RebuildDerivationEdges() {
-  bool any_recursive = false;
-  for (const auto& [pred, info] : pred_info_) {
-    if (info.recursive) any_recursive = true;
-  }
-  if (!any_recursive || opts_.max_derivation_edges == 0) return Status::OK();
+Status MaterializedView::EnsureEdgeStore(const DeltaMap& removed) {
+  if (!edge_store_owed()) return Status::OK();
   edges_ = std::make_unique<DerivationEdgeStore>(opts_.max_derivation_edges);
-  edges_overflowed_ = false;
-  // Every instantiation of every recursive-head rule over the final state is
-  // exactly one edge of the complete derivation hypergraph (the fixpoint
-  // guarantees all premises and heads are present).
-  for (const auto& [pred, info] : pred_info_) {
-    if (!info.recursive) continue;
-    for (size_t ri : info.rules) {
-      const CompiledRule& rule = rules_[ri];
-      JoinStats js;
-      const std::string& p = pred;
-      FACTLOG_RETURN_IF_ERROR(EnumerateRule(
-          rule, &db_->store(), FullViews(rule), /*track_premises=*/true, &js,
-          [&](const std::vector<ValueId>& row,
-              const std::vector<FactKey>* premises) {
-            RecordEdge(p, row, ri, *premises);
-            return true;
-          }));
-      if (edges_overflowed_) break;
+  for (const Scc& scc : sccs_) {
+    if (!scc.recursive || edges_overflowed_) continue;
+    Result<eval::EvalResult> rederived =
+        EvaluateScc(scc, nullptr, {}, removed);
+    if (!rederived.ok()) {
+      edges_.reset();
+      edges_overflowed_ = false;
+      return rederived.status();
     }
-    if (edges_overflowed_) break;
   }
-  // The ranks RecordEdge assigned during the sweep reflect enumeration
-  // order, not derivation height — replace them with the exact minimal
-  // heights so the supporting-derivation invariant holds from the start.
   if (!edges_overflowed_) edges_->RecomputeRanks();
   SettleEdgeStore();
   return Status::OK();
@@ -400,6 +383,7 @@ Result<std::string> MaterializedView::Explain(const ast::Atom& fact) {
   if (rel == nullptr || !rel->Contains(row.data())) {
     return render("   [not in the current state]");
   }
+  FACTLOG_RETURN_IF_ERROR(EnsureEdgeStore({}));
   if (edges_ != nullptr) {
     FactKey key{pred, row};
     if (edges_->FindFact(pred, row.data(), row.size()) !=
@@ -470,27 +454,15 @@ bool MaterializedView::SccAffected(const Scc& scc,
   return false;
 }
 
-std::vector<RelationView> MaterializedView::FullViews(
-    const CompiledRule& rule) {
-  std::vector<RelationView> views;
-  views.reserve(rule.body().size());
-  for (const CompiledAtom& lit : rule.body()) {
-    views.push_back(lit.kind == LitKind::kRelation
-                        ? RelationView{CurrentRel(lit.predicate), nullptr}
-                        : RelationView{});
-  }
-  return views;
-}
-
 std::vector<RelationView> MaterializedView::OccurrenceViews(
     const CompiledRule& rule, size_t j, const DeltaMap& delta,
     bool delta_before) {
-  std::vector<RelationView> views = FullViews(rule);
+  std::vector<RelationView> views(rule.body().size());
   for (size_t k = 0; k < views.size(); ++k) {
     const CompiledAtom& lit = rule.body()[k];
-    if (k == j || (k < j) != delta_before || lit.kind != LitKind::kRelation) {
-      continue;
-    }
+    if (lit.kind != LitKind::kRelation) continue;
+    views[k] = RelationView{CurrentRel(lit.predicate), nullptr};
+    if (k == j || (k < j) != delta_before) continue;
     auto dk = delta.find(lit.predicate);
     if (dk != delta.end()) views[k].second = const_cast<Relation*>(dk->second);
   }
@@ -499,7 +471,8 @@ std::vector<RelationView> MaterializedView::OccurrenceViews(
 
 Result<eval::EvalResult> MaterializedView::EvaluateScc(
     const Scc& scc, const std::map<std::string, exec::SeedExtent>* seeds,
-    const std::vector<std::unique_ptr<Relation>>& owned) {
+    const std::vector<std::unique_ptr<Relation>>& owned,
+    const DeltaMap& removed) {
   // The budget covers the maintained IDB and the deltas in flight. A
   // from-scratch run replaces the SCC's rows, so those are not counted.
   uint64_t in_use = total_facts();
@@ -518,24 +491,35 @@ Result<eval::EvalResult> MaterializedView::EvaluateScc(
   popts.min_rows_to_partition = opts_.min_rows_to_partition;
   // Every relation the rules read outside the SCC (EDB and lower strata),
   // aliased without copying: the view and its database outlive the run.
+  // One that lost `removed` rows is read at its old state, from a copy.
   eval::Database inputs(db_->shared_store(), db_->storage_options());
   for (const ast::Rule& rule : scc.program.rules()) {
     for (const ast::Atom& lit : rule.body()) {
       const std::string& p = lit.predicate();
       Relation* rel = CurrentRel(p);
-      if (rel == nullptr || std::find(scc.preds.begin(), scc.preds.end(), p) !=
-                                scc.preds.end()) {
+      if (rel == nullptr || inputs.Find(p) != nullptr ||
+          std::find(scc.preds.begin(), scc.preds.end(), p) !=
+              scc.preds.end()) {
         continue;
       }
-      inputs.PutRelation(
-          p, std::shared_ptr<Relation>(std::shared_ptr<Relation>(), rel));
+      auto gone = removed.find(p);
+      if (gone == removed.end()) {
+        inputs.PutRelation(
+            p, std::shared_ptr<Relation>(std::shared_ptr<Relation>(), rel));
+        continue;
+      }
+      auto old = std::make_shared<Relation>(rel->arity(),
+                                            rel->storage_options());
+      old->Absorb(*rel);
+      old->Absorb(*gone->second);
+      inputs.PutRelation(p, std::move(old));
     }
   }
-  // Every instantiation of a seeded run is a derivation of its head (novel
-  // rows and alternate derivations of known rows alike): while the store is
-  // live, record each one — on the calling thread, so the run is inline.
+  // Every instantiation is a derivation of its head (novel rows and, in a
+  // seeded run, alternate derivations of known rows alike): while the store
+  // is live, record each one — on the calling thread, so the run is inline.
   exec::DerivationCallback on_derivation;
-  if (seeds != nullptr && edges_ != nullptr) {
+  if (edges_ != nullptr && !edges_overflowed_) {
     on_derivation = [&](size_t i, const std::vector<ValueId>& row,
                         const std::vector<FactKey>& premises) {
       RecordEdge(scc.program.rules()[i].head().predicate(), row, scc.rules[i],
@@ -545,7 +529,8 @@ Result<eval::EvalResult> MaterializedView::EvaluateScc(
   exec::ThreadPool* pool = on_derivation ? nullptr : opts_.pool;
   Result<eval::EvalResult> result =
       seeds == nullptr
-          ? exec::EvaluateParallel(scc.program, &inputs, pool, popts)
+          ? exec::EvaluateParallel(scc.program, &inputs, pool, popts,
+                                   on_derivation)
           : exec::EvaluateSeeded(scc.program, &inputs, pool, popts, *seeds,
                                  on_derivation);
   if (result.ok()) {
@@ -713,6 +698,10 @@ Status MaterializedView::InsertCounting(
 Status MaterializedView::InsertRecursive(
     const Scc& scc, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
+  // An owed store is built first, over the state before this insertion.
+  // Built after it, exact ranks could rest older facts on the new rows, and
+  // deleting those rows again would over-delete and rescue.
+  FACTLOG_RETURN_IF_ERROR(EnsureEdgeStore({}));
   // The members start at their stored (old) extent with an empty delta;
   // every lower predicate with a pending delta starts at its current (old)
   // extent with that delta. Round 1 then applies the lower deltas one
@@ -813,11 +802,13 @@ Status MaterializedView::DeleteRecursive(
     const Scc& scc, DeltaMap* delta,
     std::vector<std::unique_ptr<Relation>>* owned) {
   // Slice deletion along recorded derivation edges whenever the store is
-  // live. Without it (tracking disabled, or the store was dropped over
-  // budget) the SCC is re-derived from scratch over the lower strata, which
-  // already hold their new state: one bounded SCC evaluation, never a
+  // live (a restored view builds it first, over the state before this
+  // propagation). Without it (tracking disabled, or the store was dropped
+  // over budget) the SCC is re-derived from scratch over the lower strata,
+  // which already hold their new state: one bounded SCC evaluation, never a
   // cascade of unknown size. The store is not rebuilt afterwards — at the
   // same budget it would overflow again.
+  FACTLOG_RETURN_IF_ERROR(EnsureEdgeStore(*delta));
   if (edges_ != nullptr && !edges_overflowed_) {
     return DeleteRecursiveSliced(scc, delta, owned);
   }

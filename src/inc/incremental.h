@@ -38,21 +38,24 @@
 //     everything). A final least-fixpoint rescue keeps any tentatively dead
 //     fact with a derivation avoiding every seed and dead fact — longer
 //     surviving paths are kept in place without row churn, while
-//     mutually-supporting ungrounded cycles stay dead. The store is rebuilt
-//     (and ranks recomputed exactly) from a full rule sweep at
-//     Build/Restore and kept exact by every insertion; if it ever exceeds
-//     its edge budget it is dropped for good, and a deletion re-derives each
-//     affected SCC from scratch over the (already updated) lower strata with
-//     the engine's ordinary entry (exec::EvaluateParallel), then erases the
-//     facts that did not come back — one bounded SCC evaluation per affected
-//     SCC.
+//     mutually-supporting ungrounded cycles stay dead. Build records the
+//     store through the callback of its one inline evaluation; a restored
+//     view (checkpoints persist rows, not edges) re-derives its recursive
+//     SCCs inline through the same callback on first need — its first
+//     update reaching a recursive SCC, or `why`. Every insertion keeps it
+//     exact; if it
+//     ever exceeds its edge budget it is dropped for good, and a deletion
+//     re-derives each affected SCC from scratch over the (already updated)
+//     lower strata with the engine's ordinary entry (exec::EvaluateParallel),
+//     then erases the facts that did not come back — one bounded SCC
+//     evaluation per affected SCC.
 //
 // Deltas propagate over the shard seam. A counting pass whose driving extent
 // is sharded and large enough fans out one task per delta shard across the
 // exec::ThreadPool; workers only collect head rows and the calling thread
 // applies them. A recursive SCC runs on the pool like any pooled fixpoint,
-// except insertions while the edge store is live: the derivation callback
-// needs every instantiation on the calling thread, so they run inline.
+// except while the edge store is live: the derivation callback needs every
+// instantiation on the calling thread, so those runs are inline.
 //
 // A view is single-writer: Apply* and Answer must be externally serialized
 // (api::Engine routes them through its mutation guard). A failed propagation
@@ -142,18 +145,18 @@ struct ViewStats : ViewUpdateStats {
 /// joins deltas against); the database must outlive the view.
 class MaterializedView {
  public:
-  /// Evaluates `program` against `db` from scratch (on `opts.pool` when
-  /// given) and prepares the maintenance state: SCC strata, the derivation
-  /// edge store, and exact support counts for every non-recursive predicate.
+  /// Evaluates `program` against `db` from scratch, inline, and prepares
+  /// the maintenance state: SCC strata, and the derivation edge store and
+  /// exact support counts the evaluation's derivation callback records.
   static Result<std::unique_ptr<MaterializedView>> Build(
       const ast::Program& program, eval::Database* db,
       const IncrementalOptions& opts);
 
   /// Rebuilds a view from checkpointed state: compiles the same maintenance
   /// machinery as Build but fills the maintained relations (and their
-  /// support counts) from `preds` instead of evaluating. `db` must hold the
-  /// EDB state the dump was taken against, or later deltas will maintain an
-  /// inconsistent view.
+  /// support counts) from `preds` instead of evaluating; the edge store is
+  /// owed until first needed. `db` must hold the EDB state the dump was
+  /// taken against, or later deltas will maintain an inconsistent view.
   static Result<std::unique_ptr<MaterializedView>> Restore(
       const ast::Program& program, eval::Database* db,
       const IncrementalOptions& opts,
@@ -220,12 +223,21 @@ class MaterializedView {
   /// edge tracking enabled, budget never exceeded) — i.e. recursive
   /// deletions take the slice path.
   bool edge_guided() const { return edges_ != nullptr; }
+  /// True while a restored view owes its edge store: tracked (recursive
+  /// SCCs, non-zero budget), never built nor dropped. The first update
+  /// reaching a recursive SCC, or Explain, builds it.
+  bool edge_store_owed() const;
   /// Renders a derivation tree for `fact` from the edge store: recursive
   /// facts expand through a recorded derivation, EDB and counting-maintained
   /// facts are leaves (the latter annotated with their support count).
   /// Answers "why <fact>" in the CLI. Must be called from the single writer
   /// (interning the atom's constants may mutate the value store).
   Result<std::string> Explain(const ast::Atom& fact);
+
+  /// Replaces eval.max_iterations for later maintenance fixpoints (the
+  /// engine re-derives a Counting view's bound before each propagation).
+  /// Must be called from the single writer, like Apply*.
+  void set_max_iterations(uint64_t n) { opts_.eval.max_iterations = n; }
 
  private:
   struct PredInfo {
@@ -261,17 +273,16 @@ class MaterializedView {
       const IncrementalOptions& opts,
       const std::vector<storage::ViewPredDump>* restore);
   /// Non-null `restore` replaces the from-scratch evaluation with the dumped
-  /// relations (and skips the support-count rebuild — the dump carries exact
-  /// counts). A dump that does not fit the program fails with
-  /// kInvalidArgument before any of its rows are read.
+  /// relations (with exact support counts). A dump that does not fit the
+  /// program fails with kInvalidArgument before any of its rows are read.
   Status Init(const std::vector<storage::ViewPredDump>* restore);
   /// Checks one dumped predicate against the program and the value store.
   Status CheckDump(const storage::ViewPredDump& pd) const;
-  Status RebuildSupportCounts();
-  /// (Re)builds the derivation edge store with one full sweep of every
-  /// recursive-head rule over the final evaluated state — the same mechanism
-  /// for Build and Restore (checkpoints persist rows, not edges).
-  Status RebuildDerivationEdges();
+  /// Builds an owed edge store by re-deriving each recursive SCC inline
+  /// through the derivation callback, reading every relation at its state
+  /// before the propagation in flight (`removed` holds the rows it already
+  /// erased). No-op when nothing is owed.
+  Status EnsureEdgeStore(const DeltaMap& removed);
   /// Adds one derivation edge (DerivationEdgeStore::AddDerivation) and ranks
   /// a newly derived head. No-op when the store is gone; flips the overflow
   /// flag on budget breach.
@@ -289,8 +300,6 @@ class MaterializedView {
     return idb_preds_.count(pred) > 0;
   }
   bool SccAffected(const Scc& scc, const DeltaMap& delta) const;
-  /// Every relation literal of `rule` over its current full extent.
-  std::vector<eval::RelationView> FullViews(const eval::CompiledRule& rule);
   /// The occurrence decomposition of `rule` around relation literal `j`,
   /// whose view the pass replaces with the delta: literals before `j` read
   /// current ∪ delta when `delta_before`, literals after `j` read it
@@ -300,11 +309,14 @@ class MaterializedView {
       bool delta_before);
   /// Evaluates `scc` on exec's engine with the view's plans and budgets:
   /// continued from `seeds` (exec::EvaluateSeeded), or from scratch when
-  /// null. Relations outside the SCC are read in place; `owned` are the
-  /// deltas in flight.
+  /// null; inline and recorded while the edge store is live. Relations
+  /// outside the SCC are read in place, or as a copy of their old state
+  /// when `removed` holds rows erased from them; `owned` are the deltas in
+  /// flight.
   Result<eval::EvalResult> EvaluateScc(
       const Scc& scc, const std::map<std::string, exec::SeedExtent>* seeds,
-      const std::vector<std::unique_ptr<eval::Relation>>& owned);
+      const std::vector<std::unique_ptr<eval::Relation>>& owned,
+      const DeltaMap& removed = {});
 
   Status PropagateInsert(const std::string& pred,
                          const eval::Relation& delta);
@@ -356,8 +368,8 @@ class MaterializedView {
 
   eval::EvalResult result_;
   /// Derivation hypergraph of the recursive SCCs; null when the program has
-  /// none, tracking is disabled, or the budget was exceeded (then
-  /// stats_.edge_store_dropped is set and deletions re-derive the SCC).
+  /// none, tracking is disabled, it is owed, or the budget was exceeded
+  /// (then stats_.edge_store_dropped is set and deletions re-derive the SCC).
   std::unique_ptr<eval::DerivationEdgeStore> edges_;
   /// Set when a RecordEdge hit the budget mid-pass; SettleEdgeStore drops
   /// the (now incomplete) store at the end of the propagation.

@@ -230,5 +230,64 @@ TEST(CountingTest, EngineBoundLetsAcyclicDataFinish) {
   EXPECT_NE(left.status().message().find("§6.4"), std::string::npos);
 }
 
+// A materialized Counting view is bounded the same way: at its build, and
+// before each propagation, over the base relations as they stand then.
+TEST(CountingTest, MaterializeFailsFastOnCyclicData) {
+  api::Engine engine;
+  ASSERT_TRUE(engine.LoadFacts(ChainFacts(61) + "e(7, 3).\n").ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto handle = engine.Materialize(P(kRightTc), A("t(1, Y)"),
+                                   core::Strategy::kCounting);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(handle.status().message().find("§6.4"), std::string::npos)
+      << handle.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(engine.num_views(), 0u);
+  // The engine stays usable.
+  auto answers = engine.Query(P(kRightTc), A("t(1, Y)"));
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 61u);
+}
+
+TEST(CountingTest, MaterializedViewFailsFastOnCyclicInsert) {
+  api::Engine engine;
+  ASSERT_TRUE(engine.LoadFacts(ChainFacts(61)).ok());
+  auto counting = engine.Materialize(P(kRightTc), A("t(1, Y)"),
+                                     core::Strategy::kCounting);
+  ASSERT_TRUE(counting.ok()) << counting.status().ToString();
+  auto magic = engine.Materialize(P(kRightTc), A("t(1, Y)"),
+                                  core::Strategy::kMagic);
+  ASSERT_TRUE(magic.ok()) << magic.status().ToString();
+  auto answers = engine.AnswerFromView(*counting);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 61u);
+  // Extending the chain raises the bound with the new constant.
+  ASSERT_TRUE(engine.AddFact(A("e(62, 63)")).ok());
+  answers = engine.AnswerFromView(*counting);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 62u);
+
+  const auto start = std::chrono::steady_clock::now();
+  Status st = engine.AddFact(A("e(7, 3)"));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_NE(st.message().find("§6.4"), std::string::npos) << st.ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  // Only the Counting view is poisoned; the other view and the engine
+  // keep working, and the fact was inserted.
+  EXPECT_EQ(engine.AnswerFromView(*counting).status().code(),
+            StatusCode::kFailedPrecondition);
+  auto from_magic = engine.AnswerFromView(*magic);
+  ASSERT_TRUE(from_magic.ok()) << from_magic.status().ToString();
+  EXPECT_EQ(from_magic->size(), 62u);
+  engine.DropView(*counting);
+  ASSERT_TRUE(engine.RemoveFact(A("e(62, 63)")).ok());
+  from_magic = engine.AnswerFromView(*magic);
+  ASSERT_TRUE(from_magic.ok()) << from_magic.status().ToString();
+  EXPECT_EQ(from_magic->size(), 61u);
+}
+
 }  // namespace
 }  // namespace factlog::transform

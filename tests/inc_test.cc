@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <random>
@@ -769,6 +770,273 @@ TEST(IncRestoreTest, InlineBuiltViewIsFlatAndRestoredOneSharded) {
   EXPECT_EQ(h.view->Find("t")->shard_count(), 1u);
   EXPECT_EQ(sharded->Find("t")->shard_count(), 2u);
   EXPECT_NE(h.view->FrozenAnswer(), frozen);
+}
+
+// ---- The derivation recorder -----------------------------------------------
+//
+// Build records a view's whole maintenance state through one derivation
+// callback: an edge per instantiation of a recursive head, a support per
+// instantiation of a non-recursive one. A restored view records its edge
+// store through the same callback when first needed.
+
+constexpr char kTwoSources[] =
+    "p(X, Y) :- a(X, Y). p(X, Y) :- b(X, Y). "
+    "q(X, Z) :- p(X, Y), p(Y, Z). ?- q(X, Z).";
+
+std::map<std::vector<eval::ValueId>, int64_t> Supports(
+    const eval::Relation& rel) {
+  std::map<std::vector<eval::ValueId>, int64_t> out;
+  for (size_t r = 0; r < rel.size(); ++r) {
+    const eval::ValueId* row = rel.row(r);
+    out[std::vector<eval::ValueId>(row, row + rel.arity())] =
+        rel.SupportOf(row);
+  }
+  return out;
+}
+
+// Exact support counts by full enumeration of each rule: p's count is the
+// number of a and b holding the row, q(X, Z)'s the number of Y joining
+// p(X, Y) with p(Y, Z).
+void ExpectExactTwoSourceCounts(Harness& h, const std::string& context) {
+  using Row = std::vector<eval::ValueId>;
+  std::map<Row, int64_t> p, q;
+  for (const char* src : {"a", "b"}) {
+    const eval::Relation* rel = h.db.Find(src);
+    for (const Row& row : RowSet(*rel)) ++p[row];
+  }
+  for (const auto& [r1, c1] : p) {
+    for (const auto& [r2, c2] : p) {
+      if (r1[1] == r2[0]) ++q[{r1[0], r2[1]}];
+    }
+  }
+  EXPECT_EQ(Supports(*h.view->Find("p")), p) << context;
+  EXPECT_EQ(Supports(*h.view->Find("q")), q) << context;
+  auto oracle = eval::Evaluate(P(kTwoSources), &h.db, NaiveOptions());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(RowSet(*h.view->Find("q")), RowSet(*oracle->Find("q")))
+      << context;
+}
+
+TEST(IncRecorderTest, BuildSupportCountsMatchRuleEnumeration) {
+  Harness h;
+  const int64_t a[][2] = {{1, 2}, {1, 3}, {2, 3}, {3, 4}, {2, 5}, {4, 2}};
+  const int64_t b[][2] = {{1, 2}, {2, 4}, {3, 4}, {4, 1}, {5, 3}};
+  for (const auto& r : a) h.db.AddPair("a", r[0], r[1]);
+  for (const auto& r : b) h.db.AddPair("b", r[0], r[1]);
+  h.Build(kTwoSources);
+  ASSERT_FALSE(h.view->edge_guided());  // nothing recursive
+  EXPECT_EQ(h.Support("p", A("p(1, 2)")), 2);  // in both a and b
+  EXPECT_EQ(h.Support("q", A("q(1, 4)")), 2);  // via 2 and via 3
+  ExpectExactTwoSourceCounts(h, "build");
+  const char* deletes[] = {"a(1, 2)", "b(3, 4)", "a(2, 3)", "b(1, 2)",
+                           "a(3, 4)", "b(2, 4)", "b(5, 3)", "a(4, 2)"};
+  for (const char* fact : deletes) {
+    h.Remove(A(fact));
+    ExpectExactTwoSourceCounts(h, std::string("after -") + fact);
+  }
+}
+
+// The recorder ranks a head at its first derivation, one above its
+// premises (MaterializedView::RecordEdge). On left-linear TC those ranks are
+// already the minimal derivation heights RecomputeRanks computes; when a
+// recursive rule reads a lower derived predicate they are only upper
+// bounds, which is why every store build still recomputes them once.
+std::pair<std::vector<uint32_t>, std::vector<uint32_t>> RecordedAndExactRanks(
+    const std::string& program_text, eval::Database* db) {
+  const ast::Program program = P(program_text);
+  eval::DerivationEdgeStore store(uint64_t{1} << 20);
+  exec::ParallelEvalOptions popts;
+  auto run = exec::EvaluateParallel(
+      program, db, nullptr, popts,
+      [&](size_t i, const std::vector<eval::ValueId>& row,
+          const std::vector<eval::FactKey>& premises) {
+        const std::string& head = program.rules()[i].head().predicate();
+        if (head != "t") return;  // the only recursive predicate
+        auto e = store.AddDerivation(head, row, static_cast<int>(i), premises);
+        if (e == eval::DerivationEdgeStore::kNoEdge ||
+            store.derivations_of(store.head_of(e)).size() != 1) {
+          return;
+        }
+        uint32_t rank = 0;
+        for (auto p : store.premises_of(e)) {
+          rank = std::max(rank, store.rank_of(p));
+        }
+        store.set_rank(store.head_of(e), rank + 1);
+      });
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<uint32_t> recorded, exact;
+  for (size_t f = 0; f < store.fact_capacity(); ++f) {
+    recorded.push_back(store.rank_of(static_cast<uint32_t>(f)));
+  }
+  store.RecomputeRanks();
+  for (size_t f = 0; f < store.fact_capacity(); ++f) {
+    exact.push_back(store.rank_of(static_cast<uint32_t>(f)));
+  }
+  return {recorded, exact};
+}
+
+TEST(IncRecorderTest, FirstDerivationRanksAreExactOnLeftTc) {
+  eval::Database db;
+  for (int64_t i = 0; i < 12; ++i) {
+    db.AddPair("e", i, (i + 1) % 12);
+    db.AddPair("e", i, (i + 5) % 12);
+  }
+  auto [recorded, exact] = RecordedAndExactRanks(
+      "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y).", &db);
+  EXPECT_EQ(recorded.size(), 12u * 12u + 24u);  // every pair, every edge
+  EXPECT_EQ(recorded, exact);
+}
+
+TEST(IncRecorderTest, FirstDerivationRanksBoundHeightsThroughLowerIdb) {
+  // t(1, 4) is first derived via t(1, 3), e(3, 4) (rank 3), in the same
+  // round as via t(1, 2), p2(2, 4) (rank 2): p2 arrives two rounds late.
+  eval::Database db;
+  db.AddPair("e", 1, 2);
+  db.AddPair("e", 2, 3);
+  db.AddPair("e", 3, 4);
+  db.AddPair("a", 2, 4);
+  auto [recorded, exact] = RecordedAndExactRanks(
+      "p(X, Y) :- a(X, Y). p2(X, Y) :- p(X, Y). t(X, Y) :- e(X, Y). "
+      "t(X, Y) :- t(X, W), e(W, Y). t(X, Y) :- t(X, W), p2(W, Y).",
+      &db);
+  ASSERT_EQ(recorded.size(), exact.size());
+  bool overshoots = false;
+  for (size_t f = 0; f < recorded.size(); ++f) {
+    EXPECT_GE(recorded[f], exact[f]) << f;
+    overshoots = overshoots || recorded[f] > exact[f];
+  }
+  EXPECT_TRUE(overshoots);
+}
+
+// A restored view owes its edge store; the first update reaching a
+// recursive SCC builds it over the state before that update. A first
+// deletion then slices, and its cascade must match a built view's exactly,
+// including when the recursive rule reads a counting stratum the deletion
+// already updated. A first insertion is recorded on top of the built store,
+// so deleting the inserted shortcut again over-deletes nothing, as on a
+// built view.
+TEST(IncRecorderTest, RestoredViewBuildsItsStoreOnFirstUpdate) {
+  const char* programs[] = {
+      "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(X, Y).",
+      "p(X, Y) :- e(X, Y). t(X, Y) :- p(X, Y). "
+      "t(X, Y) :- t(X, W), p(W, Y). ?- t(X, Y).",
+  };
+  for (const char* text : programs) {
+    for (const bool insert_first : {false, true}) {
+      SCOPED_TRACE(std::string(text) +
+                   (insert_first ? " insert first" : " delete first"));
+      Harness h;
+      for (int64_t i = 0; i < 10; ++i) {
+        h.db.AddPair("e", i, (i + 1) % 10);
+        h.db.AddPair("e", i, (i + 3) % 10);
+      }
+      h.Build(text);
+      ASSERT_TRUE(h.view->edge_guided());
+      auto restored = MaterializedView::Restore(P(text), &h.db, {},
+                                                h.view->DumpState());
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      MaterializedView* r = restored->get();
+      EXPECT_FALSE(r->edge_guided());
+      EXPECT_TRUE(r->edge_store_owed());
+      EXPECT_EQ(r->stats().edge_store_edges, 0u);
+
+      eval::Relation* e = h.db.Find("e");
+      auto apply = [&](bool insert, int64_t a, int64_t b) {
+        auto row = h.db.InternRow(Edge(a, b));
+        ASSERT_TRUE(row.ok());
+        eval::Relation delta(2, e->storage_options());
+        delta.Insert(*row);
+        if (insert) {
+          ASSERT_TRUE(h.view->ApplyInsert("e", delta).ok());
+          ASSERT_TRUE(r->ApplyInsert("e", delta).ok());
+          e->Insert(*row);
+        } else {
+          e->Erase(row->data());
+          e->SyncShards();
+          ASSERT_TRUE(h.view->ApplyDelete("e", delta).ok());
+          ASSERT_TRUE(r->ApplyDelete("e", delta).ok());
+          EXPECT_GT(r->stats().last_update.cone_input, 0u);
+          const ViewUpdateStats& built = h.view->stats().last_update;
+          const ViewUpdateStats& rest = r->stats().last_update;
+          EXPECT_EQ(rest.cone_input, built.cone_input);
+          EXPECT_EQ(rest.cone_pruned, built.cone_pruned);
+          EXPECT_EQ(rest.overdeleted, built.overdeleted);
+          EXPECT_EQ(rest.rederived, built.rederived);
+          EXPECT_EQ(rest.idb_deleted, built.idb_deleted);
+        }
+        EXPECT_TRUE(r->edge_guided());
+        auto oracle = eval::Evaluate(P(text), &h.db, NaiveOptions());
+        ASSERT_TRUE(oracle.ok());
+        for (const auto& [pred, rel] : oracle->idb()) {
+          EXPECT_EQ(RowSet(*r->Find(pred)), RowSet(*rel)) << pred;
+        }
+        EXPECT_EQ(r->stats().edge_store_edges,
+                  h.view->stats().edge_store_edges);
+      };
+      if (insert_first) {
+        apply(true, 0, 5);   // a shortcut: t(0, 5) had height 3
+        apply(false, 0, 5);
+      }
+      apply(false, 4, 5);
+      apply(false, 2, 5);
+      apply(true, 5, 20);
+      apply(false, 0, 3);
+    }
+  }
+}
+
+// ---- `why` ------------------------------------------------------------------
+
+constexpr char kLeftTcAll[] =
+    "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(X, Y).";
+
+TEST(IncWhyTest, ExplainsRecursiveFactsEdbLeavesAndAbsentFacts) {
+  Harness h;
+  h.db.AddPair("e", 1, 2);
+  h.db.AddPair("e", 2, 3);
+  h.db.AddPair("e", 3, 4);
+  h.db.AddPair("f", 7, 7);
+  h.Build(kLeftTcAll);
+  auto tree = h.view->Explain(A("t(1, 3)"));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(*tree,
+            "t(1, 3)   [rule 1]\n"
+            "  t(1, 2)   [rule 0]\n"
+            "    e(1, 2)\n"
+            "  e(2, 3)\n");
+  EXPECT_EQ(*h.view->Explain(A("e(2, 3)")), "e(2, 3)\n");
+  EXPECT_EQ(*h.view->Explain(A("f(7, 7)")), "f(7, 7)   [EDB fact]\n");
+  EXPECT_EQ(*h.view->Explain(A("t(3, 1)")),
+            "t(3, 1)   [not in the current state]\n");
+  EXPECT_EQ(h.view->Explain(A("t(X, 3)")).status().code(),
+            StatusCode::kInvalidArgument);
+  // The tree follows maintenance: after e(2, 3) goes, t(1, 3) is gone.
+  h.Remove(Edge(2, 3));
+  EXPECT_EQ(*h.view->Explain(A("t(1, 3)")),
+            "t(1, 3)   [not in the current state]\n");
+}
+
+TEST(IncWhyTest, CountingMaintainedFactsAndUntrackedEdges) {
+  Harness h;
+  h.db.AddPair("a", 1, 2);
+  h.db.AddPair("b", 1, 2);
+  h.db.AddPair("a", 2, 3);
+  h.Build(kTwoSources);
+  EXPECT_EQ(*h.view->Explain(A("p(1, 2)")),
+            "p(1, 2)   [2 derivation(s), counting-maintained]\n");
+  EXPECT_EQ(*h.view->Explain(A("q(1, 3)")),
+            "q(1, 3)   [1 derivation(s), counting-maintained]\n");
+
+  Harness untracked;
+  untracked.db.AddPair("e", 1, 2);
+  IncrementalOptions opts;
+  opts.max_derivation_edges = 0;
+  untracked.Build(kLeftTcAll, opts);
+  EXPECT_FALSE(untracked.view->edge_store_owed());
+  EXPECT_EQ(*untracked.view->Explain(A("t(1, 2)")),
+            "t(1, 2)   [derivation edges not tracked]\n");
+  EXPECT_EQ(*untracked.view->Explain(A("e(1, 2)")),
+            "e(1, 2)   [EDB fact]\n");
 }
 
 // ---- Engine integration -----------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -388,6 +389,81 @@ TEST(EnginePersistence, MaterializedViewRestoredWithoutReevaluation) {
   ASSERT_TRUE(expect.ok()) << expect.status().ToString();
   EXPECT_EQ(Tuples(*maintained, (*engine)->db().store()),
             Tuples(*expect, oracle.db().store()));
+}
+
+// Checkpoints persist a view's rows, not its derivation edges: the reopened
+// view owes its edge store and builds it for the first `why`, printing the
+// same tree the live view printed before the checkpoint.
+TEST(EnginePersistence, WhyTreeSurvivesReopen) {
+  ScratchDir dir("why");
+  const std::string prog =
+      "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(X, Y).";
+  std::string key, before;
+  ast::Atom fact;
+  {
+    auto engine = api::Engine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->LoadFacts("e(1, 2). e(2, 3). e(3, 4).").ok());
+    auto handle = (*engine)->Materialize(prog);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    key = handle->key;
+    // The view holds the compiled program; ask about its query predicate.
+    const ast::Atom& q = *(*engine)->view(*handle)->program().query();
+    fact = ast::Atom(q.predicate(), {ast::Term::Int(1), ast::Term::Int(4)});
+    auto tree = (*engine)->ExplainFromView(*handle, fact);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    before = *tree;
+    ASSERT_NE(before.find("[rule"), std::string::npos) << before;
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+  }
+  auto engine = api::Engine::Open(dir.path());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const api::ViewHandle handle{key};
+  auto stats = (*engine)->ViewStatsFor(handle);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_FALSE(stats->edge_store_active);
+  EXPECT_EQ(stats->edge_store_edges, 0u);
+  EXPECT_TRUE((*engine)->view(handle)->edge_store_owed());
+  auto tree = (*engine)->ExplainFromView(handle, fact);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(*tree, before);
+  stats = (*engine)->ViewStatsFor(handle);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->edge_store_active);
+  EXPECT_GT(stats->edge_store_edges, 0u);
+  EXPECT_FALSE((*engine)->view(handle)->edge_store_owed());
+}
+
+// A reopened Counting view is bounded like a fresh one: its plan comes back
+// with the checkpoint's plan cache, and a cyclic insert fails fast (§6.4).
+TEST(EnginePersistence, RestoredCountingViewStaysBounded) {
+  ScratchDir dir("counting");
+  const std::string prog =
+      "t(X, Y) :- e(X, W), t(W, Y). t(X, Y) :- e(X, Y). ?- t(1, Y).";
+  std::string chain;
+  for (int i = 1; i <= 61; ++i) {
+    chain += "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + "). ";
+  }
+  {
+    auto engine = api::Engine::Open(dir.path());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->LoadFacts(chain).ok());
+    auto parsed = ast::ParseProgram(prog);
+    ASSERT_TRUE(parsed.ok());
+    auto handle = (*engine)->Materialize(*parsed, *parsed->query(),
+                                         core::Strategy::kCounting);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+  }
+  auto engine = api::Engine::Open(dir.path());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_EQ((*engine)->persistence_stats().views_restored, 1u);
+  const auto start = std::chrono::steady_clock::now();
+  Status st = (*engine)->AddFact(A("e(7, 3)"));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_NE(st.message().find("§6.4"), std::string::npos) << st.ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(EnginePersistence, PlansRestoredWarmAfterDrift) {
