@@ -33,10 +33,12 @@
 // forcing the fallback that re-derives the affected SCC on every delete) —
 // the knob for comparing the two deletion paths on identical workloads. The
 // fallback costs one SCC evaluation per delete, on the same engine the
-// re-evaluation runs, so its delete rows sit near 1x. Measured at --nodes
-// 250 (Release, 4-vCPU shared host, three runs): inline, delete_random
-// 1.3-1.8x and delete_tail 1.7-2.7x; with --threads 2 --shards 2,
-// delete_random 0.5-1.0x and delete_tail 0.4-1.5x.
+// re-evaluation runs, so its delete rows sit near 1x. Views maintain inline,
+// so --threads changes no view work; --shards lays out the EDB the view
+// probes. Measured at --nodes 250 (Release, 4-vCPU shared host, three runs):
+// without --threads/--shards, delete_random 1.4-1.9x and delete_tail
+// 1.6-2.1x; with --threads 2 --shards 2, delete_random 0.7-1.0x and
+// delete_tail 1.3-2.0x.
 //
 //   $ ./bench_incremental --nodes 250 | python3 -m json.tool
 

@@ -597,11 +597,9 @@ Result<eval::AnswerSet> Engine::Query(const std::string& program_text,
 
 // ---- Materialized views -----------------------------------------------------
 
-inc::IncrementalOptions Engine::MakeIncOptions() {
+inc::IncrementalOptions Engine::MakeIncOptions() const {
   inc::IncrementalOptions iopts;
   iopts.eval = options_.eval;
-  iopts.pool = EnsurePool();
-  iopts.min_rows_to_partition = options_.inc_min_rows_to_partition;
   iopts.max_derivation_edges = options_.inc_max_derivation_edges;
   return iopts;
 }

@@ -101,15 +101,12 @@ struct EngineOptions {
   /// fixpoint on the pool: rows are hash-partitioned so the parallel
   /// fixpoint consumes delta shards in place and merges under per-shard
   /// locks. Shards partition pooled work only; inline runs (num_threads 0,
-  /// serving reads) keep their derived relations flat. 0 and 1 both keep the
+  /// serving reads) and materialized views, which maintain inline on the
+  /// calling thread, keep their derived relations flat. 0 and 1 both keep the
   /// flat single-shard layout. A few shards per worker thread (e.g. 2x
   /// num_threads) balances stealing granularity against per-shard overhead;
   /// answers are identical at any value.
   size_t num_shards = 1;
-  /// Incremental maintenance: delta passes whose driving extent is sharded
-  /// and at least this many rows fan out across the pool (see
-  /// inc::IncrementalOptions::min_rows_to_partition).
-  size_t inc_min_rows_to_partition = 64;
   /// Incremental maintenance: derivation-edge budget per view for
   /// slice-guided deletion in recursive SCCs (see
   /// inc::IncrementalOptions::max_derivation_edges). Views whose hypergraph
@@ -499,7 +496,7 @@ class Engine {
   void RecostCacheEntry(CacheEntry* entry, const eval::Database& cost_db);
   /// The view matching `key`, or nullptr.
   inc::MaterializedView* FindView(const std::string& key);
-  inc::IncrementalOptions MakeIncOptions();
+  inc::IncrementalOptions MakeIncOptions() const;
   /// Renames answer columns to the caller's query variables (the cached
   /// plan's query may use different names).
   static void RenameAnswerVars(const ast::Atom& query,

@@ -99,7 +99,7 @@ PassSequence PassesForStrategy(Strategy strategy, const PipelineOptions& opts) {
     case Strategy::kFactoring:
       seq.push_back(MakeAdornPass());
       seq.push_back(MakeClassifyPass());
-      seq.push_back(MakeNormalizePass(opts.try_static_reduction));
+      seq.push_back(MakeNormalizePass());
       seq.push_back(MakeMagicPass());
       seq.push_back(MakeFactorabilityGatePass());
       seq.push_back(MakeFactoringPass());

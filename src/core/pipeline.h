@@ -49,9 +49,6 @@ struct PipelineOptions {
   /// and the top-down safety downgrade. Lint errors reject compilation with
   /// kInvalidArgument; warnings ride on CompiledQuery::diagnostics.
   analysis::LintOptions lint;
-  /// Retry classification after static-argument reduction (Lemma 5.1/5.2)
-  /// when the first attempt is not RLC-stable or not factorable.
-  bool try_static_reduction = true;
   /// Run the §5 cleanup passes on the factored program.
   bool apply_optimizations = true;
   OptimizeOptions optimize;

@@ -314,8 +314,6 @@ class ClassifyPass : public Transform {
 
 class NormalizePass : public Transform {
  public:
-  explicit NormalizePass(bool try_static_reduction)
-      : try_static_reduction_(try_static_reduction) {}
   const char* name() const override { return "normalize"; }
   Status CheckPreconditions(const TransformState& state) const override {
     if (!state.classification.has_value()) {
@@ -344,7 +342,7 @@ class NormalizePass : public Transform {
     }
 
     // Retry with static argument reduction (Lemmas 5.1/5.2).
-    if (!state.classification->rlc_stable && try_static_reduction_) {
+    if (!state.classification->rlc_stable) {
       std::vector<int> static_args = FindStaticArguments(
           state.source, state.source_query.predicate(), state.source_query);
       // Candidate position sets, per Lemma 5.2: first the static positions
@@ -384,9 +382,6 @@ class NormalizePass : public Transform {
     if (applied) NoteShapes(state);
     return applied ? PassOutcome::kApplied : PassOutcome::kSkipped;
   }
-
- private:
-  bool try_static_reduction_;
 };
 
 class MagicPass : public Transform {
@@ -636,8 +631,8 @@ std::unique_ptr<Transform> MakeAdornPass() {
 std::unique_ptr<Transform> MakeClassifyPass() {
   return std::make_unique<ClassifyPass>();
 }
-std::unique_ptr<Transform> MakeNormalizePass(bool try_static_reduction) {
-  return std::make_unique<NormalizePass>(try_static_reduction);
+std::unique_ptr<Transform> MakeNormalizePass() {
+  return std::make_unique<NormalizePass>();
 }
 std::unique_ptr<Transform> MakeMagicPass() {
   return std::make_unique<MagicPass>();

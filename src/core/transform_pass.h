@@ -193,9 +193,9 @@ std::unique_ptr<Transform> MakeAdornPass();
 std::unique_ptr<Transform> MakeClassifyPass();
 
 /// When the classification is not RLC-stable, retries with body reordering
-/// (§4.1) and static argument reduction (Lemmas 5.1/5.2, gated by
-/// `try_static_reduction`), re-adorning and re-classifying on success.
-std::unique_ptr<Transform> MakeNormalizePass(bool try_static_reduction);
+/// (§4.1) and static argument reduction (Lemmas 5.1/5.2), re-adorning and
+/// re-classifying on success.
+std::unique_ptr<Transform> MakeNormalizePass();
 
 /// Magic Sets (§2.1) on the adorned program.
 std::unique_ptr<Transform> MakeMagicPass();

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/dcheck.h"
 #include "storage/paged_store.h"
 
 namespace factlog::eval {
@@ -386,42 +387,23 @@ bool Relation::Erase(const ValueId* row) {
 }
 
 void Relation::EnableSupportCounts() {
+  FACTLOG_DCHECK(shards_.empty());  // counted relations are flat
   counts_enabled_ = true;
   ++version_;
-  if (shards_.empty()) {
-    // Counted relations are write-hot delta/view state; keep them in RAM
-    // (AttachPagedStore refuses them for the same reason).
-    if (paged_ != nullptr) MaterializeToRam();
-    counts_.assign(num_rows_, 0);
-    return;
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    DetachShard(s);
-    shards_[s]->EnableSupportCounts();
-  }
+  // Counted relations are write-hot delta/view state; keep them in RAM
+  // (AttachPagedStore refuses them for the same reason).
+  if (paged_ != nullptr) MaterializeToRam();
+  counts_.assign(num_rows_, 0);
 }
 
 int64_t Relation::SupportOf(const ValueId* row) const {
-  if (!shards_.empty()) return shards_[ShardOf(row)]->SupportOf(row);
   if (!counts_enabled_) return Contains(row) ? 1 : 0;
   int64_t r = FindRowFlat(row);
   return r < 0 ? 0 : counts_[static_cast<size_t>(r)];
 }
 
 int64_t Relation::AddSupport(const ValueId* row, int64_t delta) {
-  if (!shards_.empty()) {
-    size_t s = ShardOf(row);
-    DetachShard(s);
-    Relation& sh = *shards_[s];
-    size_t before = sh.size();
-    int64_t count = sh.AddSupport(row, delta);
-    if (sh.size() > before) {
-      NoteShardInsert(s);
-    } else if (sh.size() < before) {
-      NoteShardErase();
-    }
-    return count;
-  }
+  FACTLOG_DCHECK(shards_.empty());  // counted relations are flat
   // Auto-enabling on an empty relation lets delta buffers skip the explicit
   // call; on a populated one the caller must have enabled (and rebuilt)
   // counts already, or the zeroed counts would misreport support.

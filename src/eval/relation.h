@@ -45,9 +45,9 @@
 // consistent after any erase — at the cost of perturbing insertion order. On
 // a sharded relation an erase invalidates the outer global row order and
 // combined indices; the relation then behaves like after MergeShard: route-by
-// -hash operations (Insert/Contains/Erase/AddSupport) keep working, but the
-// caller must SyncShards() before global reads (row/Lookup/EnsureIndex).
-// Relations additionally carry optional per-row support counts (the counting
+// -hash operations (Insert/Contains/Erase) keep working, but the caller must
+// SyncShards() before global reads (row/Lookup/EnsureIndex). Flat relations
+// additionally carry optional per-row support counts (the counting
 // algorithm's derivation counters): EnableSupportCounts() zeroes them and
 // AddSupport() adjusts them, erasing a row when its count drops to zero.
 //
@@ -130,6 +130,7 @@ class Relation {
   /// Enables per-row support counts, (re)setting every existing row's count
   /// to zero — the caller rebuilds exact counts with AddSupport(+1) per
   /// derivation. Plain Insert gives new rows a count of 1 once enabled.
+  /// Counted relations are flat: requires shard_count() == 1.
   void EnableSupportCounts();
   bool support_counts_enabled() const { return counts_enabled_; }
 

@@ -14,7 +14,6 @@ namespace {
 
 using eval::CompiledAtom;
 using eval::CompiledRule;
-using eval::JoinStats;
 using eval::LitKind;
 using eval::Relation;
 using eval::RelationView;
@@ -26,27 +25,6 @@ Status PoisonedError() {
   return Status::FailedPrecondition(
       "materialized view poisoned by an earlier failed propagation; drop "
       "and re-materialize");
-}
-
-// Calls `each(i, &out)` for every i in [0, n) — in up to 16 chunks across
-// `pool` when there is one and n reaches `min_rows` — and appends the chunks'
-// outputs to `out` in index order, so callers see the same sequence either
-// way.
-template <typename T, typename Fn>
-void GatherChunked(exec::ThreadPool* pool, size_t min_rows, size_t n,
-                   const Fn& each, std::vector<T>* out) {
-  if (pool == nullptr || n < min_rows) {
-    for (size_t i = 0; i < n; ++i) each(i, out);
-    return;
-  }
-  const size_t chunk = (n + 15) / 16;
-  const size_t tasks = (n + chunk - 1) / chunk;
-  std::vector<std::vector<T>> outs(tasks);
-  pool->ParallelFor(tasks, [&](size_t t) {
-    const size_t end = std::min(n, (t + 1) * chunk);
-    for (size_t i = t * chunk; i < end; ++i) each(i, &outs[t]);
-  });
-  for (auto& o : outs) out->insert(out->end(), o.begin(), o.end());
 }
 
 }  // namespace
@@ -93,10 +71,9 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Make(
   return view;
 }
 
-std::vector<storage::ViewPredDump> MaterializedView::DumpState() {
+std::vector<storage::ViewPredDump> MaterializedView::DumpState() const {
   std::vector<storage::ViewPredDump> out;
-  for (auto& [pred, rel] : *result_.mutable_idb()) {
-    rel->SyncShards();
+  for (const auto& [pred, rel] : result_.idb()) {
     storage::ViewPredDump pd;
     pd.pred = pred;
     pd.arity = static_cast<uint32_t>(rel->arity());
@@ -157,11 +134,11 @@ Status MaterializedView::Init(
 
   if (restore != nullptr) {
     // Checkpointed state replaces the from-scratch evaluation: fill the
-    // maintained relations (including exact support counts) from the dump.
+    // maintained relations (including exact support counts) from the dump,
+    // flat like the ones Build evaluates.
     for (const storage::ViewPredDump& pd : *restore) {
       FACTLOG_RETURN_IF_ERROR(CheckDump(pd));
-      auto rel =
-          std::make_unique<Relation>(pd.arity, db_->storage_options());
+      auto rel = std::make_unique<Relation>(pd.arity);
       if (pd.counts_enabled) {
         rel->EnableSupportCounts();
         for (uint64_t r = 0; r < pd.num_rows; ++r) {
@@ -172,7 +149,6 @@ Status MaterializedView::Init(
           rel->Insert(pd.rows.data() + r * pd.arity);
         }
       }
-      rel->SyncShards();
       (*result_.mutable_idb())[pd.pred] = std::move(rel);
     }
   } else {
@@ -231,8 +207,7 @@ Status MaterializedView::Init(
   for (const auto& [pred, info] : pred_info_) {
     if (result_.Find(pred) != nullptr) continue;
     (*result_.mutable_idb())[pred] = std::make_unique<Relation>(
-        program_.rules()[info.rules.front()].head().arity(),
-        db_->storage_options());
+        program_.rules()[info.rules.front()].head().arity());
   }
   SettleEdgeStore();
   return Status::OK();
@@ -408,9 +383,6 @@ std::shared_ptr<eval::Relation> MaterializedView::FrozenAnswer() {
   const ast::Atom& q = *program_.query();
   Relation* rel = result_.Find(q.predicate());
   if (rel == nullptr) return nullptr;
-  // Defensive: propagation leaves maintained relations synced, but a frozen
-  // copy of a desynced relation would publish a stale location table.
-  rel->SyncShards();
   // Prewarm the answer-probe index (the query's ground argument positions)
   // on the live relation before freezing, so every snapshot reader probes
   // instead of scanning. Building it bumps the version exactly once.
@@ -488,7 +460,6 @@ Result<eval::EvalResult> MaterializedView::EvaluateScc(
   popts.eval.replan_threshold = 0;  // maintenance keeps the view's plans
   popts.eval.max_facts =
       in_use >= opts_.eval.max_facts ? 0 : opts_.eval.max_facts - in_use;
-  popts.min_rows_to_partition = opts_.min_rows_to_partition;
   // Every relation the rules read outside the SCC (EDB and lower strata),
   // aliased without copying: the view and its database outlive the run.
   // One that lost `removed` rows is read at its old state, from a copy.
@@ -517,7 +488,7 @@ Result<eval::EvalResult> MaterializedView::EvaluateScc(
   }
   // Every instantiation is a derivation of its head (novel rows and, in a
   // seeded run, alternate derivations of known rows alike): while the store
-  // is live, record each one — on the calling thread, so the run is inline.
+  // is live, record each one.
   exec::DerivationCallback on_derivation;
   if (edges_ != nullptr && !edges_overflowed_) {
     on_derivation = [&](size_t i, const std::vector<ValueId>& row,
@@ -526,12 +497,11 @@ Result<eval::EvalResult> MaterializedView::EvaluateScc(
                  premises);
     };
   }
-  exec::ThreadPool* pool = on_derivation ? nullptr : opts_.pool;
   Result<eval::EvalResult> result =
       seeds == nullptr
-          ? exec::EvaluateParallel(scc.program, &inputs, pool, popts,
+          ? exec::EvaluateParallel(scc.program, &inputs, nullptr, popts,
                                    on_derivation)
-          : exec::EvaluateSeeded(scc.program, &inputs, pool, popts, *seeds,
+          : exec::EvaluateSeeded(scc.program, &inputs, nullptr, popts, *seeds,
                                  on_derivation);
   if (result.ok()) {
     stats_.delta_passes += result->stats().delta_passes;
@@ -559,58 +529,14 @@ Status MaterializedView::RunPassCollect(size_t rule_index,
                                         const RowSink& apply) {
   if (delta == nullptr || delta->empty()) return Status::OK();
   ++stats_.delta_passes;
-  const CompiledRule& rule = rules_[rule_index];
-  JoinStats& js = rule_join_stats_[rule_index];
-  if (opts_.pool == nullptr || delta->shard_count() == 1 ||
-      delta->size() < opts_.min_rows_to_partition) {
-    views[occ] = RelationView{const_cast<Relation*>(delta), nullptr};
-    return EnumerateRule(
-        rule, &db_->store(), views, /*track_premises=*/false, &js,
-        [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
-          apply(row);
-          return true;
-        });
-  }
-  // Pre-build every index a worker could probe (the plan's declared index
-  // requirements; the compiled body is in plan order), then freeze the
-  // views: inside the parallel region only the const read path runs.
-  const std::vector<plan::LiteralPlan>& order = plan_.rules[rule_index].order;
-  for (size_t k = 0; k < views.size(); ++k) {
-    const std::vector<int>& cols = order[k].index_cols;
-    if (k == occ) {
-      if (!cols.empty()) const_cast<Relation*>(delta)->EnsureShardIndexes(cols);
-      continue;
-    }
-    for (Relation* r : {views[k].first, views[k].second, views[k].third}) {
-      if (r != nullptr && !cols.empty()) r->EnsureIndex(cols);
-    }
-    views[k].shared = true;
-  }
-  // One task per delta shard; workers only collect (multiplicity preserved),
-  // the calling thread applies, so sinks stay free of synchronization.
-  const size_t shards = delta->shard_count();
-  std::vector<std::vector<std::vector<ValueId>>> collected(shards);
-  std::vector<Status> statuses(shards, Status::OK());
-  std::vector<JoinStats> shard_js(shards);
-  opts_.pool->ParallelFor(shards, [&](size_t s) {
-    const Relation& extent = delta->shard(s);
-    if (extent.empty()) return;
-    std::vector<RelationView> wviews = views;
-    wviews[occ] = RelationView{const_cast<Relation*>(&extent), nullptr,
-                               /*shared=*/true};
-    statuses[s] = EnumerateRule(
-        rule, &db_->store(), wviews, /*track_premises=*/false, &shard_js[s],
-        [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
-          collected[s].push_back(row);
-          return true;
-        });
-  });
-  for (const JoinStats& sj : shard_js) js.Add(sj);
-  for (const Status& st : statuses) FACTLOG_RETURN_IF_ERROR(st);
-  for (const auto& rows : collected) {
-    for (const std::vector<ValueId>& row : rows) apply(row);
-  }
-  return Status::OK();
+  views[occ] = RelationView{const_cast<Relation*>(delta), nullptr};
+  return EnumerateRule(
+      rules_[rule_index], &db_->store(), views, /*track_premises=*/false,
+      &rule_join_stats_[rule_index],
+      [&](const std::vector<ValueId>& row, const std::vector<FactKey>*) {
+        apply(row);
+        return true;
+      });
 }
 
 // ------------------------------------------------------------- insertions --
@@ -790,7 +716,6 @@ Status MaterializedView::DeleteCounting(
       ++stats_.idb_deleted;
     }
   }
-  rel->SyncShards();
   if (!dp->empty()) {
     (*delta)[pred] = dp.get();
     owned->push_back(std::move(dp));
@@ -827,7 +752,6 @@ Status MaterializedView::DeleteRecursive(
     }
     if (gone->empty()) continue;
     for (size_t r = 0; r < gone->size(); ++r) rel->Erase(gone->row(r));
-    rel->SyncShards();
     stats_.idb_deleted += gone->size();
     (*delta)[p] = gone.get();
     owned->push_back(std::move(gone));
@@ -859,24 +783,16 @@ Status MaterializedView::DeleteRecursiveSliced(
     return pid < scc_pred.size() && scc_pred[pid];
   };
 
-  // 1. Seeds: deleted lower-stratum rows the store has seen as premises
-  // (parallel lookup when the delta is large). A deleted row no derivation
-  // ever used cannot invalidate anything here.
+  // 1. Seeds: deleted lower-stratum rows the store has seen as premises. A
+  // deleted row no derivation ever used cannot invalidate anything here.
   std::vector<FactId> seeds;
   std::unordered_set<FactId> seed_set;
-  for (const auto& [p, d] : *delta) {
-    const std::string& pred = p;
-    const Relation* rel = d;
-    std::vector<FactId> found;
-    GatherChunked(
-        opts_.pool, opts_.min_rows_to_partition, rel->size(),
-        [&](size_t r, std::vector<FactId>* out) {
-          FactId f = es.FindFact(pred, rel->row(r), rel->arity());
-          if (f != DerivationEdgeStore::kNoFact) out->push_back(f);
-        },
-        &found);
-    for (FactId f : found) {
-      if (seed_set.insert(f).second) seeds.push_back(f);
+  for (const auto& [pred, rel] : *delta) {
+    for (size_t r = 0; r < rel->size(); ++r) {
+      FactId f = es.FindFact(pred, rel->row(r), rel->arity());
+      if (f != DerivationEdgeStore::kNoFact && seed_set.insert(f).second) {
+        seeds.push_back(f);
+      }
     }
   }
   if (seeds.empty()) return Status::OK();
@@ -887,9 +803,7 @@ Status MaterializedView::DeleteRecursiveSliced(
   // edge decrements its head's supporting count; a head reaching zero is
   // tentatively dead and kills its own uses in turn. Unlike a reachability
   // cone, the cascade only ever touches facts that actually lost an edge,
-  // so random deletes in dense graphs stay delta-sized. Per round, workers
-  // gather the frontier's use edges in parallel chunks; only the calling
-  // thread mutates the kill/support state.
+  // so random deletes in dense graphs stay delta-sized.
   std::unordered_set<EdgeId> killed;
   std::unordered_map<FactId, uint32_t> sup;  // touched SCC heads -> support
   std::unordered_set<FactId> tentative;
@@ -922,20 +836,14 @@ Status MaterializedView::DeleteRecursiveSliced(
     }
   };
   std::vector<FactId> frontier = seeds;
-  std::vector<std::pair<EdgeId, FactId>> gathered;
   while (!frontier.empty()) {
-    gathered.clear();
-    GatherChunked(
-        opts_.pool, opts_.min_rows_to_partition, frontier.size(),
-        [&](size_t i, std::vector<std::pair<EdgeId, FactId>>* out) {
-          for (EdgeId e : es.uses_of(frontier[i])) {
-            FactId h = es.head_of(e);
-            if (in_this_scc(h)) out->emplace_back(e, h);
-          }
-        },
-        &gathered);
     const size_t already_dead = tentative_list.size();
-    for (const auto& [e, h] : gathered) apply_kill(e, h);
+    for (FactId f : frontier) {
+      for (EdgeId e : es.uses_of(f)) {
+        FactId h = es.head_of(e);
+        if (in_this_scc(h)) apply_kill(e, h);
+      }
+    }
     frontier.assign(tentative_list.begin() +
                         static_cast<ptrdiff_t>(already_dead),
                     tentative_list.end());
@@ -993,7 +901,6 @@ Status MaterializedView::DeleteRecursiveSliced(
   for (auto& [p, d] : dead_rows) {
     Relation* rel = result_.Find(p);
     for (size_t r = 0; r < d->size(); ++r) rel->Erase(d->row(r));
-    rel->SyncShards();
     stats_.idb_deleted += d->size();
   }
 

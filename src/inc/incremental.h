@@ -50,12 +50,8 @@
 //     then erases the facts that did not come back — one bounded SCC
 //     evaluation per affected SCC.
 //
-// Deltas propagate over the shard seam. A counting pass whose driving extent
-// is sharded and large enough fans out one task per delta shard across the
-// exec::ThreadPool; workers only collect head rows and the calling thread
-// applies them. A recursive SCC runs on the pool like any pooled fixpoint,
-// except while the edge store is live: the derivation callback needs every
-// instantiation on the calling thread, so those runs are inline.
+// Maintenance runs inline on the calling thread, over flat maintained
+// relations, whatever pool or shard count the engine has.
 //
 // A view is single-writer: Apply* and Answer must be externally serialized
 // (api::Engine routes them through its mutation guard). A failed propagation
@@ -80,7 +76,6 @@
 #include "eval/rule_eval.h"
 #include "eval/seminaive.h"
 #include "exec/parallel_seminaive.h"
-#include "exec/thread_pool.h"
 #include "plan/join_plan.h"
 #include "storage/meta.h"
 
@@ -91,12 +86,6 @@ struct IncrementalOptions {
   /// IDB plus in-flight deltas, `max_iterations` bounds every internal
   /// SCC fixpoint (insertion and fallback re-derivation).
   eval::EvalOptions eval;
-  /// Optional pool for shard-parallel delta passes. nullptr keeps
-  /// propagation fully sequential.
-  exec::ThreadPool* pool = nullptr;
-  /// Driving extents with fewer rows than this run as a single inline task
-  /// even when sharded; fanning out a tiny delta costs more than it buys.
-  size_t min_rows_to_partition = 64;
   /// Edge budget for the derivation edge store backing slice deletions in
   /// recursive SCCs. When the live hypergraph would exceed it, the store is
   /// dropped permanently and deletion falls back to re-deriving the affected
@@ -162,9 +151,8 @@ class MaterializedView {
       const IncrementalOptions& opts,
       const std::vector<storage::ViewPredDump>& preds);
 
-  /// Dumps every maintained relation by value (syncing sharded relations
-  /// first), in a form Restore accepts.
-  std::vector<storage::ViewPredDump> DumpState();
+  /// Dumps every maintained relation by value, in a form Restore accepts.
+  std::vector<storage::ViewPredDump> DumpState() const;
 
   MaterializedView(const MaterializedView&) = delete;
   MaterializedView& operator=(const MaterializedView&) = delete;
@@ -191,11 +179,10 @@ class MaterializedView {
   /// — the program query's predicate — with the answer-probe index (the
   /// query's ground argument positions) pre-built, for snapshot serving:
   /// readers extract answers from the copy with ExtractAnswersFrom while the
-  /// writer keeps mutating the live relation (copy-on-write shards keep the
-  /// copy frozen). Cached per relation version, so calls between deltas
-  /// share one copy. Must be called from the single writer, like Apply*.
-  /// Null when the view is poisoned, has no query, or the query predicate is
-  /// not maintained.
+  /// writer keeps mutating the live relation. Cached per relation version,
+  /// so calls between deltas share one copy. Must be called from the single
+  /// writer, like Apply*. Null when the view is poisoned, has no query, or
+  /// the query predicate is not maintained.
   std::shared_ptr<eval::Relation> FrozenAnswer();
 
   /// The maintained relation for `pred` (nullptr when not an IDB predicate).
@@ -309,7 +296,7 @@ class MaterializedView {
       bool delta_before);
   /// Evaluates `scc` on exec's engine with the view's plans and budgets:
   /// continued from `seeds` (exec::EvaluateSeeded), or from scratch when
-  /// null; inline and recorded while the edge store is live. Relations
+  /// null; recorded while the edge store is live. Relations
   /// outside the SCC are read in place, or as a copy of their old state
   /// when `removed` holds rows erased from them; `owned` are the deltas in
   /// flight.
@@ -341,10 +328,8 @@ class MaterializedView {
       std::vector<std::unique_ptr<eval::Relation>>* owned);
 
   /// Runs one counting delta pass of `rules_[rule_index]` with body
-  /// occurrence `occ` ranging over `delta` — per shard across the pool when
-  /// the extent is sharded and large, inline otherwise. Every emitted head
-  /// row reaches `apply` on the calling thread (multiplicity preserved), so
-  /// sinks may mutate unsynchronized state.
+  /// occurrence `occ` ranging over `delta`. Every emitted head row reaches
+  /// `apply` (multiplicity preserved).
   Status RunPassCollect(size_t rule_index,
                         std::vector<eval::RelationView> views, size_t occ,
                         const eval::Relation* delta, const RowSink& apply);

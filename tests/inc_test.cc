@@ -20,7 +20,6 @@
 #include "api/engine.h"
 #include "ast/parser.h"
 #include "eval/seminaive.h"
-#include "exec/thread_pool.h"
 #include "tests/sweep_corpus.h"
 #include "tests/test_util.h"
 
@@ -93,7 +92,8 @@ std::map<std::string, uint64_t> OrderFreeCounters(const ViewStats& s) {
 // budget of 1, which drops the store at Materialize so every recursive
 // deletion re-derives its SCC. All nine combinations replay one update
 // sequence per program × workload, and must agree on every order-free
-// counter: the pooled passes do the same work as the inline ones.
+// counter: views maintain inline, so the EDB's layout and the engine's pool
+// change nothing about the work.
 
 class IncSweepTest : public ::testing::TestWithParam<int> {};
 
@@ -114,8 +114,6 @@ TEST_P(IncSweepTest, InterleavedUpdatesMatchOracle) {
         options.num_shards = shards;
         options.num_threads = threads;
         options.inc_max_derivation_edges = budget;
-        // Force even single-fact deltas over the shard-parallel path.
-        options.inc_min_rows_to_partition = 1;
         api::Engine engine(options);
         workload.make(&engine.db());
 
@@ -374,7 +372,6 @@ TEST(IncSliceTest, DenseGraphRandomDeletesMatchOracle) {
     api::EngineOptions options;
     options.num_shards = shards;
     options.num_threads = threads;
-    options.inc_min_rows_to_partition = 1;  // force the parallel path
     api::Engine engine(options);
     for (int64_t i = 1; i < kNodes; ++i) {
       ASSERT_TRUE(engine.AddFact(Edge(i, i + 1)).ok());
@@ -524,8 +521,8 @@ TEST(IncSliceTest, FallbackReevaluatesInPlace) {
 // eval.max_iterations rounds, fails with kResourceExhausted. The failure
 // poisons it: its state may be half-updated, so the next update and the
 // next read fail with kFailedPrecondition. Each budget is exceeded during an
-// insertion with the edge store live and during a deletion without it,
-// inline and on a 2-thread pool over 2-shard relations.
+// insertion with the edge store live and during a deletion without it, over
+// a flat and over a 2-shard EDB.
 
 constexpr char kLeftTc[] =
     "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, W), e(W, Y). ?- t(1, Y).";
@@ -538,9 +535,7 @@ std::vector<ast::Atom> ChainEdges(int64_t from, int64_t to) {
 
 class IncBudgetTest : public ::testing::TestWithParam<size_t> {
  protected:
-  IncBudgetTest()
-      : pool_(GetParam()),
-        h_(eval::StorageOptions{GetParam() > 0 ? size_t{2} : size_t{1}, {}}) {}
+  IncBudgetTest() : h_(eval::StorageOptions{GetParam(), {}}) {}
 
   IncrementalOptions Options(uint64_t max_facts, uint64_t max_iterations,
                              uint64_t max_edges) {
@@ -548,10 +543,6 @@ class IncBudgetTest : public ::testing::TestWithParam<size_t> {
     opts.eval.max_facts = max_facts;
     opts.eval.max_iterations = max_iterations;
     opts.max_derivation_edges = max_edges;
-    if (GetParam() > 0) {
-      opts.pool = &pool_;
-      opts.min_rows_to_partition = 1;
-    }
     return opts;
   }
 
@@ -564,7 +555,6 @@ class IncBudgetTest : public ::testing::TestWithParam<size_t> {
               StatusCode::kFailedPrecondition);
   }
 
-  exec::ThreadPool pool_;
   Harness h_;
 };
 
@@ -615,11 +605,11 @@ TEST_P(IncBudgetTest, FallbackDeletePastIterationBudget) {
   ExpectExhaustedThenPoisoned(h_.TryRemove(Edge(9, 10)));
 }
 
-INSTANTIATE_TEST_SUITE_P(InlineAndPooled, IncBudgetTest,
-                         ::testing::Values(size_t{0}, size_t{2}),
+INSTANTIATE_TEST_SUITE_P(FlatAndShardedEdb, IncBudgetTest,
+                         ::testing::Values(size_t{1}, size_t{2}),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return info.param == 0 ? std::string("Inline")
-                                                  : std::string("Pool2");
+                           return info.param == 1 ? std::string("Flat")
+                                                  : std::string("Shards2");
                          });
 
 // ---- Per-update stats snapshot ----------------------------------------------
@@ -724,11 +714,10 @@ TEST(IncRestoreTest, MalformedDumpIsRejected) {
   }
 }
 
-// Shards only partition pooled work, so a view built without a pool holds
-// flat relations even over a sharded database, while Restore builds them in
-// the database's layout. Both layouts maintain the same state, and the flat
-// view's frozen answer is copied only after the view changed.
-TEST(IncRestoreTest, InlineBuiltViewIsFlatAndRestoredOneSharded) {
+// Views maintain inline, so both a built and a restored view hold flat
+// relations even over a sharded database. Both maintain the same state, and
+// the frozen answer is copied only after the view changed.
+TEST(IncRestoreTest, BuiltAndRestoredViewsAreFlat) {
   Harness h(eval::StorageOptions{2, {}});
   for (int64_t i = 1; i < 8; ++i) h.db.AddPair("e", i, i + 1);
   const char* text =
@@ -738,8 +727,8 @@ TEST(IncRestoreTest, InlineBuiltViewIsFlatAndRestoredOneSharded) {
   auto restored = MaterializedView::Restore(P(text), &h.db, {},
                                             h.view->DumpState());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  MaterializedView* sharded = restored->get();
-  ASSERT_EQ(sharded->Find("t")->shard_count(), 2u);
+  MaterializedView* rest = restored->get();
+  ASSERT_EQ(rest->Find("t")->shard_count(), 1u);
 
   std::shared_ptr<eval::Relation> frozen = h.view->FrozenAnswer();
   ASSERT_NE(frozen, nullptr);
@@ -753,22 +742,22 @@ TEST(IncRestoreTest, InlineBuiltViewIsFlatAndRestoredOneSharded) {
     delta.Insert(*row);
     if (insert) {
       ASSERT_TRUE(h.view->ApplyInsert("e", delta).ok());
-      ASSERT_TRUE(sharded->ApplyInsert("e", delta).ok());
+      ASSERT_TRUE(rest->ApplyInsert("e", delta).ok());
       e->Insert(*row);
     } else {
       e->Erase(row->data());
       e->SyncShards();
       ASSERT_TRUE(h.view->ApplyDelete("e", delta).ok());
-      ASSERT_TRUE(sharded->ApplyDelete("e", delta).ok());
+      ASSERT_TRUE(rest->ApplyDelete("e", delta).ok());
     }
-    EXPECT_EQ(RowSet(*h.view->Find("t")), RowSet(*sharded->Find("t")));
+    EXPECT_EQ(RowSet(*h.view->Find("t")), RowSet(*rest->Find("t")));
   };
   apply(true, 8, 9);
   apply(true, 3, 7);
   apply(false, 4, 5);
   apply(false, 1, 2);
   EXPECT_EQ(h.view->Find("t")->shard_count(), 1u);
-  EXPECT_EQ(sharded->Find("t")->shard_count(), 2u);
+  EXPECT_EQ(rest->Find("t")->shard_count(), 1u);
   EXPECT_NE(h.view->FrozenAnswer(), frozen);
 }
 
@@ -817,12 +806,16 @@ void ExpectExactTwoSourceCounts(Harness& h, const std::string& context) {
       << context;
 }
 
-TEST(IncRecorderTest, BuildSupportCountsMatchRuleEnumeration) {
-  Harness h;
+void AddTwoSourceEdb(Harness& h) {
   const int64_t a[][2] = {{1, 2}, {1, 3}, {2, 3}, {3, 4}, {2, 5}, {4, 2}};
   const int64_t b[][2] = {{1, 2}, {2, 4}, {3, 4}, {4, 1}, {5, 3}};
   for (const auto& r : a) h.db.AddPair("a", r[0], r[1]);
   for (const auto& r : b) h.db.AddPair("b", r[0], r[1]);
+}
+
+TEST(IncRecorderTest, BuildSupportCountsMatchRuleEnumeration) {
+  Harness h;
+  AddTwoSourceEdb(h);
   h.Build(kTwoSources);
   ASSERT_FALSE(h.view->edge_guided());  // nothing recursive
   EXPECT_EQ(h.Support("p", A("p(1, 2)")), 2);  // in both a and b
@@ -833,6 +826,44 @@ TEST(IncRecorderTest, BuildSupportCountsMatchRuleEnumeration) {
   for (const char* fact : deletes) {
     h.Remove(A(fact));
     ExpectExactTwoSourceCounts(h, std::string("after -") + fact);
+  }
+}
+
+// A view restored over a 4-shard EDB maintains flat counted relations: its
+// support counts stay exact, and its answers stay naive's, across inserts
+// and deletes into both sources of p.
+TEST(IncRecorderTest, RestoredCountsOverShardedEdbStayExact) {
+  Harness h(eval::StorageOptions{4, {}});
+  AddTwoSourceEdb(h);
+  h.Build(kTwoSources);
+  auto restored = MaterializedView::Restore(P(kTwoSources), &h.db, {},
+                                            h.view->DumpState());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  h.view = std::move(restored).value();
+  EXPECT_EQ(h.view->Find("p")->shard_count(), 1u);
+  EXPECT_EQ(h.view->Find("q")->shard_count(), 1u);
+  ExpectExactTwoSourceCounts(h, "restore");
+  const ast::Atom query = A("q(X, Z)");
+  const std::pair<bool, const char*> updates[] = {
+      {true, "a(5, 1)"},  {false, "a(1, 2)"}, {true, "b(3, 6)"},
+      {false, "b(2, 4)"}, {true, "a(6, 2)"},  {false, "a(2, 3)"},
+      {true, "b(1, 2)"},  {false, "b(4, 1)"}, {true, "a(1, 2)"},
+      {false, "a(3, 4)"}};
+  for (const auto& [insert, fact] : updates) {
+    const std::string context =
+        std::string(insert ? "after +" : "after -") + fact;
+    if (insert) {
+      h.Insert(A(fact));
+    } else {
+      h.Remove(A(fact));
+    }
+    ExpectExactTwoSourceCounts(h, context);
+    auto answers = h.view->Answer(query);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    auto naive =
+        eval::EvaluateQuery(P(kTwoSources), query, &h.db, NaiveOptions());
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    EXPECT_EQ(answers->rows, naive->rows) << context;
   }
 }
 

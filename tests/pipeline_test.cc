@@ -202,20 +202,6 @@ TEST(PipelineTest, Example52PseudoLeftLinear) {
   EXPECT_TRUE(has_const_in_d) << result->optimized->ToString();
 }
 
-TEST(PipelineTest, StaticReductionCanBeDisabled) {
-  ast::Program p = P(R"(
-    p(X, Y, Z) :- p(X, Y, W), d(W, X, Z).
-    p(X, Y, Z) :- exit0(X, Y, Z).
-    ?- p(5, 6, U).
-  )");
-  PipelineOptions opts;
-  opts.try_static_reduction = false;
-  auto result = OptimizeQuery(p, *p.query(), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->static_reduction_applied);
-  EXPECT_FALSE(result->factoring_applied);
-}
-
 TEST(PipelineTest, OptimizationsCanBeDisabled) {
   ast::Program p = P(R"(
     t(X, Y) :- e(X, W), t(W, Y).

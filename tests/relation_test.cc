@@ -556,23 +556,6 @@ TEST(ShardedRelationTest, EraseDesyncsUntilSyncShards) {
   EXPECT_EQ(r.Lookup({0}, {11}).size(), 0u);
 }
 
-TEST(ShardedRelationTest, SupportCountsRouteToShards) {
-  Relation r(2, Sharded(4));
-  r.EnableSupportCounts();
-  for (ValueId i = 0; i < 20; ++i) {
-    ValueId row[2] = {i, i + 1};
-    EXPECT_EQ(r.AddSupport(row, 2), 2);
-  }
-  EXPECT_EQ(r.size(), 20u);
-  ValueId probe[2] = {7, 8};
-  EXPECT_EQ(r.SupportOf(probe), 2);
-  EXPECT_EQ(r.AddSupport(probe, -2), 0);  // erased from its shard
-  EXPECT_EQ(r.size(), 19u);
-  r.SyncShards();
-  EXPECT_FALSE(r.Contains(probe));
-  EXPECT_EQ(Rows(r).size(), 19u);
-}
-
 TEST(DatabaseTest, RemoveFactErasesAndReportsPresence) {
   Database db(StorageOptions{4, {}});
   db.AddPair("e", 1, 2);

@@ -261,7 +261,6 @@ TEST(ServeOracleSweep, DenseGraphDeleteBatchesStayConsistent) {
     EngineOptions options;
     options.num_threads = 4;
     options.num_shards = 2;
-    options.inc_min_rows_to_partition = 1;
     options.inc_max_derivation_edges = budget;
     Engine engine(options);
     make_dense(&engine);

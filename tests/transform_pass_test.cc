@@ -313,7 +313,7 @@ std::optional<TransformState> FactoredState(const std::string& text,
   PassSequence front;
   front.push_back(MakeAdornPass());
   front.push_back(MakeClassifyPass());
-  front.push_back(MakeNormalizePass(true));
+  front.push_back(MakeNormalizePass());
   front.push_back(MakeMagicPass());
   front.push_back(MakeFactorabilityGatePass());
   front.push_back(MakeFactoringPass());
