@@ -30,12 +30,12 @@ void BM_OptimizationStage(benchmark::State& state, int stage) {
   ast::Program program = bench::ParseOrDie(kThreeFormTc);
 
   core::PipelineOptions opts;
-  if (stage == 0) opts.apply_optimizations = false;
   if (stage == 1) opts.optimize.apply_uniform_equivalence = false;
   core::PipelineResult pipe =
       bench::OrDie(core::OptimizeQuery(program, *program.query(), opts),
                    "pipeline");
-  const ast::Program& prog = pipe.final_program();
+  const ast::Program& prog =
+      stage == 0 ? pipe.factored->program : pipe.final_program();
   const ast::Atom& query = pipe.final_query();
   state.counters["rules"] = static_cast<double>(prog.rules().size());
 
@@ -61,11 +61,8 @@ BENCHMARK_CAPTURE(BM_OptimizationStage, full_pipeline, 2)
 // final programs differ).
 void BM_UeOrder(benchmark::State& state, core::UeOrder order) {
   ast::Program program = bench::ParseOrDie(kThreeFormTc);
-  core::PipelineOptions popts;
-  popts.apply_optimizations = false;
-  core::PipelineResult pipe =
-      bench::OrDie(core::OptimizeQuery(program, *program.query(), popts),
-                   "pipeline");
+  core::PipelineResult pipe = bench::OrDie(
+      core::OptimizeQuery(program, *program.query()), "pipeline");
 
   core::OptimizationContext ctx;
   ctx.bp = pipe.factored->split.name1;

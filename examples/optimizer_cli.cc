@@ -9,8 +9,6 @@
 //            [--threads <n>] [--shards <n>]
 //            [--batch <queries.txt>] [--incremental] [--serve]
 //            [--db <dir>]
-//            [--cost-default-rows <n>] [--cost-bits <n>]
-//            [--cost-delta-rows <n>]
 //
 // The program file must contain a `?- query.` line (optional with --batch
 // and --lint).
@@ -30,11 +28,6 @@
 // fixpoint partitions by. After an evaluation (--facts/--db), --explain
 // additionally re-prints the plan with the measured cardinality next to
 // each literal's estimate (the engine's statistics catalog).
-//
-// --cost-default-rows / --cost-bits / --cost-delta-rows override the join
-// planner's cost-model constants (plan::CostModelParams): the no-hint extent
-// estimate, the selectivity bits credited per bound column, and the assumed
-// delta size of semi-naive IDB literals.
 //
 // --incremental (requires --facts) materializes the query as a live view and
 // reads update commands from stdin, maintaining the answers with delta-sized
@@ -146,9 +139,7 @@ int Usage() {
                "[--stage trace|magic|factored|final] [--explain] [--lint] "
                "[--facts <facts.dl>] "
                "[--threads <n>] [--shards <n>] [--batch <queries.txt>] "
-               "[--incremental] [--serve] [--db <dir>] "
-               "[--cost-default-rows <n>] [--cost-bits <n>] "
-               "[--cost-delta-rows <n>]\n";
+               "[--incremental] [--serve] [--db <dir>]\n";
   return 2;
 }
 
@@ -475,7 +466,7 @@ std::string ShardRowsSuffix(const std::vector<uint64_t>& shard_facts) {
 int RunBatchFile(const factlog::ast::Program& program,
                  const std::string& batch_path, const std::string& facts_path,
                  factlog::core::Strategy strategy, size_t threads,
-                 size_t shards, const factlog::plan::CostModelParams& cost) {
+                 size_t shards) {
   using namespace factlog;
   auto batch_text = ReadFile(batch_path);
   if (!batch_text.ok()) return Fail(batch_text.status());
@@ -496,7 +487,6 @@ int RunBatchFile(const factlog::ast::Program& program,
   api::EngineOptions options;
   options.num_threads = threads;
   options.num_shards = shards;
-  options.pipeline.planner.cost = cost;
   api::Engine engine(options);
   if (!facts_path.empty()) {
     auto facts_text = ReadFile(facts_path);
@@ -567,20 +557,6 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool lint_only = false;
   core::Strategy strategy = core::Strategy::kFactoring;
-  plan::CostModelParams cost;
-  // Parses a bounded unsigned flag value; returns false (after printing) on
-  // junk so every numeric flag rejects bad input the same way.
-  auto parse_count = [&](const char* flag, const char* value,
-                         unsigned long max, unsigned long* out) {
-    char* end = nullptr;
-    unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || parsed > max) {
-      std::cerr << "invalid " << flag << " value: " << value << "\n";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--stage" && i + 1 < argc) {
@@ -622,24 +598,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       strategy = *parsed;
-    } else if (arg == "--cost-default-rows" && i + 1 < argc) {
-      unsigned long v = 0;
-      if (!parse_count("--cost-default-rows", argv[++i], 1ul << 40, &v) ||
-          v == 0) {
-        return Usage();
-      }
-      cost.default_rows = v;
-    } else if (arg == "--cost-bits" && i + 1 < argc) {
-      unsigned long v = 0;
-      if (!parse_count("--cost-bits", argv[++i], 32, &v)) return Usage();
-      cost.bits_per_bound_col = static_cast<unsigned>(v);
-    } else if (arg == "--cost-delta-rows" && i + 1 < argc) {
-      unsigned long v = 0;
-      if (!parse_count("--cost-delta-rows", argv[++i], 1ul << 40, &v) ||
-          v == 0) {
-        return Usage();
-      }
-      cost.delta_rows = v;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return Usage();
@@ -660,7 +618,7 @@ int main(int argc, char** argv) {
     }
     // Like --serve, the batch runs on the serving queue, which needs a pool.
     return RunBatchFile(*program, batch_path, facts_path, strategy,
-                        threads == 0 ? 2 : threads, shards, cost);
+                        threads == 0 ? 2 : threads, shards);
   }
   if (!program->query().has_value()) {
     std::cerr << "error: the program has no '?-' query\n";
@@ -681,11 +639,8 @@ int main(int argc, char** argv) {
   }
   core::CompiledQuery compiled;
   std::optional<core::PipelineResult> pipeline;
-  core::PipelineOptions pipeline_options;
-  pipeline_options.planner.cost = cost;
   if (strategy == core::Strategy::kFactoring) {
-    auto full =
-        core::OptimizeQuery(*program, *program->query(), pipeline_options);
+    auto full = core::OptimizeQuery(*program, *program->query());
     if (!full.ok()) return Fail(full.status());
     // Equivalent to CompileQuery(kFactoring) — tests assert they agree —
     // without compiling the pipeline a second time.
@@ -699,8 +654,7 @@ int main(int argc, char** argv) {
     compiled.trace = full->trace;
     pipeline = std::move(full).value();
   } else {
-    auto result = core::CompileQuery(*program, *program->query(), strategy,
-                                     pipeline_options);
+    auto result = core::CompileQuery(*program, *program->query(), strategy);
     if (!result.ok()) return Fail(result.status());
     compiled = std::move(result).value();
   }
@@ -749,7 +703,6 @@ int main(int argc, char** argv) {
     // Serving runs the request queue on the engine's pool.
     engine_options.num_threads = (serve && threads == 0) ? 2 : threads;
     engine_options.num_shards = shards;
-    engine_options.pipeline.planner.cost = cost;
     // --db opens a disk-backed engine, recovering any previous session's
     // checkpoint + WAL; otherwise the engine is in-memory.
     std::unique_ptr<api::Engine> engine_owner;

@@ -3,7 +3,7 @@
 #include <deque>
 #include <set>
 
-#include "ast/special_predicates.h"
+#include "ast/binding.h"
 
 namespace factlog::analysis {
 
@@ -40,25 +40,10 @@ std::vector<int> Adornment::FreePositions() const {
   return out;
 }
 
-namespace {
-
-// Adds every variable of `t` to `bound`.
-void BindVars(const ast::Term& t, std::set<std::string>* bound) {
-  std::vector<std::string> vars;
-  t.CollectVars(&vars);
-  bound->insert(vars.begin(), vars.end());
+std::vector<ast::Term> BoundArgs(const ast::Atom& atom,
+                                 const AdornedPredicate& ap) {
+  return ast::ProjectArgs(atom, ap.adornment.BoundPositions());
 }
-
-bool AllVarsBound(const ast::Term& t, const std::set<std::string>& bound) {
-  std::vector<std::string> vars;
-  t.CollectVars(&vars);
-  for (const std::string& v : vars) {
-    if (bound.count(v) == 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Result<AdornedProgram> Adorn(const ast::Program& program,
                              const ast::Atom& query) {
@@ -91,7 +76,9 @@ Result<AdornedProgram> Adorn(const ast::Program& program,
       // Variables bound at rule entry: those in bound head positions.
       std::set<std::string> bound;
       for (size_t i = 0; i < rule.head().arity(); ++i) {
-        if (ap.adornment.IsBound(i)) BindVars(rule.head().args()[i], &bound);
+        if (ap.adornment.IsBound(i)) {
+          ast::AddVars(rule.head().args()[i], &bound);
+        }
       }
 
       AdornedRuleInfo info;
@@ -99,27 +86,29 @@ Result<AdornedProgram> Adorn(const ast::Program& program,
       info.head = ap;
       ast::Rule adorned_rule(ast::Atom(ap.Name(), rule.head().args()), {});
 
-      for (const ast::Atom& lit : rule.body()) {
+      // Relation literals in source order; each builtin where it is written,
+      // or later, once it is ready. Every prefix of the adorned body then
+      // runs, which the magic and supplementary rules that copy it rely on.
+      // Builtins that never become ready (lint's L002) go last.
+      for (size_t b : ast::ScheduleBody(rule.body(), bound).order) {
+        const ast::Atom& lit = rule.body()[b];
         if (idb.count(lit.predicate()) == 0) {
-          // EDB or builtin: evaluated in place; afterwards all its
-          // variables are bound.
           adorned_rule.mutable_body()->push_back(lit);
           info.body.push_back(std::nullopt);
-          for (const ast::Term& t : lit.args()) BindVars(t, &bound);
-          continue;
+        } else {
+          std::string pattern;
+          pattern.reserve(lit.arity());
+          for (const ast::Term& t : lit.args()) {
+            pattern.push_back(ast::GroundUnder(t, bound) ? 'b' : 'f');
+          }
+          AdornedPredicate body_ap{lit.predicate(), Adornment(pattern)};
+          adorned_rule.mutable_body()->push_back(
+              ast::Atom(body_ap.Name(), lit.args()));
+          info.body.push_back(body_ap);
+          if (done.count(body_ap.Name()) == 0) worklist.push_back(body_ap);
         }
-        std::string pattern;
-        pattern.reserve(lit.arity());
-        for (const ast::Term& t : lit.args()) {
-          pattern.push_back(AllVarsBound(t, bound) ? 'b' : 'f');
-        }
-        AdornedPredicate body_ap{lit.predicate(), Adornment(pattern)};
-        adorned_rule.mutable_body()->push_back(
-            ast::Atom(body_ap.Name(), lit.args()));
-        info.body.push_back(body_ap);
-        if (done.count(body_ap.Name()) == 0) worklist.push_back(body_ap);
-        // Answers bind the literal's remaining variables.
-        for (const ast::Term& t : lit.args()) BindVars(t, &bound);
+        // Answers of an IDB literal bind its remaining variables.
+        ast::Bind(lit, &bound);
       }
       out.program_.AddRule(std::move(adorned_rule));
       out.rule_info_.push_back(std::move(info));

@@ -101,10 +101,18 @@ class AdornedProgram {
 
 /// Computes the adorned program for `query` under the left-to-right SIP:
 /// a variable is bound in a body literal if it occurs in a bound head
-/// position or in any earlier body literal; after an IDB literal, its free
-/// variables become bound (answers return bindings).
+/// position or is bound by an earlier body literal; after an IDB literal,
+/// its free variables become bound (answers return bindings). What a
+/// literal needs and binds follows the shared binding model
+/// (ast/binding.h): relation literals keep their source order, and a
+/// builtin moves behind the literals that make it ready, so every prefix of
+/// an adorned body can run.
 Result<AdornedProgram> Adorn(const ast::Program& program,
                              const ast::Atom& query);
+
+/// The arguments of `atom` at the bound positions of `ap`'s adornment.
+std::vector<ast::Term> BoundArgs(const ast::Atom& atom,
+                                 const AdornedPredicate& ap);
 
 }  // namespace factlog::analysis
 

@@ -49,54 +49,17 @@ Status ConjunctiveQuery::Normalize() {
 
 namespace {
 
-// Extends the homomorphism `subst` so that pattern maps onto target. A bound
-// pattern variable must equal the target term exactly — it is never matched
-// into (that would wrongly bind target-side variables). Target variables are
-// opaque constants.
-bool HomMatch(const ast::Term& pattern, const ast::Term& target,
-              ast::Substitution* subst) {
-  switch (pattern.kind()) {
-    case ast::Term::Kind::kVariable: {
-      const ast::Term* bound = subst->Lookup(pattern.var_name());
-      if (bound != nullptr) return *bound == target;
-      subst->Bind(pattern.var_name(), target);
-      return true;
-    }
-    case ast::Term::Kind::kInt:
-    case ast::Term::Kind::kSymbol:
-      return pattern == target;
-    case ast::Term::Kind::kCompound: {
-      if (!target.IsCompound()) return false;
-      if (target.symbol() != pattern.symbol()) return false;
-      if (target.args().size() != pattern.args().size()) return false;
-      for (size_t i = 0; i < pattern.args().size(); ++i) {
-        if (!HomMatch(pattern.args()[i], target.args()[i], subst)) return false;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
 // Backtracking homomorphism search: maps every atom of `pattern_body`
 // (starting at `index`) into some atom of `target_body` under `subst`.
+// Target variables are opaque constants (one-way matching).
 bool FindHomomorphism(const std::vector<ast::Atom>& pattern_body,
                       const std::vector<ast::Atom>& target_body, size_t index,
                       const ast::Substitution& subst) {
   if (index == pattern_body.size()) return true;
-  const ast::Atom& pattern = pattern_body[index];
   for (const ast::Atom& target : target_body) {
-    if (target.predicate() != pattern.predicate()) continue;
-    if (target.arity() != pattern.arity()) continue;
     ast::Substitution attempt = subst;
-    bool ok = true;
-    for (size_t i = 0; i < pattern.arity(); ++i) {
-      if (!HomMatch(pattern.args()[i], target.args()[i], &attempt)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok && FindHomomorphism(pattern_body, target_body, index + 1, attempt)) {
+    if (ast::MatchAtom(pattern_body[index], target, &attempt) &&
+        FindHomomorphism(pattern_body, target_body, index + 1, attempt)) {
       return true;
     }
   }
@@ -145,7 +108,7 @@ bool ConjunctiveQuery::ContainedIn(const ConjunctiveQuery& other) const {
   // (the containing query) into `this` that respects the head.
   ast::Substitution subst;
   for (size_t i = 0; i < super.head_.size(); ++i) {
-    if (!HomMatch(super.head_[i], sub.head_[i], &subst)) return false;
+    if (!ast::MatchTerm(super.head_[i], sub.head_[i], &subst)) return false;
   }
   return FindHomomorphism(super.body_, sub.body_, 0, subst);
 }

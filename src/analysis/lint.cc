@@ -8,6 +8,7 @@
 
 #include "analysis/cq.h"
 #include "analysis/dependency_graph.h"
+#include "ast/binding.h"
 #include "ast/special_predicates.h"
 #include "plan/join_plan.h"
 
@@ -22,79 +23,16 @@ std::string Truncate(std::string s, size_t max = 100) {
   return s;
 }
 
-/// True when every variable of `t` is in `bound` (ground terms trivially).
-bool TermBound(const ast::Term& t, const std::set<std::string>& bound) {
-  std::vector<std::string> vars;
-  t.CollectVars(&vars);
-  for (const std::string& v : vars) {
-    if (bound.count(v) == 0) return false;
-  }
-  return true;
-}
-
-void BindTerm(const ast::Term& t, std::set<std::string>* bound) {
-  std::vector<std::string> vars;
-  t.CollectVars(&vars);
-  bound->insert(vars.begin(), vars.end());
-}
-
-/// Variables bound by the rule's positive relation literals, closed under
-/// builtin propagation: `equal` binds either side from the other,
-/// `affine(X, A, B, Z)` solves X from Z or Z from X once A and B are bound,
-/// `geq` only consumes. This is the same executability model the join
-/// planner's eager-builtin scheduling assumes, taken to its fixpoint — a
-/// variable outside the result cannot be bound under ANY body order.
-std::set<std::string> BoundVars(const ast::Rule& rule) {
-  std::set<std::string> bound;
-  for (const ast::Atom& a : rule.body()) {
-    if (ast::IsBuiltinPredicate(a.predicate())) continue;
-    for (const ast::Term& t : a.args()) BindTerm(t, &bound);
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const ast::Atom& a : rule.body()) {
-      const std::string& p = a.predicate();
-      const size_t before = bound.size();
-      if (p == ast::kEqualPredicate && a.arity() == 2) {
-        if (TermBound(a.args()[0], bound)) BindTerm(a.args()[1], &bound);
-        if (TermBound(a.args()[1], bound)) BindTerm(a.args()[0], &bound);
-      } else if (p == ast::kAffinePredicate && a.arity() == 4) {
-        if (TermBound(a.args()[1], bound) && TermBound(a.args()[2], bound)) {
-          if (TermBound(a.args()[0], bound)) BindTerm(a.args()[3], &bound);
-          if (TermBound(a.args()[3], bound)) BindTerm(a.args()[0], &bound);
-        }
-      }
-      if (bound.size() != before) changed = true;
-    }
-  }
-  return bound;
-}
-
-/// True when the builtin literal can execute once `bound` holds (its
-/// required inputs are derivable under some body order).
-bool BuiltinExecutable(const ast::Atom& a, const std::set<std::string>& bound) {
-  const std::string& p = a.predicate();
-  if (p == ast::kEqualPredicate && a.arity() == 2) {
-    return TermBound(a.args()[0], bound) || TermBound(a.args()[1], bound);
-  }
-  if (p == ast::kAffinePredicate && a.arity() == 4) {
-    return TermBound(a.args()[1], bound) && TermBound(a.args()[2], bound) &&
-           (TermBound(a.args()[0], bound) || TermBound(a.args()[3], bound));
-  }
-  if (p == ast::kGeqPredicate && a.arity() == 2) {
-    return TermBound(a.args()[0], bound) && TermBound(a.args()[1], bound);
-  }
-  // Wrong-arity builtin use: L003's province, not L002's.
-  return true;
-}
-
 // ---- L001 / L002: safety and builtin executability ----
 
 void CheckSafety(const ast::Program& program, std::vector<Diagnostic>* out) {
   for (size_t i = 0; i < program.rules().size(); ++i) {
     const ast::Rule& rule = program.rules()[i];
-    const std::set<std::string> bound = BoundVars(rule);
+    // The schedule's final bound set and unrun builtins are the same under
+    // every body order (ast/binding.h), so a variable outside the set cannot
+    // be bound, and an unrun builtin cannot run, under ANY body order.
+    const ast::BodySchedule schedule = ast::ScheduleBody(rule.body(), {});
+    const std::set<std::string>& bound = schedule.bound;
     // Only TOP-LEVEL head variables need a positive binding: a variable
     // nested inside a compound head term (pmem's `pmem(X, [X|T]) :- p(X)`)
     // is bound by the structural predicate standard-form conversion
@@ -113,10 +51,10 @@ void CheckSafety(const ast::Program& program, std::vector<Diagnostic>* out) {
                "' (range restriction is required for bottom-up evaluation)";
       out->push_back(std::move(d));
     }
-    for (size_t b = 0; b < rule.body().size(); ++b) {
+    for (size_t b : schedule.unrun) {
       const ast::Atom& a = rule.body()[b];
-      if (!ast::IsBuiltinPredicate(a.predicate())) continue;
-      if (BuiltinExecutable(a, bound)) continue;
+      // A wrong-arity builtin never runs; it is L003's to report.
+      if (a.arity() != ast::BuiltinArity(a.predicate())) continue;
       Diagnostic d;
       d.code = "L002";
       d.severity = Severity::kError;
@@ -146,9 +84,10 @@ void CheckArities(const ast::Program& program, const LintOptions& options,
     std::string where;
   };
   std::map<std::string, FirstUse> first;
-  first[ast::kEqualPredicate] = {2, "builtin signature"};
-  first[ast::kAffinePredicate] = {4, "builtin signature"};
-  first[ast::kGeqPredicate] = {2, "builtin signature"};
+  for (const char* builtin :
+       {ast::kEqualPredicate, ast::kAffinePredicate, ast::kGeqPredicate}) {
+    first[builtin] = {ast::BuiltinArity(builtin), "builtin signature"};
+  }
   for (const auto& [name, arity] : options.edb_arities) {
     first.emplace(name, FirstUse{arity, "database relation"});
   }
@@ -282,11 +221,16 @@ ast::Rule CanonicalizeRule(const ast::Rule& rule) {
   return ast::Rule(std::move(head), std::move(body));
 }
 
+/// Body-size cap for the L103 containment test, which is NP-complete in
+/// rule size. The paper's observation that queries are small keeps the test
+/// cheap, but transformed programs can grow bodies.
+constexpr size_t kMaxSubsumptionBody = 8;
+
 /// True when the L103 containment test is sound and affordable for `rule`:
 /// bodies small, and no interpreted arithmetic (affine/geq are not
 /// uninterpreted relations, so Chandra–Merlin does not apply to them).
-bool SubsumptionEligible(const ast::Rule& rule, size_t max_body) {
-  if (rule.body().size() > max_body) return false;
+bool SubsumptionEligible(const ast::Rule& rule) {
+  if (rule.body().size() > kMaxSubsumptionBody) return false;
   for (const ast::Atom& a : rule.body()) {
     const std::string& p = a.predicate();
     if (p == ast::kAffinePredicate || p == ast::kGeqPredicate) return false;
@@ -319,7 +263,6 @@ bool HasEqualLiteral(const ast::Rule& rule) {
 }
 
 void CheckRedundantRules(const ast::Program& program,
-                         const LintOptions& options,
                          std::vector<Diagnostic>* out) {
   const std::vector<ast::Rule>& rules = program.rules();
   std::vector<ast::Rule> canonical;
@@ -369,14 +312,12 @@ void CheckRedundantRules(const ast::Program& program,
   };
   for (size_t j = 0; j < rules.size(); ++j) {
     if (flagged[j]) continue;  // duplicates are trivially subsumed
-    if (!SubsumptionEligible(rules[j], options.max_subsumption_body)) continue;
+    if (!SubsumptionEligible(rules[j])) continue;
     for (size_t i = 0; i < rules.size(); ++i) {
       if (i == j || flagged[i]) continue;
       if (rules[i].head().predicate() != rules[j].head().predicate()) continue;
       if (rules[i].head().arity() != rules[j].head().arity()) continue;
-      if (!SubsumptionEligible(rules[i], options.max_subsumption_body)) {
-        continue;
-      }
+      if (!SubsumptionEligible(rules[i])) continue;
       // Prefer reporting the later rule: j subsumed by an earlier i, or by
       // a strictly-containing later rule only when i < j fails.
       if (i > j && contained(i, j)) {
@@ -495,7 +436,7 @@ LintReport LintProgram(const ast::Program& program,
   CheckArities(program, options, &report.diagnostics);
   CheckStratification(program, options, &report);
   CheckSingletons(program, &report.diagnostics);
-  CheckRedundantRules(program, options, &report.diagnostics);
+  CheckRedundantRules(program, &report.diagnostics);
   CheckCartesianJoins(program, &report.diagnostics);
   CheckReachability(program, options, &report.diagnostics);
   return report;

@@ -13,9 +13,10 @@
 //   Errors (reject compilation)
 //     L001  unsafe rule: top-level head variable not bound by a positive
 //           relation literal in the body
-//     L002  builtin literal unexecutable: no execution order can bind its
-//           required arguments (equal/2 both-free, geq inputs, affine with
-//           neither X nor Z derivable)
+//     L002  builtin literal unexecutable: the shared binding schedule
+//           (ast/binding.h) never makes it ready, so no execution order can
+//           bind its required arguments (equal/2 both-free, geq inputs,
+//           affine with neither X nor Z derivable)
 //     L003  arity mismatch: a predicate used with conflicting arities across
 //           rules, declarations, the query, or the caller-supplied EDB schema
 //     L004  stratification violation: recursion through a (prospective)
@@ -65,10 +66,6 @@ struct LintOptions {
   /// Known EDB schema (e.g. the engine database's relations). Checked
   /// against program usage for L003 and consulted for L106.
   std::map<std::string, size_t> edb_arities;
-  /// Body-size cap for the L103 containment test (NP-complete in rule
-  /// size; the paper's observation that queries are small keeps this
-  /// cheap, but transformed programs can grow bodies).
-  size_t max_subsumption_body = 8;
 };
 
 /// The linter's findings plus the analysis by-products callers reuse.

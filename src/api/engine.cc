@@ -305,7 +305,7 @@ std::string Engine::PlanCacheKey(const ast::Program& program,
 
 core::PipelineOptions Engine::PipelineOptionsForCompile(
     const eval::Database* hint_db) const {
-  core::PipelineOptions opts = options_.pipeline;
+  core::PipelineOptions opts;
   if (hint_db != nullptr) {
     // A serving compile seeds the planner from the pinned snapshot:
     // immutable, so no guard is needed and no mutation can race the
@@ -330,7 +330,7 @@ core::PipelineOptions Engine::PipelineOptionsForCompile(
 
 analysis::LintReport Engine::Lint(const ast::Program& program) const {
   // Same read contract as compilation: mutations must not race.
-  analysis::LintOptions opts = options_.pipeline.lint;
+  analysis::LintOptions opts;
   SeedFromSchema(db_, &opts, /*planner=*/nullptr);
   return analysis::LintProgram(program, opts);
 }
@@ -446,7 +446,7 @@ void Engine::RecostCacheEntry(CacheEntry* entry,
                               const eval::Database& cost_db) {
   // Measured plan options: live base-relation sizes first (they always win),
   // then the catalog's decayed delta means and probe selectivities.
-  plan::PlanOptions popts = options_.pipeline.planner;
+  plan::PlanOptions popts;
   for (const auto& [name, rel] : cost_db.relations()) {
     popts.extent_hints[name] = rel->size();
   }

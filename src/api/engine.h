@@ -86,8 +86,6 @@ using core::CompiledQuery;
 using core::Strategy;
 
 struct EngineOptions {
-  /// Compilation knobs forwarded to the pass pipeline.
-  core::PipelineOptions pipeline;
   /// Bottom-up evaluation budgets / strategy.
   eval::EvalOptions eval;
   /// Maximum cached plans; least recently used plans are evicted. 0 caches
@@ -436,7 +434,7 @@ class Engine {
   /// The engine's thread pool, created on first use (nullptr when
   /// num_threads == 0).
   exec::ThreadPool* EnsurePool();
-  /// The configured pipeline options with the join planner's extent hints
+  /// The default pipeline options with the join planner's extent hints
   /// seeded from the current base-relation sizes (compile-time planning sees
   /// the data the paper's compile-time factoring sees: the EDB at hand).
   /// With `hint_db` the hints come from that database instead — serving

@@ -3,6 +3,7 @@
 #ifndef FACTLOG_AST_SPECIAL_PREDICATES_H_
 #define FACTLOG_AST_SPECIAL_PREDICATES_H_
 
+#include <cstddef>
 #include <string>
 
 namespace factlog::ast {
@@ -27,11 +28,17 @@ inline constexpr const char kGeqPredicate[] = "geq";
 /// compile-time standard form, never at run time.
 inline constexpr char kStructuralPrefix = '$';
 
-/// True for predicates evaluated by the engine rather than stored: `equal`
-/// and `affine`.
+/// The arity of builtin `name`, or 0 when `name` is not a builtin.
+inline size_t BuiltinArity(const std::string& name) {
+  if (name == kAffinePredicate) return 4;
+  if (name == kEqualPredicate || name == kGeqPredicate) return 2;
+  return 0;
+}
+
+/// True for predicates evaluated by the engine rather than stored: `equal`,
+/// `affine` and `geq`.
 inline bool IsBuiltinPredicate(const std::string& name) {
-  return name == kEqualPredicate || name == kAffinePredicate ||
-         name == kGeqPredicate;
+  return BuiltinArity(name) != 0;
 }
 
 /// True for compile-time structural predicates (`$cons`, ...).

@@ -17,8 +17,10 @@ bool Unify(const Term& a, const Term& b, Substitution* subst);
 bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst);
 
 /// One-way match: extends `*subst` so that pattern*subst == ground.
-/// `ground` must be ground. Variables in `ground` are treated as constants
-/// (never bound).
+/// Variables in `ground` are treated as constants (never bound), so a
+/// homomorphism search can match into a non-ground target. On failure
+/// `*subst` may hold partial bindings; callers that need rollback copy
+/// first.
 bool MatchTerm(const Term& pattern, const Term& ground, Substitution* subst);
 
 /// One-way match of atoms.

@@ -1,8 +1,8 @@
 #include "core/nonunit.h"
 
-#include <algorithm>
 #include <set>
 
+#include "ast/binding.h"
 #include "core/factorability.h"
 
 namespace factlog::core {
@@ -10,24 +10,9 @@ namespace factlog::core {
 namespace {
 
 using ast::Atom;
+using ast::Intersects;
 using ast::Rule;
-
-std::set<std::string> TermVarsAt(const Atom& atom,
-                                 const std::vector<int>& positions) {
-  std::set<std::string> out;
-  for (int p : positions) {
-    std::vector<std::string> vars;
-    atom.args()[p].CollectVars(&vars);
-    out.insert(vars.begin(), vars.end());
-  }
-  return out;
-}
-
-bool Intersects(const std::set<std::string>& a,
-                const std::set<std::string>& b) {
-  return std::any_of(a.begin(), a.end(),
-                     [&b](const std::string& v) { return b.count(v) > 0; });
-}
+using ast::VarsAt;
 
 // Union of the variables of all body atoms (excluding `skip_pred` literals)
 // connected, transitively through shared variables, to the seed set.
@@ -39,11 +24,7 @@ std::set<std::string> ComponentClosure(const Rule& rule,
     changed = false;
     for (const Atom& lit : rule.body()) {
       if (lit.predicate() == skip_pred) continue;
-      std::set<std::string> vars;
-      {
-        std::vector<std::string> v = lit.DistinctVars();
-        vars.insert(v.begin(), v.end());
-      }
+      const std::set<std::string> vars = ast::AtomVars(lit);
       if (Intersects(vars, seed)) {
         for (const std::string& v : vars) {
           if (seed.insert(v).second) changed = true;
@@ -152,7 +133,7 @@ Result<NonUnitResult> FactorInnerPredicate(const ast::Program& program,
     for (const Atom& lit : r->body()) {
       if (lit.predicate() != target->Name()) continue;
       ++call_sites;
-      std::set<std::string> bound_vars = TermVarsAt(lit, bound_pos);
+      std::set<std::string> bound_vars = VarsAt(lit, bound_pos);
       std::set<std::string> component =
           ComponentClosure(*r, target->Name(), bound_vars);
       std::vector<std::string> head_vars;
@@ -164,7 +145,7 @@ Result<NonUnitResult> FactorInnerPredicate(const ast::Program& program,
             r->ToString() + "' reaches a head variable");
         c3 = false;
       }
-      std::set<std::string> free_vars = TermVarsAt(lit, free_pos);
+      std::set<std::string> free_vars = VarsAt(lit, free_pos);
       if (Intersects(component, free_vars)) {
         out.report.reasons.push_back(
             "C3: the goal-feeding component correlates with the call's "

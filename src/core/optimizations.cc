@@ -258,8 +258,15 @@ Result<UeVerdict> TestUniformRedundancy(const ast::Program& program,
   }
 
   ++counters->chases;
+  // Chases evaluate bodies in source order: their databases hold a handful
+  // of frozen facts, so join planning costs more than it saves, and join
+  // order changes neither the derived facts nor the iteration count a
+  // budget is checked against.
+  eval::EvalOptions chase_opts;
+  chase_opts.join_order = eval::JoinOrder::kLeftToRight;
+  chase_opts.max_facts = opts.ue_max_facts;
   eval::Database db;
-  auto result = eval::Evaluate(chase, &db, opts.ue_eval);
+  auto result = eval::Evaluate(chase, &db, chase_opts);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kResourceExhausted) {
       return UeVerdict::kOutOfBudget;  // cannot prove redundancy in budget

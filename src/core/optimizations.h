@@ -58,15 +58,9 @@ enum class UeOrder { kForward, kBackward };
 struct OptimizeOptions {
   bool apply_uniform_equivalence = true;
   UeOrder ue_order = UeOrder::kForward;
-  /// Budget for each uniform-equivalence chase. Chases evaluate bodies in
-  /// source order: their databases hold a handful of frozen facts, so join
-  /// planning costs more than it saves, and join order changes neither the
-  /// derived facts nor the iteration count a budget is checked against.
-  eval::EvalOptions ue_eval = [] {
-    eval::EvalOptions o;
-    o.join_order = eval::JoinOrder::kLeftToRight;
-    return o;
-  }();
+  /// Fact budget of each uniform-equivalence chase (eval::EvalOptions::
+  /// max_facts); a chase that exceeds it keeps the rule.
+  uint64_t ue_max_facts = eval::EvalOptions().max_facts;
 };
 
 /// What one uniform-equivalence deletion run spent on redundancy tests.

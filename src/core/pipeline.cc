@@ -103,9 +103,7 @@ PassSequence PassesForStrategy(Strategy strategy, const PipelineOptions& opts) {
       seq.push_back(MakeMagicPass());
       seq.push_back(MakeFactorabilityGatePass());
       seq.push_back(MakeFactoringPass());
-      if (opts.apply_optimizations) {
-        seq.push_back(MakeSectionFiveFixpointPass(opts.optimize));
-      }
+      seq.push_back(MakeSectionFiveFixpointPass(opts.optimize));
       break;
     case Strategy::kMagic:
       seq.push_back(MakeAdornPass());

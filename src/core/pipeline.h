@@ -49,8 +49,7 @@ struct PipelineOptions {
   /// and the top-down safety downgrade. Lint errors reject compilation with
   /// kInvalidArgument; warnings ride on CompiledQuery::diagnostics.
   analysis::LintOptions lint;
-  /// Run the §5 cleanup passes on the factored program.
-  bool apply_optimizations = true;
+  /// Options for the §5 cleanup passes on the factored program.
   OptimizeOptions optimize;
   /// Options for the final join-plan pass (extent hints etc.). The caller —
   /// api::Engine — seeds extent_hints with its base-relation sizes; the pass
@@ -98,7 +97,8 @@ struct PipelineResult {
 
   bool factoring_applied = false;
   std::optional<FactoredProgram> factored;
-  /// §5-optimized factored program (when optimizations ran).
+  /// §5-optimized factored program (when factoring applied); the raw
+  /// factored program stays in `factored`.
   std::optional<ast::Program> optimized;
 
   /// Per-rule join plans for final_program() (join-plan pass output).

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "analysis/standard_form.h"
+#include "ast/binding.h"
 #include "ast/substitution.h"
 
 namespace factlog::core {
@@ -14,26 +15,13 @@ namespace {
 
 using analysis::ConjunctiveQuery;
 using ast::Atom;
+using ast::AtomVars;
+using ast::Intersects;
 using ast::Rule;
 using ast::Term;
 
 std::set<std::string> VarSet(const std::vector<std::string>& vars) {
   return std::set<std::string>(vars.begin(), vars.end());
-}
-
-bool Intersects(const std::set<std::string>& a,
-                const std::set<std::string>& b) {
-  for (const std::string& v : a) {
-    if (b.count(v) > 0) return true;
-  }
-  return false;
-}
-
-// Variables of `atom`, as a set.
-std::set<std::string> AtomVars(const Atom& atom) {
-  std::vector<std::string> vars;
-  atom.CollectVars(&vars);
-  return VarSet(vars);
 }
 
 // Partition of the EDB atoms of a rule body into connected components by

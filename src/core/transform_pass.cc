@@ -7,6 +7,8 @@
 #include <set>
 #include <utility>
 
+#include "ast/binding.h"
+
 namespace factlog::core {
 
 const char* StrategyToString(Strategy strategy) {
@@ -143,40 +145,25 @@ Result<Attempt> TryClassify(const ast::Program& program,
   return a;
 }
 
-void BindAtomVars(const ast::Atom& atom, std::set<std::string>* bound) {
-  std::vector<std::string> vars;
-  atom.CollectVars(&vars);
-  bound->insert(vars.begin(), vars.end());
-}
-
-void BindTermVars(const ast::Term& term, std::set<std::string>* bound) {
-  std::vector<std::string> vars;
-  term.CollectVars(&vars);
-  bound->insert(vars.begin(), vars.end());
-}
-
 bool AtomPatternMatches(const ast::Atom& atom,
                         const analysis::Adornment& target,
                         const std::set<std::string>& bound) {
   for (size_t i = 0; i < atom.arity(); ++i) {
-    std::vector<std::string> vars;
-    atom.args()[i].CollectVars(&vars);
-    bool is_bound =
-        atom.args()[i].IsGround() ||
-        std::all_of(vars.begin(), vars.end(), [&](const std::string& v) {
-          return bound.count(v) > 0;
-        });
-    if (is_bound != target.IsBound(i)) return false;
+    if (ast::GroundUnder(atom.args()[i], bound) != target.IsBound(i)) {
+      return false;
+    }
   }
   return true;
 }
 
 // Searches for a body order under which every occurrence of `pred` receives
-// exactly the adornment `target` (left-to-right SIP simulation). Returns
-// the reordered body, or nullopt. The paper's classification is explicitly
-// "up to ... reordering of predicate instances in the body" (§4.1); the
-// as-written order can over-bind an occurrence (e.g. t(X,9) on right-linear
-// transitive closure binds W through e(X,W) before reaching t(W,Y)).
+// exactly the adornment `target` (left-to-right SIP simulation) and every
+// builtin is ready where it stands (ast/binding.h), so Adorn keeps the order
+// as found. Returns the reordered body, or nullopt. The paper's
+// classification is explicitly "up to ... reordering of predicate instances
+// in the body" (§4.1); the as-written order can over-bind an occurrence
+// (e.g. t(X,9) on right-linear transitive closure binds W through e(X,W)
+// before reaching t(W,Y)).
 std::optional<std::vector<ast::Atom>> FindUnitBodyOrder(
     const ast::Rule& rule, const std::string& pred,
     const analysis::Adornment& target) {
@@ -185,7 +172,7 @@ std::optional<std::vector<ast::Atom>> FindUnitBodyOrder(
 
   std::set<std::string> initial_bound;
   for (size_t i = 0; i < rule.head().arity(); ++i) {
-    if (target.IsBound(i)) BindTermVars(rule.head().args()[i], &initial_bound);
+    if (target.IsBound(i)) ast::AddVars(rule.head().args()[i], &initial_bound);
   }
 
   std::vector<int> perm(body.size());
@@ -195,14 +182,14 @@ std::optional<std::vector<ast::Atom>> FindUnitBodyOrder(
     bool ok = true;
     for (int idx : perm) {
       const ast::Atom& lit = body[idx];
-      if (lit.predicate() == pred) {
-        if (lit.arity() != target.arity() ||
-            !AtomPatternMatches(lit, target, bound)) {
-          ok = false;
-          break;
-        }
+      if (!ast::Ready(lit, bound) ||
+          (lit.predicate() == pred &&
+           (lit.arity() != target.arity() ||
+            !AtomPatternMatches(lit, target, bound)))) {
+        ok = false;
+        break;
       }
-      BindAtomVars(lit, &bound);
+      ast::Bind(lit, &bound);
     }
     if (ok) {
       std::vector<ast::Atom> out;

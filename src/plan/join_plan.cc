@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "ast/binding.h"
 #include "ast/special_predicates.h"
 #include "plan/stats_catalog.h"
 
@@ -10,88 +12,31 @@ namespace factlog::plan {
 
 namespace {
 
+// The cost model's constants. They only have to *rank* literals, not predict
+// cardinalities, so they are deliberately coarse; measured feedback
+// (`delta_hints` / `probe_hints`, seeded from a StatsCatalog) overrides them
+// wherever an observation exists.
+//
+// Extent estimate (rows) for predicates without a hint.
+constexpr uint64_t kDefaultRows = 1024;
+// Bits of selectivity credited per ground argument position: each bound
+// column is assumed to cut the extent by 2^4 = 16x.
+constexpr unsigned kBitsPerBoundCol = 4;
+// Extent estimate (rows) for delta-driven predicates: kDefaultRows / 64,
+// keeping the semi-naive frontier planned toward the front.
+constexpr uint64_t kDeltaRows = 16;
+
 uint64_t RoundRows(double rows) {
   return std::max<uint64_t>(1, static_cast<uint64_t>(std::llround(rows)));
-}
-
-bool TermGround(const ast::Term& t, const std::set<std::string>& bound) {
-  switch (t.kind()) {
-    case ast::Term::Kind::kVariable:
-      return bound.count(t.var_name()) > 0;
-    case ast::Term::Kind::kInt:
-    case ast::Term::Kind::kSymbol:
-      return true;
-    case ast::Term::Kind::kCompound:
-      for (const ast::Term& a : t.args()) {
-        if (!TermGround(a, bound)) return false;
-      }
-      return true;
-  }
-  return false;
-}
-
-void BindTerm(const ast::Term& t, std::set<std::string>* bound) {
-  std::vector<std::string> vars;
-  t.CollectVars(&vars);
-  bound->insert(vars.begin(), vars.end());
-}
-
-void BindAtom(const ast::Atom& a, std::set<std::string>* bound) {
-  std::vector<std::string> vars;
-  a.CollectVars(&vars);
-  bound->insert(vars.begin(), vars.end());
-}
-
-// Whether the builtin literal can run under `bound`, mirroring the engines'
-// runtime requirements (eval/rule_eval.cc).
-bool BuiltinExecutable(const ast::Atom& a, const std::set<std::string>& bound) {
-  const std::string& p = a.predicate();
-  if (p == ast::kEqualPredicate) {
-    return a.arity() == 2 && (TermGround(a.args()[0], bound) ||
-                              TermGround(a.args()[1], bound));
-  }
-  if (p == ast::kAffinePredicate) {
-    return a.arity() == 4 && TermGround(a.args()[1], bound) &&
-           TermGround(a.args()[2], bound) &&
-           (TermGround(a.args()[0], bound) || TermGround(a.args()[3], bound));
-  }
-  if (p == ast::kGeqPredicate) {
-    return a.arity() == 2 && TermGround(a.args()[0], bound) &&
-           TermGround(a.args()[1], bound);
-  }
-  return false;
-}
-
-// Binding effect of running a literal under `bound` (matches
-// eval::StaticIndexCols): a relation match grounds every variable; equal and
-// affine bind the side computed from the ground one; geq binds nothing.
-void BindLiteral(const ast::Atom& a, std::set<std::string>* bound) {
-  const std::string& p = a.predicate();
-  if (!ast::IsBuiltinPredicate(p)) {
-    BindAtom(a, bound);
-    return;
-  }
-  if (p == ast::kEqualPredicate && a.arity() == 2) {
-    if (TermGround(a.args()[0], *bound)) {
-      BindTerm(a.args()[1], bound);
-    } else if (TermGround(a.args()[1], *bound)) {
-      BindTerm(a.args()[0], bound);
-    }
-  } else if (p == ast::kAffinePredicate && a.arity() == 4) {
-    if (TermGround(a.args()[0], *bound)) {
-      BindTerm(a.args()[3], bound);
-    } else if (TermGround(a.args()[3], *bound)) {
-      BindTerm(a.args()[0], bound);
-    }
-  }
-  // geq: pure test.
 }
 
 std::vector<int> GroundCols(const ast::Atom& a,
                             const std::set<std::string>& bound) {
   std::vector<int> cols;
   for (size_t i = 0; i < a.arity(); ++i) {
-    if (TermGround(a.args()[i], bound)) cols.push_back(static_cast<int>(i));
+    if (ast::GroundUnder(a.args()[i], bound)) {
+      cols.push_back(static_cast<int>(i));
+    }
   }
   return cols;
 }
@@ -102,11 +47,11 @@ uint64_t BaseEstimate(const std::string& pred, const PlanOptions& opts) {
     // frontier actually runs thousands of rows wide plans accordingly.
     auto dit = opts.delta_hints.find(pred);
     if (dit != opts.delta_hints.end()) return RoundRows(dit->second);
-    return opts.cost.delta_rows;
+    return kDeltaRows;
   }
   auto it = opts.extent_hints.find(pred);
   if (it != opts.extent_hints.end()) return std::max<uint64_t>(1, it->second);
-  return opts.cost.default_rows;
+  return kDefaultRows;
 }
 
 // Cost of scheduling relation literal `a` next: its extent estimate shrunk
@@ -130,111 +75,58 @@ uint64_t LiteralCost(const ast::Atom& a, const std::set<std::string>& bound,
   }
   uint64_t est = BaseEstimate(a.predicate(), opts);
   unsigned shift = static_cast<unsigned>(
-      std::min<size_t>(ground * opts.cost.bits_per_bound_col, 60));
+      std::min<size_t>(ground * kBitsPerBoundCol, 60));
   return std::max<uint64_t>(1, est >> shift);
-}
-
-// True when every builtin is executable at its source position — the
-// contract left-to-right evaluation relies on. Rules violating it keep
-// their source order so the runtime error is preserved verbatim.
-bool SourceOrderWellFormed(const ast::Rule& rule) {
-  std::set<std::string> bound;
-  for (const ast::Atom& lit : rule.body()) {
-    if (ast::IsBuiltinPredicate(lit.predicate())) {
-      if (!BuiltinExecutable(lit, bound)) return false;
-    }
-    BindLiteral(lit, &bound);
-  }
-  return true;
-}
-
-// Appends literal `idx` to the plan, recording its index columns and
-// binding its variables.
-void Schedule(const ast::Rule& rule, size_t idx, uint64_t est,
-              std::set<std::string>* bound, JoinPlan* plan) {
-  const ast::Atom& lit = rule.body()[idx];
-  LiteralPlan lp;
-  lp.body_index = idx;
-  lp.is_relation = !ast::IsBuiltinPredicate(lit.predicate());
-  lp.est_rows = est;
-  if (lp.is_relation) lp.index_cols = GroundCols(lit, *bound);
-  if (lp.is_relation && plan->driver < 0) {
-    plan->driver = static_cast<int>(idx);
-  }
-  plan->order.push_back(std::move(lp));
-  BindLiteral(lit, bound);
 }
 
 }  // namespace
 
 JoinPlan PlanRule(const ast::Rule& rule, const PlanOptions& opts) {
   const std::vector<ast::Atom>& body = rule.body();
+  std::vector<size_t> order(body.size());
+  std::iota(order.begin(), order.end(), 0);
+  if (opts.reorder) {
+    // Builtins run the moment they are ready: they filter or compute in
+    // O(1) and may bind variables that make later literals cheaper. Else the
+    // cheapest relation literal runs next; ties break toward source order.
+    // Builtins no order makes ready (lint's L002) come last, where the
+    // engines reject them.
+    order = ast::ScheduleBody(
+        body, {},
+        [&](const std::vector<size_t>& ready,
+            const std::set<std::string>& bound) {
+          for (size_t i : ready) {
+            if (ast::IsBuiltinPredicate(body[i].predicate())) return i;
+          }
+          size_t best = ready.front();
+          uint64_t best_cost = LiteralCost(body[best], bound, opts);
+          for (size_t k = 1; k < ready.size(); ++k) {
+            const uint64_t cost = LiteralCost(body[ready[k]], bound, opts);
+            if (cost < best_cost) {
+              best = ready[k];
+              best_cost = cost;
+            }
+          }
+          return best;
+        }).order;
+  }
+
   JoinPlan plan;
   plan.order.reserve(body.size());
   std::set<std::string> bound;
-
-  const bool reorder = opts.reorder && SourceOrderWellFormed(rule);
-
-  if (!reorder) {
-    for (size_t i = 0; i < body.size(); ++i) {
-      Schedule(rule, i, BaseEstimate(body[i].predicate(), opts), &bound,
-               &plan);
+  for (size_t idx : order) {
+    const ast::Atom& lit = body[idx];
+    LiteralPlan lp;
+    lp.body_index = idx;
+    lp.is_relation = !ast::IsBuiltinPredicate(lit.predicate());
+    if (lp.is_relation) {
+      lp.est_rows = BaseEstimate(lit.predicate(), opts);
+      lp.index_cols = GroundCols(lit, bound);
+      if (plan.driver < 0) plan.driver = static_cast<int>(idx);
     }
-    return plan;
-  }
-
-  std::vector<bool> done(body.size(), false);
-  size_t remaining = body.size();
-
-  while (remaining > 0) {
-    // Builtins run the moment their inputs are bound: they filter or compute
-    // in O(1) and may bind variables that make later literals cheaper.
-    bool scheduled_builtin = false;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (done[i] || !ast::IsBuiltinPredicate(body[i].predicate())) continue;
-      if (BuiltinExecutable(body[i], bound)) {
-        Schedule(rule, i, 0, &bound, &plan);
-        done[i] = true;
-        --remaining;
-        scheduled_builtin = true;
-        break;
-      }
-    }
-    if (scheduled_builtin) continue;
-
-    // Cheapest relation literal next; ties break toward source order.
-    size_t best = body.size();
-    uint64_t best_cost = 0;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (done[i] || ast::IsBuiltinPredicate(body[i].predicate())) continue;
-      uint64_t cost = LiteralCost(body[i], bound, opts);
-      if (best == body.size() || cost < best_cost) {
-        best = i;
-        best_cost = cost;
-      }
-    }
-    if (best == body.size()) {
-      // Only unexecutable builtins remain — impossible for a well-formed
-      // source order (checked above), but stay total: emit in source order.
-      for (size_t i = 0; i < body.size(); ++i) {
-        if (done[i]) continue;
-        Schedule(rule, i, 0, &bound, &plan);
-        done[i] = true;
-        --remaining;
-      }
-      break;
-    }
-    Schedule(rule, best, BaseEstimate(body[best].predicate(), opts), &bound,
-             &plan);
-    done[best] = true;
-    --remaining;
-  }
-
-  for (size_t k = 0; k < plan.order.size(); ++k) {
-    if (plan.order[k].body_index != k) {
-      plan.reordered = true;
-      break;
-    }
+    if (idx != plan.order.size()) plan.reordered = true;
+    plan.order.push_back(std::move(lp));
+    ast::Bind(lit, &bound);
   }
   return plan;
 }

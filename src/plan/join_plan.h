@@ -16,7 +16,8 @@
 //     fixed selectivity per argument position already ground under the
 //     bindings accumulated so far. Ties break toward source order, so the
 //     plan deviates from left-to-right only when the model clearly prefers
-//     it. Builtins are scheduled eagerly as soon as their inputs are bound.
+//     it. Builtins are scheduled eagerly as soon as they are ready, under
+//     the binding model lint and adornment share (ast/binding.h).
 //
 //   * The per-literal `index_cols` — the argument positions ground when the
 //     planned join reaches the literal — are the rule's complete index
@@ -30,9 +31,10 @@
 //     driver's frozen extent otherwise — which removes the duplicated
 //     rule-prefix re-enumeration for right-linear rules).
 //
-// A rule whose source order would fail at runtime (a builtin unexecutable at
-// its source position, e.g. `equal/2` with both sides unbound) is left in
-// source order so the error surfaces exactly as written. Planning is pure
+// A builtin written before the literals that bind its inputs (e.g.
+// `equal(X, Y)` ahead of `e(X)`) therefore runs once they have: every rule
+// lint accepts gets an order that runs. Builtins that no order makes ready
+// (lint's L002) come last, where the engines reject them. Planning is pure
 // and deterministic: same rule, same options, same plan.
 //
 // Layering: this module depends only on ast/ and common/. eval/, exec/,
@@ -55,34 +57,18 @@ namespace factlog::plan {
 
 class StatsCatalog;
 
-/// The cost model's tunable constants, collected in one documented place
-/// (they used to be scattered literals). These only have to *rank* literals,
-/// not predict cardinalities, so they are deliberately coarse; measured
-/// feedback (`delta_hints` / `probe_hints`, seeded from a StatsCatalog)
-/// overrides them wherever an observation exists.
-struct CostModelParams {
-  /// Extent estimate (rows) for predicates without a hint.
-  uint64_t default_rows = 1024;
-  /// Bits of selectivity credited per ground argument position: each bound
-  /// column is assumed to cut the extent by 2^bits (16x by default).
-  unsigned bits_per_bound_col = 4;
-  /// Extent estimate (rows) for delta-driven predicates — default_rows/64,
-  /// keeping the semi-naive frontier planned toward the front.
-  uint64_t delta_rows = 16;
-};
-
 struct PlanOptions {
   /// Known extent sizes (rows) by predicate — e.g. a snapshot of the base
-  /// relations. Missing predicates fall back to `cost.default_rows`.
+  /// relations. Missing predicates fall back to a fixed default.
   std::map<std::string, uint64_t> extent_hints;
   /// Predicates whose body occurrences range over fixpoint deltas rather
-  /// than full extents (the semi-naive IDB): estimated at `cost.delta_rows`
-  /// (or the measured `delta_hints` value) regardless of extent hints, so
-  /// delta-driven literals plan toward the front. PlanProgram additionally
-  /// unions in the program's own IDB predicates.
+  /// than full extents (the semi-naive IDB): estimated at a small fixed
+  /// delta size (or the measured `delta_hints` value) regardless of extent
+  /// hints, so delta-driven literals plan toward the front. PlanProgram
+  /// additionally unions in the program's own IDB predicates.
   std::set<std::string> delta_preds;
   /// Observed mean per-iteration delta sizes by predicate (StatsCatalog
-  /// feedback) — preferred over `cost.delta_rows` for delta-driven
+  /// feedback) — preferred over the fixed delta size for delta-driven
   /// literals.
   std::map<std::string, double> delta_hints;
   /// Observed rows matched per probe, keyed by predicate then adornment
@@ -90,10 +76,8 @@ struct PlanOptions {
   /// An exact-pattern match replaces the per-bound-column shift model for
   /// non-delta literals.
   std::map<std::string, std::map<std::string, double>> probe_hints;
-  /// The cost model's constants; callers (optimizer_cli --cost-*) may tune.
-  CostModelParams cost;
-  /// When false the plan keeps the source body order (the left-to-right
-  /// baseline); index_cols and the driver are still computed.
+  /// When false the plan keeps the source body order exactly (the
+  /// left-to-right baseline); index_cols and the driver are still computed.
   bool reorder = true;
 };
 
@@ -125,8 +109,8 @@ struct JoinPlan {
   std::string Summary() const;
 };
 
-/// Plans one rule. Deterministic; never fails (ill-formed builtin orders
-/// degrade to the identity plan).
+/// Plans one rule. Deterministic; never fails (builtins that never become
+/// ready are planned last, in source order).
 JoinPlan PlanRule(const ast::Rule& rule, const PlanOptions& opts = {});
 
 /// Plans for every rule of a program, index-aligned with program.rules().

@@ -9,7 +9,7 @@ namespace {
 // pathological but legitimate data.
 constexpr int kMaxTermDepth = 10000;
 
-bool DecodeTermBounded(BinReader* r, ast::Term* term, int depth) {
+bool DecodeTermAtDepth(BinReader* r, ast::Term* term, int depth) {
   if (depth > kMaxTermDepth) return false;
   switch (r->U8()) {
     case 0:
@@ -26,7 +26,7 @@ bool DecodeTermBounded(BinReader* r, ast::Term* term, int depth) {
       args.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         ast::Term child = ast::Term::Int(0);
-        if (!DecodeTermBounded(r, &child, depth + 1)) return false;
+        if (!DecodeTermAtDepth(r, &child, depth + 1)) return false;
         args.push_back(std::move(child));
       }
       *term = ast::Term::App(std::move(functor), std::move(args));
@@ -66,7 +66,7 @@ void EncodeTerm(const ast::Term& term, BinWriter* w) {
 }
 
 bool DecodeTerm(BinReader* r, ast::Term* term) {
-  return DecodeTermBounded(r, term, 0);
+  return DecodeTermAtDepth(r, term, 0);
 }
 
 std::string EncodeFactRecord(const ast::Atom& fact) {

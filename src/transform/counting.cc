@@ -1,8 +1,8 @@
 #include "transform/counting.h"
 
-#include <algorithm>
 #include <set>
 
+#include "ast/binding.h"
 #include "ast/special_predicates.h"
 
 namespace factlog::transform {
@@ -10,34 +10,11 @@ namespace factlog::transform {
 namespace {
 
 using ast::Atom;
+using ast::ProjectArgs;
 using ast::Rule;
 using ast::Term;
-
-std::vector<Term> ProjectArgs(const Atom& atom, const std::vector<int>& pos) {
-  std::vector<Term> out;
-  out.reserve(pos.size());
-  for (int p : pos) out.push_back(atom.args()[p]);
-  return out;
-}
-
-std::set<std::string> VarsAt(const Atom& atom, const std::vector<int>& pos) {
-  std::set<std::string> out;
-  for (int p : pos) {
-    std::vector<std::string> vars;
-    atom.args()[p].CollectVars(&vars);
-    out.insert(vars.begin(), vars.end());
-  }
-  return out;
-}
-
-// True when every variable of `atom` belongs to `allowed`.
-bool VarsWithin(const Atom& atom, const std::set<std::string>& allowed) {
-  std::vector<std::string> vars;
-  atom.CollectVars(&vars);
-  return std::all_of(vars.begin(), vars.end(), [&](const std::string& v) {
-    return allowed.count(v) > 0;
-  });
-}
+using ast::VarsAt;
+using ast::VarsWithin;
 
 Atom Affine(const std::string& x, int64_t a, int64_t b, const std::string& z) {
   return Atom(ast::kAffinePredicate,
@@ -55,6 +32,11 @@ Result<CountingProgram> CountingTransform(
     const core::ProgramClassification& classification) {
   if (!classification.unit_program) {
     return Status::FailedPrecondition("Counting requires a unit program");
+  }
+  // An all-bound or all-free adornment leaves the rules unclassified.
+  if (classification.shapes.size() != adorned.program().rules().size()) {
+    return Status::FailedPrecondition("Counting requires classified rules: " +
+                                      classification.diagnostic);
   }
   const std::string& pred = classification.predicate;
   const analysis::Adornment& adn = classification.adornment;

@@ -3,38 +3,18 @@
 #include <algorithm>
 #include <set>
 
+#include "ast/binding.h"
+
 namespace factlog::transform {
 
 namespace {
 
 using ast::Atom;
+using ast::ProjectArgs;
 using ast::Rule;
 using ast::Term;
-
-std::vector<Term> ProjectArgs(const Atom& atom, const std::vector<int>& pos) {
-  std::vector<Term> out;
-  out.reserve(pos.size());
-  for (int p : pos) out.push_back(atom.args()[p]);
-  return out;
-}
-
-std::set<std::string> VarsAt(const Atom& atom, const std::vector<int>& pos) {
-  std::set<std::string> out;
-  for (int p : pos) {
-    std::vector<std::string> vars;
-    atom.args()[p].CollectVars(&vars);
-    out.insert(vars.begin(), vars.end());
-  }
-  return out;
-}
-
-bool VarsWithin(const Atom& atom, const std::set<std::string>& allowed) {
-  std::vector<std::string> vars;
-  atom.CollectVars(&vars);
-  return std::all_of(vars.begin(), vars.end(), [&](const std::string& v) {
-    return allowed.count(v) > 0;
-  });
-}
+using ast::VarsAt;
+using ast::VarsWithin;
 
 Status RequireShapes(const core::ProgramClassification& c,
                      core::RuleShape::Kind kind) {

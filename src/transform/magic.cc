@@ -2,23 +2,10 @@
 
 namespace factlog::transform {
 
-namespace {
-
 using analysis::AdornedPredicate;
+using analysis::BoundArgs;
 using ast::Atom;
 using ast::Rule;
-using ast::Term;
-
-// Projects the arguments of `atom` onto the bound positions of `ap`.
-std::vector<Term> BoundArgs(const Atom& atom, const AdornedPredicate& ap) {
-  std::vector<Term> out;
-  for (int pos : ap.adornment.BoundPositions()) {
-    out.push_back(atom.args()[pos]);
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<MagicProgram> MagicSets(const analysis::AdornedProgram& adorned) {
   MagicProgram out;

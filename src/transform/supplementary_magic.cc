@@ -3,28 +3,16 @@
 #include <algorithm>
 #include <set>
 
+#include "ast/binding.h"
+
 namespace factlog::transform {
 
-namespace {
-
 using analysis::AdornedPredicate;
+using analysis::BoundArgs;
 using ast::Atom;
+using ast::AtomVars;
 using ast::Rule;
 using ast::Term;
-
-std::vector<Term> BoundArgs(const Atom& atom, const AdornedPredicate& ap) {
-  std::vector<Term> out;
-  for (int pos : ap.adornment.BoundPositions()) out.push_back(atom.args()[pos]);
-  return out;
-}
-
-std::set<std::string> AtomVars(const Atom& a) {
-  std::vector<std::string> v;
-  a.CollectVars(&v);
-  return std::set<std::string>(v.begin(), v.end());
-}
-
-}  // namespace
 
 Result<SupplementaryMagicProgram> SupplementaryMagicSets(
     const analysis::AdornedProgram& adorned) {

@@ -116,6 +116,20 @@ TEST(CountingTest, CyclicDataDivergesEvenRightLinear) {
   EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(CountingTest, AllFreeAndAllBoundQueriesRejected) {
+  // Neither adornment splits into bound and free parts, so the rules are
+  // never classified.
+  ast::Program p = P(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- t(X, W), e(W, Y).
+  )");
+  for (const char* query : {"t(X, Y)", "t(1, 2)"}) {
+    auto counting = Counting(p, A(query));
+    ASSERT_FALSE(counting.ok()) << query;
+    EXPECT_EQ(counting.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
 TEST(CountingTest, CombinedRulesRejected) {
   ast::Program p = P(R"(
     t(X, Y) :- t(X, W), t(W, Y).

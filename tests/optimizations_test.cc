@@ -25,7 +25,7 @@ using test::P;
 // The frozen-body chase with a planned join order and no pre-check.
 Result<bool> OracleIsUniformlyRedundant(const ast::Program& program,
                                         size_t rule_index,
-                                        eval::EvalOptions eval_opts) {
+                                        uint64_t max_facts) {
   const ast::Rule& rule = program.rules()[rule_index];
   if (rule.body().empty()) return false;
   for (const ast::Atom& b : rule.body()) {
@@ -45,7 +45,8 @@ Result<bool> OracleIsUniformlyRedundant(const ast::Program& program,
   for (const ast::Atom& fact : frozen.body()) {
     chase.AddRule(ast::Rule(fact, {}));
   }
-  eval_opts.join_order = eval::JoinOrder::kPlanned;
+  eval::EvalOptions eval_opts;
+  eval_opts.max_facts = max_facts;
   eval::Database db;
   auto result = eval::Evaluate(chase, &db, eval_opts);
   if (!result.ok()) {
@@ -67,7 +68,7 @@ Result<bool> OracleDeleteUniformlyRedundantRules(ast::Program* program,
     size_t n = program->rules().size();
     for (size_t step = 0; step < n; ++step) {
       size_t i = (opts.ue_order == UeOrder::kForward) ? step : (n - 1 - step);
-      auto redundant = OracleIsUniformlyRedundant(*program, i, opts.ue_eval);
+      auto redundant = OracleIsUniformlyRedundant(*program, i, opts.ue_max_facts);
       if (!redundant.ok()) return redundant.status();
       if (*redundant) {
         program->mutable_rules()->erase(program->mutable_rules()->begin() + i);
@@ -373,9 +374,7 @@ void ExpectCompileMatchesOracle(const std::string& text,
                                 bool* factored) {
   ast::Program program = P(text);
   ast::Atom q = A(query);
-  PipelineOptions raw;
-  raw.apply_optimizations = false;
-  auto pipe = OptimizeQuery(program, q, raw);
+  auto pipe = OptimizeQuery(program, q);
   *factored = false;
   ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
   if (!pipe->factoring_applied) return;
@@ -497,7 +496,7 @@ TEST(UniformEquivalenceExactnessTest, RandomProgramsMatchRestartScan) {
       for (UeOrder order : {UeOrder::kForward, UeOrder::kBackward}) {
         SCOPED_TRACE(text + "budget " + std::to_string(budget));
         OptimizeOptions opts = WithOrder(order);
-        opts.ue_eval.max_facts = budget;
+        opts.ue_max_facts = budget;
         ast::Program expected = program;
         ast::Program actual = program;
         auto oracle = OracleDeleteUniformlyRedundantRules(&expected, opts);
@@ -587,7 +586,7 @@ TEST(UniformEquivalenceBudgetTest, BudgetCutChaseIsRetestedAfterDeletion) {
     k(X) :- h(X).
   )");
   OptimizeOptions opts;
-  opts.ue_eval.max_facts = 9;
+  opts.ue_max_facts = 9;
   ast::Program expected = p;
   auto oracle = OracleDeleteUniformlyRedundantRules(&expected, opts);
   ASSERT_TRUE(oracle.ok());

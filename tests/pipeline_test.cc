@@ -202,22 +202,6 @@ TEST(PipelineTest, Example52PseudoLeftLinear) {
   EXPECT_TRUE(has_const_in_d) << result->optimized->ToString();
 }
 
-TEST(PipelineTest, OptimizationsCanBeDisabled) {
-  ast::Program p = P(R"(
-    t(X, Y) :- e(X, W), t(W, Y).
-    t(X, Y) :- e(X, Y).
-    ?- t(5, Y).
-  )");
-  PipelineOptions opts;
-  opts.apply_optimizations = false;
-  auto result = OptimizeQuery(p, *p.query(), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->factoring_applied);
-  EXPECT_FALSE(result->optimized.has_value());
-  // final_program() falls back to the raw factored program.
-  EXPECT_EQ(&result->final_program(), &result->factored->program);
-}
-
 TEST(PipelineTest, TraceRecordsDecisions) {
   ast::Program p = P(R"(
     t(X, Y) :- e(X, W), t(W, Y).

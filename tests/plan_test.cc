@@ -113,14 +113,27 @@ TEST(PlanRuleTest, BuiltinsRunAsSoonAsExecutable) {
   EXPECT_EQ(jp.driver, 1);
 }
 
-TEST(PlanRuleTest, IllFormedBuiltinOrderIsPreservedVerbatim) {
-  // equal/2 with both sides unbound errors at runtime; the planner must not
-  // reorder the error away.
+TEST(PlanRuleTest, BuiltinWrittenFirstRunsOnceReady) {
+  // equal/2 is written before e(X) binds X: the plan runs it afterwards.
   plan::JoinPlan jp = plan::PlanRule(R("t(X, Y) :- equal(X, Y), e(X)."));
-  EXPECT_EQ(OrderOf(jp), (std::vector<size_t>{0, 1}));
-  EXPECT_FALSE(jp.reordered);
-  // And the evaluation still fails exactly as before.
-  ast::Program p = P("t(X, Y) :- equal(X, Y), e(X).");
+  EXPECT_EQ(OrderOf(jp), (std::vector<size_t>{1, 0}));
+  EXPECT_TRUE(jp.reordered);
+  EXPECT_EQ(test::Answers("t(X, Y) :- equal(X, Y), e(X). ?- t(X, Y).",
+                          "e(1)."),
+            (std::vector<std::string>{"(1, 1)"}));
+  // The left-to-right baseline keeps the source order exactly.
+  plan::PlanOptions ltr;
+  ltr.reorder = false;
+  EXPECT_EQ(OrderOf(plan::PlanRule(R("t(X, Y) :- equal(X, Y), e(X)."), ltr)),
+            (std::vector<size_t>{0, 1}));
+}
+
+TEST(PlanRuleTest, BuiltinNoOrderRunsIsPlannedLastAndErrors) {
+  // No order binds Y or Z (lint's L002): the builtin goes last and the
+  // evaluation fails there.
+  plan::JoinPlan jp = plan::PlanRule(R("t(X) :- equal(Y, Z), e(X)."));
+  EXPECT_EQ(OrderOf(jp), (std::vector<size_t>{1, 0}));
+  ast::Program p = P("t(X) :- equal(Y, Z), e(X).");
   eval::Database db;
   test::AddFacts(&db, "e(1).");
   auto result = eval::Evaluate(p, &db);

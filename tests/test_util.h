@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,6 +83,29 @@ inline ast::Term T(const std::string& text) {
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? std::move(r).value() : ast::Term::Sym("parse_error");
 }
+
+/// Reads a whole file, failing the test when it cannot be opened.
+inline std::string ReadFileOrDie(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+#ifdef FACTLOG_SOURCE_DIR
+/// The `.dl` files in directory `rel` of the source tree, sorted by name.
+inline std::vector<std::filesystem::path> DlFilesIn(const std::string& rel) {
+  std::vector<std::filesystem::path> files;
+  const std::filesystem::path dir =
+      std::filesystem::path(FACTLOG_SOURCE_DIR) / rel;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".dl") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+#endif
 
 /// Adds ground facts (one per line or semicolon-free program text) to a
 /// database. Facts must be ground atoms followed by '.'.

@@ -47,9 +47,8 @@ TEST_P(TheoremInvariantTest, FactoredFactsEmbedIntoMagicDerivations) {
   const TheoremCase& c = GetParam();
   ast::Program p = P(c.program);
   ast::Atom q = A(c.query);
-  core::PipelineOptions opts;
-  opts.apply_optimizations = false;  // compare against the raw factored P^fact
-  auto pipe = core::OptimizeQuery(p, q, opts);
+  // Compares against the raw factored P^fact, before the §5 cleanups.
+  auto pipe = core::OptimizeQuery(p, q);
   ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
   ASSERT_TRUE(pipe->factoring_applied);
 
